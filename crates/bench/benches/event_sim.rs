@@ -1,8 +1,8 @@
 //! Criterion throughput benchmarks for the event-driven simulator
 //! rewrite: the [`EventQueue`] merge primitive on its own, the batched
 //! `TileView` functional compute paths (GEMM and the 2:4/1:4 SPMM
-//! decoders), and the production event-driven multi-core merge loop
-//! against the retained stepped scan it replaced.
+//! decoders), and the production multi-core path against the retained
+//! stepped scan.
 //!
 //! All cycle outputs are asserted equal elsewhere
 //! (`sim/tests/event_vs_stepped.rs`); these benches track the *speed*
@@ -71,9 +71,10 @@ fn bench_batched_exec(c: &mut Criterion) {
     }
 }
 
-/// The two merge loops over the same 8-core LPT shard set: the
-/// event-driven production path must beat (and never drift from) the
-/// stepped linear-scan reference.
+/// The production multi-core path (per-core runs under the default
+/// prefetch assumption; the bench keeps its historical name) against the
+/// stepped linear-scan reference over the same 8-core LPT shard set: it
+/// must beat (and never drift from) the reference.
 fn bench_merge_loops(c: &mut Criterion) {
     let shape = bench_shape();
     let spec = KernelSpec::tiled(SparseMode::Nm2of4);

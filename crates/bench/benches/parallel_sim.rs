@@ -1,13 +1,14 @@
-//! Criterion benchmarks for the host-parallel multi-core execution mode:
-//! the same pinned 8-simulated-core LPT shard set replayed sequentially
-//! (the event-driven merge) and under [`ExecMode::ParallelHost`] at 1, 2,
-//! 4 and 8 host threads.
+//! Criterion benchmarks for the host-thread axis of a multi-core run: the
+//! same pinned 8-simulated-core LPT shard set replayed under
+//! [`ExecMode::Sequential`] (every core inline on the calling thread) and
+//! under [`ExecMode::ParallelHost`] at 1, 2, 4 and 8 host threads (up to
+//! that many cores run at once, each against its own first-touch summary).
 //!
 //! The results are asserted identical elsewhere
 //! (`sim/tests/parallel_vs_event.rs`); these benches track the host-side
-//! speedup the per-core worker threads buy. On an N-CPU host the curve
-//! should rise until the host-thread count passes min(N, simulated
-//! cores); past that the extra threads only queue.
+//! speedup the extra threads buy. On an N-CPU host the curve should rise
+//! until the host-thread count passes min(N, simulated cores); past that
+//! the extra threads only wait for the job list to drain.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use vegeta::prelude::*;

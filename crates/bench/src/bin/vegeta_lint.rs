@@ -4,8 +4,9 @@
 //! `--self-test`, runs the mutation corpus instead and exits nonzero
 //! unless every seeded defect is rejected with its expected code. With
 //! `--replay`, replays each verified cell through the production
-//! (event-driven) simulator and exits nonzero unless the instruction
-//! counts the simulator consumes match the op counts the verifier walked.
+//! simulator and exits nonzero unless the instruction counts the
+//! simulator consumes match the op counts the verifier walked and every
+//! multi-core result matches the stepped reference scan.
 //! Set `VEGETA_QUICK=1` for a scaled-down fast run.
 
 fn main() {

@@ -153,7 +153,7 @@ pub fn print_lint_sweep() -> bool {
 }
 
 /// Core count the replay cross-check shards at: enough for a real LPT
-/// 2D/K-split plan and a multi-way event merge without making the sweep
+/// 2D/K-split plan and a multi-way shared L2 without making the sweep
 /// simulate every scaling point twice.
 pub const REPLAY_CHECK_CORES: usize = 4;
 
@@ -170,22 +170,23 @@ pub struct ReplayCell {
     /// Ops the verifier walked across the [`REPLAY_CHECK_CORES`]-core LPT
     /// shard set (reduction included).
     pub verified_shard_ops: u64,
-    /// Instructions the event-driven multi-core simulator consumed from
+    /// Instructions the production multi-core simulator consumed from
     /// the same shard set (reduction included).
     pub simulated_shard_insts: u64,
-    /// Whether the host-parallel replay ([`ExecMode::ParallelHost`])
-    /// produced a [`MultiCoreResult`] identical to the sequential event
-    /// merge for this cell's shard set.
-    pub exec_modes_agree: bool,
+    /// Whether [`MultiCoreSim::run_sharded`] produced a
+    /// [`MultiCoreResult`] identical to the stepped reference scan
+    /// ([`MultiCoreSim::run_sharded_stepped`]) for this cell's shard set.
+    pub matches_stepped: bool,
 }
 
 impl ReplayCell {
     /// Whether the simulator consumed exactly what the verifier checked,
-    /// on both paths — and both execution modes agreed on the result.
+    /// on both paths — and the production multi-core result matched the
+    /// stepped reference.
     pub fn consistent(&self) -> bool {
         self.verified_ops == self.simulated_insts
             && self.verified_shard_ops == self.simulated_shard_insts
-            && self.exec_modes_agree
+            && self.matches_stepped
     }
 }
 
@@ -193,8 +194,9 @@ impl ReplayCell {
 /// cross-checks op accounting end to end: the instruction count the
 /// simulator consumes must equal the op count the verifier walked — for
 /// the unsharded stream on a single core, and for the
-/// [`REPLAY_CHECK_CORES`]-core LPT shard set under the event-driven merge
-/// loop (reduction pass included). A gap in either direction means the
+/// [`REPLAY_CHECK_CORES`]-core LPT shard set on the production multi-core
+/// path (reduction pass included), whose result must also equal the
+/// stepped reference scan's. A gap in either direction means the
 /// verifier's green does not describe the streams the evaluation actually
 /// simulates.
 pub fn run_replay_check() -> Vec<ReplayCell> {
@@ -210,30 +212,29 @@ pub fn run_replay_check() -> Vec<ReplayCell> {
 
             let verified_shard_ops = verify_shard_set(&spec, shape, REPLAY_CHECK_CORES).ops_checked;
             let set = spec.shard_set(shape, REPLAY_CHECK_CORES);
-            let mut mc = MultiCoreSim::new(
-                MultiCoreConfig::with_core(SimConfig::default(), REPLAY_CHECK_CORES)
-                    .with_exec(ExecMode::Sequential),
-                engine.clone(),
+            let cfg = MultiCoreConfig::with_core(SimConfig::default(), REPLAY_CHECK_CORES);
+            let res = MultiCoreSim::new(cfg.clone(), engine.clone()).run_sharded(
+                set.shards,
+                set.reduction,
+                SchedulerPolicy::Lpt,
             );
-            let res = mc.run_sharded(set.shards, set.reduction, SchedulerPolicy::Lpt);
 
-            // The same shard set under the host-parallel shared-L2 replay
-            // must reproduce the sequential result exactly; a divergence
-            // here is a verification failure, not a perf detail.
+            // The same shard set through the stepped reference scan must
+            // reproduce the production result exactly; a divergence here
+            // is a verification failure, not a perf detail.
             let set = spec.shard_set(shape, REPLAY_CHECK_CORES);
-            let mut mc = MultiCoreSim::new(
-                MultiCoreConfig::with_core(SimConfig::default(), REPLAY_CHECK_CORES)
-                    .with_exec(ExecMode::ParallelHost(2)),
-                engine.clone(),
+            let stepped = MultiCoreSim::new(cfg, engine.clone()).run_sharded_stepped(
+                set.shards,
+                set.reduction,
+                SchedulerPolicy::Lpt,
             );
-            let parallel = mc.run_sharded(set.shards, set.reduction, SchedulerPolicy::Lpt);
             ReplayCell {
                 label,
                 verified_ops,
                 simulated_insts,
                 verified_shard_ops,
                 simulated_shard_insts: res.instructions(),
-                exec_modes_agree: parallel == res,
+                matches_stepped: stepped == res,
             }
         })
         .collect()
@@ -247,7 +248,7 @@ pub fn print_replay_check() -> bool {
     );
     println!(
         "{:<44} {:>12} {:>12} {:>12} {:>12} {:>7}",
-        "cell", "verified", "simulated", "shard-ver", "shard-sim", "par-ok"
+        "cell", "verified", "simulated", "shard-ver", "shard-sim", "step-ok"
     );
     let cells = run_replay_check();
     let mut ok = true;
@@ -259,19 +260,19 @@ pub fn print_replay_check() -> bool {
             cell.simulated_insts,
             cell.verified_shard_ops,
             cell.simulated_shard_insts,
-            if cell.exec_modes_agree { "yes" } else { "NO" }
+            if cell.matches_stepped { "yes" } else { "NO" }
         );
         if !cell.consistent() {
             ok = false;
             eprintln!(
                 "MISMATCH {}: verifier walked {}/{} ops, simulator consumed {}/{}, \
-                 parallel replay {}",
+                 stepped reference {}",
                 cell.label,
                 cell.verified_ops,
                 cell.verified_shard_ops,
                 cell.simulated_insts,
                 cell.simulated_shard_insts,
-                if cell.exec_modes_agree {
+                if cell.matches_stepped {
                     "agrees"
                 } else {
                     "DIVERGES"
@@ -280,7 +281,7 @@ pub fn print_replay_check() -> bool {
         }
     }
     println!(
-        "replayed {} cells at 1 and {REPLAY_CHECK_CORES} cores (sequential + host-parallel): {}",
+        "replayed {} cells at 1 and {REPLAY_CHECK_CORES} cores (production + stepped reference): {}",
         cells.len(),
         if ok { "counts match" } else { "COUNTS DIVERGE" }
     );

@@ -257,9 +257,9 @@ pub fn run_perf_cells(layers: &[Layer], fidelities: &[Fidelity]) -> Vec<PerfCell
 pub const MC_PERF_CORES: usize = 8;
 
 /// Replays `layers` × [`perf_gate_engines`] at 2:4 weights sharded across
-/// [`MC_PERF_CORES`] simulated cores (LPT 2D/K-split plans, host-parallel
-/// replay under [`ExecMode::Auto`] — so `VEGETA_HOST_THREADS` and the
-/// host's available parallelism govern the fan-out), timing each run.
+/// [`MC_PERF_CORES`] simulated cores (LPT 2D/K-split plans, per-core runs
+/// under [`ExecMode::Auto`] — so `VEGETA_HOST_THREADS` and the host's
+/// available parallelism govern the fan-out), timing each run.
 /// These cells feed the `geomean_multicore_insts_per_sec` summary and the
 /// opt-in `--min-multicore-ips` floor.
 pub fn run_multicore_perf_cells(layers: &[Layer], fidelity: Fidelity) -> Vec<PerfCell> {

@@ -124,7 +124,7 @@ impl ServeConfig {
     ///
     /// `0` means one per worker. When workers are multi-core, each
     /// worker's key simulation can itself fan out over host threads
-    /// (the parallel shared-L2 replay), so the phase-1 fan-out is capped
+    /// (its per-core runs), so the phase-1 fan-out is capped
     /// at the host's available parallelism — oversubscribing both layers
     /// at once only adds scheduling noise, never changes results.
     pub(crate) fn host_threads(&self) -> usize {

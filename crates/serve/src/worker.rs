@@ -131,8 +131,8 @@ impl WorkerPool {
             // Each worker's share of the host: phase-1 fan-out already
             // occupies `threads` host threads, so the per-key multi-core
             // replay gets the leftover budget (at least one). Results are
-            // host-thread-independent either way — ParallelHost replays
-            // the shared-L2 log deterministically.
+            // host-thread-independent either way — the per-core first-touch
+            // summaries fold into the shared L2 in any order.
             let avail = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
             let host_budget = (avail / self.threads).max(1);
             let mut mc = MultiCoreSim::new(

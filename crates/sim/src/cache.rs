@@ -31,6 +31,7 @@
 //! randomized differential test against a stamp-scan reference model.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Cache line size in bytes.
 pub const LINE_BYTES: u64 = 64;
@@ -101,18 +102,44 @@ impl SharedL2Stats {
     }
 }
 
-/// One time-stamped shared-L2 lookup recorded by a log-sink L2
-/// ([`SharedL2::log_sink`]) during a host-parallel main phase, replayed
-/// later on the real L2 in exact global `(time, core)` order.
+/// Who first brought a shared-L2 line in, and how often that core has
+/// touched it since. [`SharedL2::fold`] orders claims on the same line by
+/// `(time, core)`: the smallest is the line's first toucher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct L2LogEntry {
-    /// The accessing core's pipeline clock when the instruction making
-    /// this access was woken (nondecreasing within one worker's log).
-    pub time: u64,
-    /// The accessing core's id (what [`SharedL2::access_line`] was handed).
-    pub core: u32,
-    /// The line address the L1 missed on.
-    pub line: u64,
+struct Claim {
+    /// The first touch's stamp: the toucher's clock plus one
+    /// ([`SharedL2::set_now`]), or 0 for a *settled* line whose owner no
+    /// fold may change.
+    time: u64,
+    /// The first-toucher core.
+    core: usize,
+    /// Accesses the first toucher itself made to the line, the first
+    /// touch included. Every other access is a shared hit.
+    own: u64,
+}
+
+/// Hashes the line addresses keying a [`SharedL2`]'s claims on every L1
+/// miss: a multiply, then the high half folded into the low half so that
+/// 64 B-aligned addresses still spread across buckets. The keys are
+/// simulated addresses, so a DoS-resistant hasher would only cost time.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, line: u64) {
+        let h = line.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
 }
 
 /// Sentinel for "no slot" in the intrusive recency list.
@@ -211,18 +238,19 @@ impl LruTable {
         slot
     }
 
-    /// Evicts the least-recently-used line, returning its freed slot.
+    /// Evicts the least-recently-used line, returning its address.
     /// Returns `None` when the table is empty (mirroring the stamp-scan
     /// reference, which finds no victim in an empty map).
-    fn evict_lru(&mut self) -> Option<u32> {
+    fn evict_lru(&mut self) -> Option<u64> {
         let victim = self.head;
         if victim == NO_SLOT {
             return None;
         }
         self.unlink(victim);
-        self.index.remove(&self.addrs[victim as usize]);
+        let addr = self.addrs[victim as usize];
+        self.index.remove(&addr);
         self.free.push(victim);
-        Some(victim)
+        Some(addr)
     }
 }
 
@@ -234,24 +262,25 @@ impl LruTable {
 /// invalidation traffic is modelled: a line is resident for every core once
 /// any core has touched it. With `prefetched` set (the §VI-B default) every
 /// lookup is a hit at `hit_latency`, exactly as the single-core model
-/// assumes; without it, cold lines cost `miss_latency` and capacity is
-/// enforced with exact O(1) LRU replacement.
+/// assumes, and nothing is ever evicted; without it, cold lines cost
+/// `miss_latency` and capacity is enforced with exact O(1) LRU replacement.
+///
+/// A prefetched L2 that only one core accesses doubles as that core's
+/// *first-touch summary* (each line's first stamp and access count),
+/// which a host-parallel [`crate::MultiCoreSim`] folds into the real L2.
 #[derive(Debug, Clone)]
 pub struct SharedL2 {
     capacity_lines: usize,
     hit_latency: u64,
     miss_latency: u64,
-    prefetched: bool,
-    lines: LruTable,
-    /// Per-slot first-toucher core (sharing attribution), parallel to the
-    /// recency table's slots.
-    owners: Vec<usize>,
+    /// Recency of the resident lines; `None` under the prefetch
+    /// assumption, which never evicts.
+    recency: Option<LruTable>,
+    /// Every resident line's first-touch claim (sharing attribution).
+    claims: HashMap<u64, Claim, BuildHasherDefault<LineHasher>>,
     stats: SharedL2Stats,
-    /// Log-sink mode ([`SharedL2::log_sink`]): record accesses instead of
-    /// tracking residency, for deferred replay on the real L2.
-    logging: bool,
-    log: Vec<L2LogEntry>,
-    log_stamp: u64,
+    /// Stamp recorded on lines first touched from now on.
+    now: u64,
 }
 
 impl SharedL2 {
@@ -263,63 +292,24 @@ impl SharedL2 {
             capacity_lines: capacity_lines.max(1),
             hit_latency,
             miss_latency,
-            prefetched: false,
-            lines: LruTable::new(),
-            owners: Vec::new(),
+            recency: Some(LruTable::new()),
+            claims: HashMap::default(),
             stats: SharedL2Stats::default(),
-            logging: false,
-            log: Vec::new(),
-            log_stamp: 0,
+            now: 0,
         }
-    }
-
-    /// A log-sink twin of a *prefetched* shared L2: every
-    /// [`SharedL2::access_line`] call appends an [`L2LogEntry`] stamped
-    /// with the last [`SharedL2::set_log_stamp`] time and returns
-    /// `hit_latency` — exactly what a prefetched L2 returns on every
-    /// lookup — without touching residency, ownership, or statistics.
-    ///
-    /// This is what makes the host-parallel multi-core mode sound: under
-    /// the §VI-B prefetch assumption the latency a core observes is a
-    /// constant, so cores can be simulated on separate host threads
-    /// against private log sinks, and the real L2's state evolution is
-    /// reconstructed afterwards by replaying the merged logs in global
-    /// `(time, core)` order (see `multicore.rs`).
-    pub(crate) fn log_sink(hit_latency: u64) -> Self {
-        let mut l2 = SharedL2::new(1, hit_latency, hit_latency).with_prefetched(true);
-        l2.logging = true;
-        l2
-    }
-
-    /// Sets the timestamp recorded on subsequently logged accesses (the
-    /// owning core's clock at the wake that issued them). Log-sink mode
-    /// only; a no-op otherwise.
-    pub(crate) fn set_log_stamp(&mut self, time: u64) {
-        self.log_stamp = time;
-    }
-
-    /// Logged entries not yet drained (log-sink mode only).
-    pub(crate) fn log_len(&self) -> usize {
-        self.log.len()
-    }
-
-    /// Drains the accumulated access log, leaving it empty — the chunked
-    /// hand-off that keeps a worker's log residency bounded.
-    pub(crate) fn take_log(&mut self) -> Vec<L2LogEntry> {
-        std::mem::take(&mut self.log)
     }
 
     /// Enables (or disables) the §VI-B prefetch assumption: every lookup
     /// hits at the hit latency, and residency tracking only attributes
-    /// sharing.
+    /// sharing. Set it before the first access.
     pub fn with_prefetched(mut self, prefetched: bool) -> Self {
-        self.prefetched = prefetched;
+        self.recency = (!prefetched).then(LruTable::new);
         self
     }
 
     /// Whether the prefetch assumption is on.
     pub fn is_prefetched(&self) -> bool {
-        self.prefetched
+        self.recency.is_none()
     }
 
     /// Statistics so far.
@@ -327,42 +317,94 @@ impl SharedL2 {
         self.stats
     }
 
+    /// Resident lines.
+    pub(crate) fn resident_lines(&self) -> usize {
+        self.claims.len()
+    }
+
+    /// Sets the clock of the accesses that follow: lines they touch first
+    /// are stamped `now + 1`, which keeps stamp 0 for settled lines.
+    pub(crate) fn set_now(&mut self, now: u64) {
+        self.now = now + 1;
+    }
+
+    /// Settles every resident line: no later [`SharedL2::fold`] may take
+    /// it from its owner, since it was touched before the run that folds.
+    pub(crate) fn settle(&mut self) {
+        for claim in self.claims.values_mut() {
+            claim.time = 0;
+        }
+    }
+
     /// Looks up one line on behalf of `core`, updating residency and
     /// sharing attribution; returns the load-to-use latency.
     pub fn access_line(&mut self, core: usize, line_addr: u64) -> u64 {
-        if self.logging {
-            self.log.push(L2LogEntry {
-                time: self.log_stamp,
-                core: u32::try_from(core).expect("fewer than 2^32 cores"),
-                line: line_addr,
-            });
-            return self.hit_latency;
-        }
         self.stats.accesses += 1;
-        if let Some(slot) = self.lines.touch(line_addr) {
+        if let Some(claim) = self.claims.get_mut(&line_addr) {
+            if let Some(recency) = &mut self.recency {
+                recency.touch(line_addr);
+            }
             self.stats.hits += 1;
-            if self.owners[slot as usize] != core {
+            if claim.core == core {
+                claim.own += 1;
+            } else {
                 self.stats.shared_hits += 1;
             }
             return self.hit_latency;
         }
-        // Capacity only matters when misses cost something: under the
-        // prefetch assumption residency is sharing attribution only.
-        if !self.prefetched && self.lines.len() >= self.capacity_lines {
-            self.lines.evict_lru();
-        }
-        let slot = self.lines.insert(line_addr) as usize;
-        if slot >= self.owners.len() {
-            self.owners.resize(slot + 1, core);
-        }
-        self.owners[slot] = core;
-        if self.prefetched {
+        let claim = Claim {
+            time: self.now,
+            core,
+            own: 1,
+        };
+        self.claims.insert(line_addr, claim);
+        let Some(recency) = &mut self.recency else {
             // The data was preloaded (§VI-B): the first touch is a hit too.
             self.stats.hits += 1;
-            self.hit_latency
-        } else {
-            self.stats.misses += 1;
-            self.miss_latency
+            return self.hit_latency;
+        };
+        // Capacity only matters when misses cost something.
+        if recency.len() >= self.capacity_lines {
+            if let Some(victim) = recency.evict_lru() {
+                self.claims.remove(&victim);
+            }
+        }
+        recency.insert(line_addr);
+        self.stats.misses += 1;
+        self.miss_latency
+    }
+
+    /// Drains one core's first-touch `summary` into this prefetched L2, as
+    /// if that core's accesses had been interleaved with every core folded
+    /// before it in global `(time, core)` order.
+    ///
+    /// Each line goes to the claim with the smallest `(time, core)`; a
+    /// claim that loses, or loses its line later, turns its accesses into
+    /// shared hits. Settled lines keep their owner. Every access is a hit.
+    /// The owner is a minimum and every non-owner access is counted once,
+    /// so the stats do not depend on the order cores are folded in. One
+    /// core may fold several summaries, as long as it folds them in the
+    /// order it ran them.
+    pub(crate) fn fold(&mut self, summary: &mut SharedL2) {
+        debug_assert!(
+            self.is_prefetched() && summary.is_prefetched(),
+            "only a prefetched L2 never evicts"
+        );
+        for (line, theirs) in summary.claims.drain() {
+            self.stats.accesses += theirs.own;
+            self.stats.hits += theirs.own;
+            let ours = self
+                .claims
+                .entry(line)
+                .or_insert(Claim { own: 0, ..theirs });
+            if ours.core == theirs.core {
+                ours.own += theirs.own;
+            } else if (theirs.time, theirs.core) < (ours.time, ours.core) {
+                self.stats.shared_hits += ours.own;
+                *ours = theirs;
+            } else {
+                self.stats.shared_hits += theirs.own;
+            }
         }
     }
 }
@@ -698,49 +740,68 @@ mod tests {
         }
     }
 
-    #[test]
-    fn log_sink_records_instead_of_touching_state() {
-        let mut sink = SharedL2::log_sink(14);
-        sink.set_log_stamp(5);
-        assert_eq!(sink.access_line(1, 64), 14);
-        sink.set_log_stamp(9);
-        assert_eq!(
-            sink.access_line(2, 64),
-            14,
-            "same line again: still the flat prefetched hit latency"
-        );
-        assert_eq!(
-            sink.stats(),
-            SharedL2Stats::default(),
-            "stats stay untouched in log mode"
-        );
-        assert_eq!(sink.log_len(), 2);
-        let log = sink.take_log();
-        assert_eq!(
-            log,
-            vec![
-                L2LogEntry {
-                    time: 5,
-                    core: 1,
-                    line: 64
-                },
-                L2LogEntry {
-                    time: 9,
-                    core: 2,
-                    line: 64
-                },
-            ]
-        );
-        assert_eq!(sink.log_len(), 0, "take_log drains");
-        // Replaying the log on a real prefetched L2 reproduces the state
-        // evolution the sequential path would have seen.
-        let mut real = SharedL2::new(4, 14, 100).with_prefetched(true);
-        for e in &log {
-            real.access_line(e.core as usize, e.line);
+    /// One core's first-touch summary of `(stamp, line)` accesses.
+    fn summary(core: usize, accesses: &[(u64, u64)]) -> SharedL2 {
+        let mut l2 = SharedL2::new(1, 14, 14).with_prefetched(true);
+        for &(now, line) in accesses {
+            l2.set_now(now);
+            assert_eq!(l2.access_line(core, line), 14);
         }
+        l2
+    }
+
+    #[test]
+    fn folding_summaries_is_order_independent() {
+        // `(core, [(time, line)])` summaries. Core 2 reaches line 64 first;
+        // core 1 beats core 2 to line 128 on the core-id tiebreak; line 192
+        // is core 1's alone. Core 0 folds two partial summaries, in the
+        // order it ran them, and re-touches line 64 in the second.
+        let parts = [
+            (0, vec![(5, 64)]),
+            (0, vec![(7, 64), (9, 128)]),
+            (1, vec![(3, 128), (6, 64), (6, 192), (8, 192)]),
+            (2, vec![(3, 128), (3, 128), (4, 64)]),
+        ];
+        // The same accesses on one L2 in global (time, core) order, as the
+        // event merge would deliver them.
+        let mut global: Vec<(u64, usize, u64)> = parts
+            .iter()
+            .flat_map(|(core, a)| a.iter().map(move |&(t, line)| (t, *core, line)))
+            .collect();
+        global.sort_by_key(|&(t, core, _)| (t, core));
+        let mut merged = SharedL2::new(4, 14, 100).with_prefetched(true);
+        for (_, core, line) in global {
+            merged.access_line(core, line);
+        }
+        let expected = merged.stats();
+        assert_eq!((expected.accesses, expected.shared_hits), (10, 6));
+        for order in [[0, 1, 2, 3], [3, 2, 0, 1], [2, 0, 3, 1], [0, 3, 1, 2]] {
+            let mut real = SharedL2::new(4, 14, 100).with_prefetched(true);
+            for i in order {
+                real.fold(&mut summary(parts[i].0, &parts[i].1));
+            }
+            assert_eq!(real.stats(), expected, "fold order {order:?}");
+        }
+    }
+
+    #[test]
+    fn folding_keeps_the_owner_of_a_settled_line() {
+        // Line 64 was resident before the run (core 3's): a summary
+        // stamped earlier still cannot take it over.
+        let mut real = SharedL2::new(4, 14, 100).with_prefetched(true);
+        real.set_now(50);
+        real.access_line(3, 64);
+        real.settle();
+        real.fold(&mut summary(0, &[(0, 64), (1, 64), (2, 128)]));
+        real.fold(&mut summary(3, &[(9, 64)]));
         let stats = real.stats();
-        assert_eq!(stats.accesses, 2);
-        assert_eq!(stats.shared_hits, 1, "core 2 reused core 1's line");
+        // Core 0's two touches of line 64 are shared.
+        assert_eq!((stats.accesses, stats.shared_hits), (5, 2));
+        // After the fold the real L2 attributes like any other: core 0
+        // owns line 128, core 3 line 64.
+        real.access_line(3, 128);
+        real.access_line(0, 64);
+        assert_eq!(real.stats().shared_hits, 4);
     }
 
     #[test]

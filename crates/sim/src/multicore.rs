@@ -11,15 +11,20 @@
 //!   nest, typically produced by `KernelSpec::shard_set` /
 //!   `KernelSpec::shard_streams` in `vegeta-kernels`), assigned by a
 //!   [`SchedulerPolicy`];
-//! * the simulator interleaves the streams **in core-local time order** —
-//!   at each step the core whose pipeline clock is furthest behind consumes
-//!   its next instruction — so shared-L2 residency evolves in (approximate)
-//!   global cycle order and the interleave is deterministic whatever the
-//!   host. The production loop is a cross-core event merge over an
-//!   [`crate::EventQueue`] (one wake event per live core, ties by core
-//!   index); the original linear-scan loop is retained as
-//!   [`MultiCoreSim::run_sharded_stepped`] and differential tests pin the
-//!   two to identical results;
+//! * results are those of interleaving the cores in **core-local time
+//!   order**: the core whose clock is furthest behind steps next, ties by
+//!   core index. [`MultiCoreSim::run_sharded_stepped`] is that order's
+//!   linear-scan reference, and differential tests pin both paths below
+//!   to it;
+//! * under the §VI-B prefetch assumption (the default) every shared-L2
+//!   lookup costs the same hit latency, so no core's timing depends on
+//!   another's: each core runs on its own, up to
+//!   [`MultiCoreConfig::resolved_host_threads`] at once, against a private
+//!   first-touch summary that folds into the [`SharedL2`] (each line goes
+//!   to the smallest `(first wake time, core)`, its first toucher in that
+//!   order);
+//! * with a cold L2 the cores really are coupled, and a cross-core event
+//!   merge over an [`crate::EventQueue`] interleaves them in that order;
 //! * the run ends with a sync/barrier: the makespan is the slowest core's
 //!   retire time plus a tree-barrier cost
 //!   ([`MultiCoreConfig::barrier_latency`] per `⌈log₂ cores⌉` level;
@@ -40,10 +45,8 @@
 //! lengths — no cost model needed) and greedily assigned to the
 //! least-loaded core, ties broken by index, so any over-decomposed shard
 //! set balances even when accumulator groups are uneven. Cores drain their
-//! queues back to back; with [`MultiCoreConfig::work_stealing`] an idle
-//! core steals the largest not-yet-started shard from the most loaded
-//! queue. Every policy is deterministic: assignment depends only on the
-//! declared lengths, and the interleave only on core-local time.
+//! queues back to back. Every policy is deterministic: assignment depends
+//! only on the declared lengths, never on host timing.
 //!
 //! The result carries per-core [`SimResult`]s, the merged cache traffic
 //! ([`CacheStats::merge`]) and the shared L2's hit/miss/sharing split;
@@ -77,12 +80,12 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Mutex;
 
 use vegeta_engine::EngineConfig;
 use vegeta_isa::stream::InstStream;
 
-use crate::cache::{CacheStats, L2LogEntry, SharedL2, SharedL2Stats};
+use crate::cache::{CacheStats, SharedL2, SharedL2Stats};
 use crate::core::{Core, CoreModel, SimConfig, SimResult, PROGRESS_STRIDE};
 use crate::event::EventQueue;
 
@@ -100,40 +103,53 @@ pub const DEFAULT_BARRIER_LATENCY: u64 = 32;
 
 /// Environment variable forcing the host-thread count of every multi-core
 /// run, overriding [`MultiCoreConfig::exec`] (`VEGETA_HOST_THREADS`). A
-/// value of `1` pins the sequential path — the CI leg that keeps the
-/// fallback honest; invalid values are ignored rather than guessed at.
+/// value of `1` runs every core inline on the calling thread — the CI leg
+/// that keeps the single-thread path honest. Anything but a positive
+/// integer is refused loudly, never guessed at.
 pub const HOST_THREADS_ENV: &str = "VEGETA_HOST_THREADS";
 
-/// Entries per log chunk a parallel worker hands the merger: at 24 B per
-/// [`L2LogEntry`] a chunk is ~192 KB, and with the bounded channel depth a
-/// worker never holds more than a few chunks in flight — the same bounded-
-/// residency discipline `vegeta-isa`'s chunked streams apply to traces.
-const L2_LOG_CHUNK: usize = 8192;
+/// Instructions a per-core run retires between hand-offs to the shared
+/// progress counter, which keeps that counter off the per-step path.
+const PROGRESS_BATCH: u64 = 4096;
 
-/// Chunks a worker may have queued to the merger before its `send` blocks.
-const L2_LOG_CHANNEL_DEPTH: usize = 2;
+/// Lines a first-touch summary may hold before it folds into the shared
+/// L2 and starts over, which bounds each host thread's summary at a few
+/// hundred KB however many lines its core touches.
+const SUMMARY_LINES: usize = 8192;
 
-/// How a multi-core run uses *host* threads (simulated-core timing is
-/// never affected — the parallel path is proven bit-identical to the
-/// sequential event merge by `sim/tests/parallel_vs_event.rs`).
+/// Parses a [`HOST_THREADS_ENV`] value: a positive integer, surrounding
+/// whitespace allowed. The error wording is the one every environment
+/// knob of the workspace refuses bad values with.
+fn parse_host_threads(raw: &str) -> Result<usize, String> {
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "{HOST_THREADS_ENV}='{raw}' is not a positive integer"
+        )),
+    }
+}
+
+/// How a multi-core run uses *host* threads. Simulated results are the
+/// same in every mode (`sim/tests/parallel_vs_event.rs` pins them all to
+/// the stepped reference).
 ///
-/// The parallel path requires the per-core timelines to be provably
-/// independent of the cross-core interleave: `prefetched` on (every
-/// shared-L2 lookup costs the same flat latency) and `work_stealing` off
-/// (assignment fixed before the run). Outside that envelope every mode
-/// falls back to the sequential event merge.
+/// Host threads only matter under the prefetch assumption
+/// ([`MultiCoreConfig::prefetched`], the default), where the cores are
+/// independent and run up to `n` at once. With a cold L2 the cores are
+/// coupled through residency, and every mode runs the single-threaded
+/// event merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Use up to `std::thread::available_parallelism()` host threads when
-    /// the parallel path is eligible; sequential otherwise. The default.
+    /// Use up to `std::thread::available_parallelism()` host threads. The
+    /// default.
     #[default]
     Auto,
-    /// Always the single-threaded event merge.
+    /// One host thread: every core runs inline on the calling thread.
     Sequential,
     /// Use up to `n` host threads (clamped to the simulated core count;
-    /// `0` and `1` both mean sequential). Callers sharing a host-thread
-    /// budget across concurrent runs (sweep grids, serving pools) pass
-    /// their per-run slice here so the host is not oversubscribed.
+    /// `0` and `1` both mean one). Callers sharing a host-thread budget
+    /// across concurrent runs (sweep grids, serving pools) pass their
+    /// per-run slice here so the host is not oversubscribed.
     ParallelHost(usize),
 }
 
@@ -156,11 +172,6 @@ pub struct MultiCoreConfig {
     /// Core cycles per tree-barrier level of the end-of-shard sync
     /// (`⌈log₂ cores⌉` levels; a single core pays nothing).
     pub barrier_latency: u64,
-    /// Under [`SchedulerPolicy::Lpt`], let a core whose queue drains steal
-    /// the largest not-yet-started shard from another core's queue instead
-    /// of idling. Off by default (pure LPT packing is already balanced for
-    /// over-decomposed shard sets and keeps queues statically auditable).
-    pub work_stealing: bool,
     /// Host-thread policy of the run (simulated results are identical in
     /// every mode); see [`ExecMode`].
     pub exec: ExecMode,
@@ -182,7 +193,6 @@ impl MultiCoreConfig {
             prefetched: true,
             mem_latency: DEFAULT_MEM_LATENCY,
             barrier_latency: DEFAULT_BARRIER_LATENCY,
-            work_stealing: false,
             exec: ExecMode::Auto,
         }
     }
@@ -194,22 +204,28 @@ impl MultiCoreConfig {
     }
 
     /// The host-thread count this configuration resolves to, in `1..=cores`:
-    /// a valid positive [`HOST_THREADS_ENV`] overrides everything, else
+    /// [`HOST_THREADS_ENV`] overrides everything, else
     /// [`MultiCoreConfig::exec`] decides ([`ExecMode::Auto`] caps at
-    /// `std::thread::available_parallelism()`). A result of 1 means the
-    /// sequential event merge.
+    /// `std::thread::available_parallelism()`).
+    ///
+    /// # Panics
+    ///
+    /// Panics with `VEGETA_HOST_THREADS='<value>' is not a positive
+    /// integer` when [`HOST_THREADS_ENV`] holds anything else: a typo must
+    /// not silently pick another host budget.
     pub fn resolved_host_threads(&self) -> usize {
-        let from_env = std::env::var(HOST_THREADS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0);
-        let requested = from_env.unwrap_or_else(|| match self.exec {
-            ExecMode::Sequential => 1,
-            ExecMode::ParallelHost(n) => n.max(1),
-            ExecMode::Auto => {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        let requested = match std::env::var_os(HOST_THREADS_ENV) {
+            Some(raw) => {
+                parse_host_threads(&raw.to_string_lossy()).unwrap_or_else(|e| panic!("{e}"))
             }
-        });
+            None => match self.exec {
+                ExecMode::Sequential => 1,
+                ExecMode::ParallelHost(n) => n,
+                ExecMode::Auto => {
+                    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+                }
+            },
+        };
         requested.min(self.cores.max(1)).max(1)
     }
 
@@ -442,20 +458,11 @@ impl<C: CoreModel> MultiCoreSim<C> {
     /// cores by `policy`, and the optional K-split `reduction` stream is
     /// replayed on core 0 after the barrier (every partial `C` image is
     /// globally visible by then, so the merge order is deterministic).
-    ///
-    /// Streams are interleaved in core-local time order: each step advances
-    /// the live core whose clock is furthest behind (ties broken by core
-    /// index), so the shared L2 observes accesses in approximate global
-    /// cycle order and the result is deterministic. A core with several
-    /// queued shards runs them back to back on its own clock.
+    /// A core with several queued shards runs them back to back on its own
+    /// clock. The result is that of the core-local time order (see the
+    /// module docs) whatever the host-thread count.
     ///
     /// The makespan is `slowest main-phase core + barrier + reduction`.
-    ///
-    /// When [`MultiCoreConfig::exec`] (or [`HOST_THREADS_ENV`]) resolves
-    /// to more than one host thread *and* the run is interleave-
-    /// independent (`prefetched` on, `work_stealing` off, more than one
-    /// core), the main phase executes host-parallel with a deterministic
-    /// shared-L2 log replay; the result is bit-identical either way.
     ///
     /// # Panics
     ///
@@ -487,376 +494,169 @@ impl<C: CoreModel> MultiCoreSim<C> {
     where
         C: Send,
     {
-        let queues = assign_queues(policy, &shards, self.cores.len());
-        let host_threads = self.cfg.resolved_host_threads();
-        // Eligibility for the parallel path: the per-core timelines must
-        // be provably independent of the cross-core interleave. Prefetch
-        // makes every shared-L2 latency a constant; stealing off makes
-        // the shard assignment static. Otherwise: sequential fallback.
-        if host_threads > 1
-            && self.cfg.prefetched
-            && !self.cfg.work_stealing
-            && self.cores.len() > 1
-        {
-            self.run_parallel(shards, queues, reduction, progress, host_threads)
+        let mut progress = Progress::new(&shards, reduction.as_ref(), progress);
+        let mut lanes = assign_lanes(policy, shards, self.cores.len());
+        if self.cfg.prefetched {
+            self.run_per_core(&mut lanes, &mut progress);
         } else {
-            self.run_assigned(shards, queues, reduction, progress, MergeLoop::EventDriven)
+            self.run_merged(&mut lanes, MergeLoop::EventDriven, &mut progress);
         }
+        self.finish(lanes, reduction, progress)
     }
 
     /// [`MultiCoreSim::run_sharded`] driven by the retained linear-scan
-    /// reference loop instead of the event merge.
+    /// reference loop, whatever the configuration.
     ///
-    /// The scan re-derives "which live core is furthest behind" from
-    /// scratch every instruction — O(cores) per step — where the event
-    /// merge pops it from a [`EventQueue`]. Both must produce identical
-    /// [`MultiCoreResult`]s down to the last field; this method exists so
-    /// differential tests (and anyone auditing the event merge) can check
-    /// that claim against the simpler loop. Use [`MultiCoreSim::run_sharded`]
-    /// everywhere else.
+    /// The scan interleaves every core against the real shared L2 and
+    /// re-derives "which live core is furthest behind" from scratch every
+    /// instruction — O(cores) per step. It is the simplest statement of
+    /// the core-local time order; [`MultiCoreSim::run_sharded`] must
+    /// produce identical [`MultiCoreResult`]s down to the last field, and
+    /// this method exists so differential tests (and anyone auditing the
+    /// production paths) can check that claim. Use
+    /// [`MultiCoreSim::run_sharded`] everywhere else.
     pub fn run_sharded_stepped<S: InstStream>(
         &mut self,
         shards: Vec<S>,
         reduction: Option<S>,
         policy: SchedulerPolicy,
     ) -> MultiCoreResult {
-        let queues = assign_queues(policy, &shards, self.cores.len());
-        self.run_assigned(shards, queues, reduction, None, MergeLoop::SteppedScan)
+        let mut progress = Progress::new(&shards, reduction.as_ref(), None);
+        let mut lanes = assign_lanes(policy, shards, self.cores.len());
+        self.run_merged(&mut lanes, MergeLoop::SteppedScan, &mut progress);
+        self.finish(lanes, reduction, progress)
     }
 
-    /// Drives pre-assigned per-core shard queues (plus an optional
-    /// post-barrier reduction) to completion.
-    fn run_assigned<S: InstStream>(
+    /// The main phase under the prefetch assumption: every core runs its
+    /// lane to completion on its own, against a private first-touch
+    /// summary that folds into the real shared L2 whenever it fills up
+    /// and when the core finishes. Up to `resolved_host_threads` cores run
+    /// at once; the calling thread is one of them and delivers the
+    /// progress reports.
+    ///
+    /// *Soundness.* With every lookup at the same latency, the interleave
+    /// only decides each line's first toucher: the smallest `(wake time,
+    /// core)` of a step touching it. A summary stamps each line with its
+    /// core's clock before that step, and the fold keeps the smallest
+    /// claim in any cross-core order. Lines resident before the run are
+    /// settled first.
+    fn run_per_core<S: InstStream + Send>(
         &mut self,
-        mut shards: Vec<S>,
-        mut queues: Vec<VecDeque<usize>>,
-        reduction: Option<S>,
-        mut progress: Option<&mut dyn FnMut(u64, u64)>,
-        merge: MergeLoop,
-    ) -> MultiCoreResult {
-        let n = self.cores.len();
-        let total: u64 = shards.iter().map(InstStream::remaining).sum::<u64>()
-            + reduction.as_ref().map_or(0, InstStream::remaining);
-        let mut done = 0u64;
-        // Shards each core has fully executed (for residency attribution).
-        let mut ran: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut current: Vec<Option<usize>> = queues.iter_mut().map(VecDeque::pop_front).collect();
-        if self.cfg.work_stealing {
-            for c in current.iter_mut().filter(|c| c.is_none()) {
-                *c = steal_largest(&shards, &mut queues);
-            }
-        }
-        match merge {
-            MergeLoop::EventDriven => {
-                // One pending event per live core at its local clock; the
-                // heap's (time, index) order is exactly the scan's
-                // min_by_key — see `run_sharded_stepped`.
-                let mut wake: EventQueue<usize> = EventQueue::with_capacity(n);
-                for (i, c) in current.iter().enumerate() {
-                    if c.is_some() {
-                        wake.push(self.cores[i].cycles(), i);
+        lanes: &mut [Lane<S>],
+        progress: &mut Progress<'_>,
+    ) where
+        C: Send,
+    {
+        let threads = self.cfg.resolved_host_threads();
+        let hit_latency = self.cfg.core.l2_latency;
+        self.shared_l2.settle();
+        let jobs = Mutex::new(self.cores.iter_mut().zip(lanes));
+        let l2 = Mutex::new(&mut self.shared_l2);
+        let done = AtomicU64::new(0);
+        // Runs cores off the job list until it is empty.
+        let work = |report: &mut dyn FnMut(u64)| {
+            let mut summary = SharedL2::new(1, hit_latency, hit_latency).with_prefetched(true);
+            loop {
+                let job = jobs.lock().expect("a simulation worker panicked").next();
+                let Some((core, lane)) = job else { return };
+                loop {
+                    let drained = lane.run_alone(core, &mut summary, report);
+                    l2.lock()
+                        .expect("a simulation worker panicked")
+                        .fold(&mut summary);
+                    if drained {
+                        break;
                     }
                 }
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(|| {
+                    work(&mut |ops| {
+                        done.fetch_add(ops, Ordering::Relaxed);
+                    });
+                });
+            }
+            work(&mut |ops| progress.catch_up(done.fetch_add(ops, Ordering::Relaxed) + ops));
+        });
+        progress.catch_up(done.into_inner());
+    }
+
+    /// Interleaves the lanes in core-local time order on this thread,
+    /// every core stepping against the real shared L2.
+    fn run_merged<S: InstStream>(
+        &mut self,
+        lanes: &mut [Lane<S>],
+        merge: MergeLoop,
+        progress: &mut Progress<'_>,
+    ) {
+        let (cores, l2) = (&mut self.cores, &mut self.shared_l2);
+        match merge {
+            MergeLoop::EventDriven => {
+                // One pending wake per live core at its local clock; the
+                // heap's (time, index) order is exactly the scan's
+                // min_by_key below.
+                let mut wake: EventQueue<usize> = EventQueue::with_capacity(cores.len());
+                for (i, core) in cores.iter().enumerate() {
+                    wake.push(core.cycles(), i);
+                }
                 while let Some((_, i)) = wake.pop() {
-                    let s = current[i].expect("only live cores are queued");
-                    match shards[s].next_op() {
-                        Some(op) => {
-                            self.cores[i].step(op, Some(&mut self.shared_l2));
-                            done += 1;
-                            if done.is_multiple_of(PROGRESS_STRIDE) {
-                                if let Some(cb) = progress.as_deref_mut() {
-                                    cb(done, total);
-                                }
-                            }
-                            wake.push(self.cores[i].cycles(), i);
-                        }
-                        None => {
-                            ran[i].push(s);
-                            current[i] = queues[i].pop_front().or_else(|| {
-                                if self.cfg.work_stealing {
-                                    steal_largest(&shards, &mut queues)
-                                } else {
-                                    None
-                                }
-                            });
-                            if current[i].is_some() {
-                                // Same clock: the core continues its next
-                                // queued shard with no idle gap.
-                                wake.push(self.cores[i].cycles(), i);
-                            }
-                        }
+                    if lanes[i].advance(&mut cores[i], l2) {
+                        progress.advance(1);
+                        wake.push(cores[i].cycles(), i);
                     }
                 }
             }
             MergeLoop::SteppedScan => {
                 // The live core furthest behind in local time steps next.
-                while let Some(i) = (0..n)
-                    .filter(|&i| current[i].is_some())
-                    .min_by_key(|&i| (self.cores[i].cycles(), i))
+                let mut live = vec![true; cores.len()];
+                while let Some(i) = (0..cores.len())
+                    .filter(|&i| live[i])
+                    .min_by_key(|&i| (cores[i].cycles(), i))
                 {
-                    let s = current[i].expect("filtered on is_some");
-                    match shards[s].next_op() {
-                        Some(op) => {
-                            self.cores[i].step(op, Some(&mut self.shared_l2));
-                            done += 1;
-                            if done.is_multiple_of(PROGRESS_STRIDE) {
-                                if let Some(cb) = progress.as_deref_mut() {
-                                    cb(done, total);
-                                }
-                            }
-                        }
-                        None => {
-                            ran[i].push(s);
-                            current[i] = queues[i].pop_front().or_else(|| {
-                                if self.cfg.work_stealing {
-                                    steal_largest(&shards, &mut queues)
-                                } else {
-                                    None
-                                }
-                            });
-                        }
+                    if lanes[i].advance(&mut cores[i], l2) {
+                        progress.advance(1);
+                    } else {
+                        live[i] = false;
                     }
                 }
             }
-        }
-
-        // Main phase done: record per-core retire times, then replay the
-        // K-split reduction on core 0 (conceptually after the barrier).
-        let main_cycles: Vec<u64> = self.cores.iter().map(CoreModel::cycles).collect();
-        let slowest = main_cycles.iter().copied().max().unwrap_or(0);
-        let mut reduction_cycles = 0;
-        let mut reduction_peak = 0u64;
-        if let Some(mut red) = reduction {
-            let before = self.cores[0].cycles();
-            while let Some(op) = red.next_op() {
-                self.cores[0].step(op, Some(&mut self.shared_l2));
-                done += 1;
-                if done.is_multiple_of(PROGRESS_STRIDE) {
-                    if let Some(cb) = progress.as_deref_mut() {
-                        cb(done, total);
-                    }
-                }
-            }
-            reduction_cycles = self.cores[0].cycles() - before;
-            reduction_peak = red.peak_resident_bytes() as u64;
-        }
-        // Completion report — unless the stride loop already delivered it.
-        if done == 0 || !done.is_multiple_of(PROGRESS_STRIDE) {
-            if let Some(cb) = progress {
-                cb(done, total);
-            }
-        }
-
-        let per_core: Vec<SimResult> = self
-            .cores
-            .iter()
-            .enumerate()
-            .map(|(i, core)| {
-                let mut peak: u64 = ran[i]
-                    .iter()
-                    .map(|&s| shards[s].peak_resident_bytes() as u64)
-                    .sum();
-                if i == 0 {
-                    peak += reduction_peak;
-                }
-                core.result(peak)
-            })
-            .collect();
-        let barrier_cycles = self.cfg.barrier_cycles();
-        MultiCoreResult {
-            cores: n,
-            core_cycles: slowest + barrier_cycles + reduction_cycles,
-            barrier_cycles,
-            reduction_cycles,
-            per_core,
-            shared_l2: self.shared_l2.stats(),
         }
     }
 
-    /// The host-parallel main phase: contiguous chunks of cores simulate
-    /// on scoped worker threads against private log-sink L2s
-    /// ([`SharedL2::log_sink`]), while this thread replays the streaming
-    /// k-way merge of their access logs on the real [`SharedL2`] in exact
-    /// global `(time, core)` order — reproducing the sequential event
-    /// merge's `SharedL2Stats`, and with them the whole
-    /// [`MultiCoreResult`], bit for bit.
-    ///
-    /// *Soundness.* Under the prefetch assumption every shared-L2 lookup
-    /// returns the same flat latency, so no core's timeline depends on any
-    /// other core's accesses; the interleave only decides first-toucher
-    /// attribution, which the ordered replay reconstructs. Each worker
-    /// runs the same `(time, index)` event merge as the sequential loop
-    /// restricted to its contiguous core chunk, so its log is sorted by
-    /// `(time, core)`; the sequential loop advances simultaneous cores in
-    /// ascending index order, so merging streams by `(head time, worker
-    /// index)` — workers own ascending index ranges — reproduces the exact
-    /// global access sequence.
-    ///
-    /// *Liveness.* Workers stream bounded chunks over bounded channels.
-    /// The merger only blocks receiving from a stream whose buffered
-    /// entries are exhausted, and that stream's worker either has channel
-    /// capacity to run ahead or chunks already queued — it always
-    /// eventually sends or closes, so no cycle of waits exists.
-    fn run_parallel<S: InstStream + Send>(
+    /// Replays the K-split reduction on core 0's lane after the main phase
+    /// and assembles the result, with each core's residency peak from its
+    /// lane.
+    fn finish<S: InstStream>(
         &mut self,
-        shards: Vec<S>,
-        mut queues: Vec<VecDeque<usize>>,
+        mut lanes: Vec<Lane<S>>,
         reduction: Option<S>,
-        mut progress: Option<&mut dyn FnMut(u64, u64)>,
-        host_threads: usize,
-    ) -> MultiCoreResult
-    where
-        C: Send,
-    {
-        let n = self.cores.len();
-        let total: u64 = shards.iter().map(InstStream::remaining).sum::<u64>()
-            + reduction.as_ref().map_or(0, InstStream::remaining);
-        let hit_latency = self.cfg.core.l2_latency;
-        let t = host_threads.min(n).max(1);
-        // Worker w owns the contiguous core range starts[w]..starts[w+1].
-        let (base, rem) = (n / t, n % t);
-        let mut starts = vec![0usize; t + 1];
-        for w in 0..t {
-            starts[w + 1] = starts[w] + base + usize::from(w < rem);
-        }
-
-        // Move each worker's assigned streams out of the shared vector
-        // (assignment is static — stealing is off), remapping its queues
-        // to worker-local stream indices.
-        let mut slots: Vec<Option<S>> = shards.into_iter().map(Some).collect();
-        let mut seeds: Vec<WorkerSeed<S>> = Vec::with_capacity(t);
-        let mut receivers: Vec<Receiver<Vec<L2LogEntry>>> = Vec::with_capacity(t);
-        let mut worker_globals: Vec<Vec<usize>> = Vec::with_capacity(t);
-        for w in 0..t {
-            let mut local_queues: Vec<VecDeque<usize>> = queues[starts[w]..starts[w + 1]]
-                .iter_mut()
-                .map(std::mem::take)
-                .collect();
-            let mut streams = Vec::new();
-            let mut globals = Vec::new();
-            for q in &mut local_queues {
-                for s in q.iter_mut() {
-                    globals.push(*s);
-                    streams.push(slots[*s].take().expect("each shard is queued exactly once"));
-                    *s = streams.len() - 1;
-                }
-            }
-            let (tx, rx) = sync_channel(L2_LOG_CHANNEL_DEPTH);
-            seeds.push(WorkerSeed {
-                queues: local_queues,
-                streams,
-                hit_latency,
-                tx,
-            });
-            receivers.push(rx);
-            worker_globals.push(globals);
-        }
-
-        let done_ctr = AtomicU64::new(0);
-        let mut reported = 0u64;
-        let cores = &mut self.cores;
-        let shared_l2 = &mut self.shared_l2;
-        let returned: Vec<(Vec<Vec<usize>>, Vec<S>)> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(t);
-            let mut rest: &mut [C] = cores.as_mut_slice();
-            for (w, seed) in seeds.into_iter().enumerate() {
-                let head = std::mem::take(&mut rest);
-                let (chunk, tail) = head.split_at_mut(starts[w + 1] - starts[w]);
-                rest = tail;
-                let done = &done_ctr;
-                handles.push(scope.spawn(move || run_core_chunk(chunk, seed, done)));
-            }
-            // Replay the merged access log on the real L2 while the
-            // workers run, surfacing progress at the sequential stride
-            // points (same `(done, total)` values, same order).
-            let mut merge = LogMerge::new(receivers);
-            while let Some(e) = merge.next_entry() {
-                shared_l2.access_line(e.core as usize, e.line);
-                let done_now = done_ctr.load(Ordering::Relaxed);
-                while reported + PROGRESS_STRIDE <= done_now {
-                    reported += PROGRESS_STRIDE;
-                    if let Some(cb) = progress.as_deref_mut() {
-                        cb(reported, total);
-                    }
-                }
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("simulation worker panicked"))
-                .collect()
-        });
-
-        // Re-home the consumed streams so residency attribution can read
-        // their high-water marks, translating worker-local shard ids back
-        // to global ones.
-        let mut ran: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (w, (local_ran, streams)) in returned.into_iter().enumerate() {
-            for (local_core, list) in local_ran.into_iter().enumerate() {
-                ran[starts[w] + local_core] =
-                    list.into_iter().map(|ls| worker_globals[w][ls]).collect();
-            }
-            for (ls, s) in streams.into_iter().enumerate() {
-                slots[worker_globals[w][ls]] = Some(s);
-            }
-        }
-
-        // Flush stride reports the merge loop had not caught up to (the
-        // counter keeps advancing behind the replay), then run the
-        // post-barrier tail exactly as the sequential path does.
-        let mut done = done_ctr.load(Ordering::Relaxed);
-        while reported + PROGRESS_STRIDE <= done {
-            reported += PROGRESS_STRIDE;
-            if let Some(cb) = progress.as_deref_mut() {
-                cb(reported, total);
-            }
-        }
-        let main_cycles: Vec<u64> = self.cores.iter().map(CoreModel::cycles).collect();
-        let slowest = main_cycles.iter().copied().max().unwrap_or(0);
+        mut progress: Progress<'_>,
+    ) -> MultiCoreResult {
+        let slowest = self.cores.iter().map(CoreModel::cycles).max().unwrap_or(0);
         let mut reduction_cycles = 0;
-        let mut reduction_peak = 0u64;
-        if let Some(mut red) = reduction {
+        if let Some(stream) = reduction {
+            // Conceptually after the barrier, against a shared L2 that
+            // already knows every line's first toucher.
             let before = self.cores[0].cycles();
-            while let Some(op) = red.next_op() {
-                self.cores[0].step(op, Some(&mut self.shared_l2));
-                done += 1;
-                if done.is_multiple_of(PROGRESS_STRIDE) {
-                    if let Some(cb) = progress.as_deref_mut() {
-                        cb(done, total);
-                    }
-                }
+            lanes[0].streams.push_back(stream);
+            while lanes[0].advance(&mut self.cores[0], &mut self.shared_l2) {
+                progress.advance(1);
             }
             reduction_cycles = self.cores[0].cycles() - before;
-            reduction_peak = red.peak_resident_bytes() as u64;
         }
-        if done == 0 || !done.is_multiple_of(PROGRESS_STRIDE) {
-            if let Some(cb) = progress {
-                cb(done, total);
-            }
-        }
+        progress.finish();
 
         let per_core: Vec<SimResult> = self
             .cores
             .iter()
-            .enumerate()
-            .map(|(i, core)| {
-                let mut peak: u64 = ran[i]
-                    .iter()
-                    .map(|&s| {
-                        slots[s]
-                            .as_ref()
-                            .expect("streams were re-homed after the join")
-                            .peak_resident_bytes() as u64
-                    })
-                    .sum();
-                if i == 0 {
-                    peak += reduction_peak;
-                }
-                core.result(peak)
-            })
+            .zip(&lanes)
+            .map(|(core, lane)| core.result(lane.peak))
             .collect();
         let barrier_cycles = self.cfg.barrier_cycles();
         MultiCoreResult {
-            cores: n,
+            cores: self.cores.len(),
             core_cycles: slowest + barrier_cycles + reduction_cycles,
             barrier_cycles,
             reduction_cycles,
@@ -866,158 +666,113 @@ impl<C: CoreModel> MultiCoreSim<C> {
     }
 }
 
-/// Everything a parallel worker needs to simulate its contiguous core
-/// chunk: the chunk's shard queues (holding worker-local stream indices),
-/// the streams themselves, the flat L2 hit latency for the log sink, and
-/// the channel its log chunks flow back on.
-struct WorkerSeed<S> {
-    queues: Vec<VecDeque<usize>>,
-    streams: Vec<S>,
-    hit_latency: u64,
-    tx: SyncSender<Vec<L2LogEntry>>,
+/// One core's assigned shard streams, drained front to back, and the
+/// summed residency peak of the streams it has finished.
+struct Lane<S> {
+    streams: VecDeque<S>,
+    peak: u64,
 }
 
-/// One worker's slice of the host-parallel main phase: the same
-/// local-time event merge as the sequential loop restricted to `cores`
-/// (a contiguous chunk, so `(time, local index)` order *is* `(time,
-/// global index)` order), stepping against a log-sink L2 and streaming
-/// bounded log chunks to the merger. Returns the per-core lists of
-/// finished worker-local shard ids plus the consumed streams (for
-/// residency attribution).
-fn run_core_chunk<C: CoreModel, S: InstStream>(
-    cores: &mut [C],
-    seed: WorkerSeed<S>,
-    done: &AtomicU64,
-) -> (Vec<Vec<usize>>, Vec<S>) {
-    let WorkerSeed {
-        mut queues,
-        mut streams,
-        hit_latency,
-        tx,
-    } = seed;
-    let n = cores.len();
-    let mut l2 = SharedL2::log_sink(hit_latency);
-    let mut ran: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut current: Vec<Option<usize>> = queues.iter_mut().map(VecDeque::pop_front).collect();
-    let mut wake: EventQueue<usize> = EventQueue::with_capacity(n);
-    for (i, c) in current.iter().enumerate() {
-        if c.is_some() {
-            wake.push(cores[i].cycles(), i);
+impl<S: InstStream> Lane<S> {
+    /// Retires `core`'s next instruction against `l2`, moving on to the
+    /// next queued shard at the same clock when one drains. Returns
+    /// `false` once the lane is empty.
+    fn advance<C: CoreModel>(&mut self, core: &mut C, l2: &mut SharedL2) -> bool {
+        while let Some(stream) = self.streams.front_mut() {
+            if let Some(op) = stream.next_op() {
+                core.step(op, Some(l2));
+                return true;
+            }
+            self.peak += stream.peak_resident_bytes() as u64;
+            self.streams.pop_front();
+        }
+        false
+    }
+
+    /// Runs `core` on its own against its first-touch `summary` until the
+    /// lane drains (`true`) or the summary holds [`SUMMARY_LINES`] lines
+    /// (`false`). Each step's accesses are stamped with the core's clock
+    /// before the step: the time the core-local time order would wake it.
+    /// Hands `report` the retired-instruction count every
+    /// [`PROGRESS_BATCH`] instructions and on return.
+    fn run_alone<C: CoreModel>(
+        &mut self,
+        core: &mut C,
+        summary: &mut SharedL2,
+        report: &mut dyn FnMut(u64),
+    ) -> bool {
+        let mut pending = 0;
+        let drained = loop {
+            if summary.resident_lines() >= SUMMARY_LINES {
+                break false;
+            }
+            summary.set_now(core.cycles());
+            if !self.advance(core, summary) {
+                break true;
+            }
+            pending += 1;
+            if pending == PROGRESS_BATCH {
+                report(pending);
+                pending = 0;
+            }
+        };
+        report(pending);
+        drained
+    }
+}
+
+/// The progress contract of a multi-core run: `(done, total)` at every
+/// [`PROGRESS_STRIDE`] retired instructions, then once at completion unless
+/// the last stride already was it. Reduction ops count toward the total.
+struct Progress<'a> {
+    done: u64,
+    total: u64,
+    callback: Option<&'a mut dyn FnMut(u64, u64)>,
+}
+
+impl<'a> Progress<'a> {
+    fn new<S: InstStream>(
+        shards: &[S],
+        reduction: Option<&S>,
+        callback: Option<&'a mut dyn FnMut(u64, u64)>,
+    ) -> Self {
+        let total = shards.iter().map(InstStream::remaining).sum::<u64>()
+            + reduction.map_or(0, InstStream::remaining);
+        Progress {
+            done: 0,
+            total,
+            callback,
         }
     }
-    while let Some((now, i)) = wake.pop() {
-        let s = current[i].expect("only live cores are queued");
-        match streams[s].next_op() {
-            Some(op) => {
-                // Accesses this step makes are stamped with the wake time
-                // (the core's clock before the step), exactly when the
-                // sequential merge would have delivered them.
-                l2.set_log_stamp(now);
-                cores[i].step(op, Some(&mut l2));
-                done.fetch_add(1, Ordering::Relaxed);
-                if l2.log_len() >= L2_LOG_CHUNK && tx.send(l2.take_log()).is_err() {
-                    // The merger is gone (main-thread unwind); stop early
-                    // rather than simulate into the void.
-                    return (ran, streams);
-                }
-                wake.push(cores[i].cycles(), i);
-            }
-            None => {
-                ran[i].push(s);
-                current[i] = queues[i].pop_front();
-                if current[i].is_some() {
-                    // Same clock: the core continues its next queued
-                    // shard with no idle gap.
-                    wake.push(cores[i].cycles(), i);
-                }
+
+    /// Counts `ops` more retired instructions.
+    fn advance(&mut self, ops: u64) {
+        self.catch_up(self.done + ops);
+    }
+
+    /// Counts retired instructions up to `done`, reporting every stride
+    /// passed on the way.
+    fn catch_up(&mut self, done: u64) {
+        if let Some(callback) = self.callback.as_deref_mut() {
+            for stride in self.done / PROGRESS_STRIDE + 1..=done / PROGRESS_STRIDE {
+                callback(stride * PROGRESS_STRIDE, self.total);
             }
         }
+        self.done = done;
     }
-    if l2.log_len() > 0 {
-        let _ = tx.send(l2.take_log());
-    }
-    (ran, streams)
-}
 
-/// A streaming k-way merge over per-worker shared-L2 log streams. Each
-/// stream arrives as bounded chunks over a channel and is sorted by
-/// `(time, core)`; streams own disjoint ascending core ranges, so taking
-/// the head with the minimum `(time, worker index)` key reproduces the
-/// exact global `(time, core)` access order (equal keys only occur within
-/// one stream and stay in stream order).
-struct LogMerge {
-    streams: Vec<LogStream>,
-}
-
-struct LogStream {
-    rx: Receiver<Vec<L2LogEntry>>,
-    chunk: Vec<L2LogEntry>,
-    pos: usize,
-    open: bool,
-}
-
-impl LogStream {
-    /// The stream's next entry, blocking for the next chunk when the
-    /// buffered one is exhausted; `None` once the worker has closed its
-    /// channel and every chunk is drained.
-    fn head(&mut self) -> Option<L2LogEntry> {
-        loop {
-            if let Some(e) = self.chunk.get(self.pos) {
-                return Some(*e);
-            }
-            if !self.open {
-                return None;
-            }
-            match self.rx.recv() {
-                Ok(chunk) => {
-                    self.chunk = chunk;
-                    self.pos = 0;
-                }
-                Err(_) => {
-                    self.open = false;
-                    return None;
-                }
+    /// Delivers the completion report.
+    fn finish(self) {
+        if self.done == 0 || !self.done.is_multiple_of(PROGRESS_STRIDE) {
+            if let Some(callback) = self.callback {
+                callback(self.done, self.total);
             }
         }
     }
 }
 
-impl LogMerge {
-    fn new(receivers: Vec<Receiver<Vec<L2LogEntry>>>) -> Self {
-        LogMerge {
-            streams: receivers
-                .into_iter()
-                .map(|rx| LogStream {
-                    rx,
-                    chunk: Vec::new(),
-                    pos: 0,
-                    open: true,
-                })
-                .collect(),
-        }
-    }
-
-    /// Removes and returns the globally next entry in `(time, core)`
-    /// order, or `None` when every stream is closed and drained.
-    fn next_entry(&mut self) -> Option<L2LogEntry> {
-        let mut best: Option<(u64, usize)> = None;
-        for (w, stream) in self.streams.iter_mut().enumerate() {
-            if let Some(e) = stream.head() {
-                if best.is_none_or(|(bt, _)| e.time < bt) {
-                    best = Some((e.time, w));
-                }
-            }
-        }
-        let (_, w) = best?;
-        let s = &mut self.streams[w];
-        let e = s.chunk[s.pos];
-        s.pos += 1;
-        Some(e)
-    }
-}
-
-/// Which loop drives the core-local-time interleave in
-/// [`MultiCoreSim::run_assigned`]: the production event merge, or the
+/// Which loop interleaves the cores in core-local time order in
+/// [`MultiCoreSim::run_merged`]: the production event merge, or the
 /// retained linear-scan reference it must match instruction for
 /// instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1026,65 +781,55 @@ enum MergeLoop {
     SteppedScan,
 }
 
-/// Builds the per-core shard queues `policy` dictates (see
+/// Moves each shard onto the lane of the core `policy` assigns it to (see
 /// [`SchedulerPolicy`]); panics under [`SchedulerPolicy::Static`] when
 /// shards outnumber cores.
-fn assign_queues<S: InstStream>(
-    policy: SchedulerPolicy,
-    shards: &[S],
-    n: usize,
-) -> Vec<VecDeque<usize>> {
-    match policy {
+fn assign_lanes<S: InstStream>(policy: SchedulerPolicy, shards: Vec<S>, n: usize) -> Vec<Lane<S>> {
+    let queues = match policy {
         SchedulerPolicy::Static => {
             assert!(
                 shards.len() <= n,
                 "{} shard streams for {n} cores: excess shards would be silently dropped",
                 shards.len()
             );
-            (0..n)
-                .map(|i| {
-                    if i < shards.len() {
-                        VecDeque::from([i])
-                    } else {
-                        VecDeque::new()
-                    }
-                })
-                .collect()
+            let mut queues: Vec<Vec<usize>> = (0..shards.len()).map(|i| vec![i]).collect();
+            queues.resize(n, Vec::new());
+            queues
         }
         SchedulerPolicy::Lpt => {
             let lengths: Vec<u64> = shards.iter().map(InstStream::remaining).collect();
             lpt_queues(&lengths, n)
         }
-    }
+    };
+    let mut slots: Vec<Option<S>> = shards.into_iter().map(Some).collect();
+    queues
+        .into_iter()
+        .map(|queue| Lane {
+            streams: queue
+                .into_iter()
+                .map(|s| slots[s].take().expect("each shard is queued exactly once"))
+                .collect(),
+            peak: 0,
+        })
+        .collect()
 }
 
 /// Longest-processing-time packing of shard indices onto `n` core queues:
 /// descending declared length (ties by index) onto the least-loaded core
 /// (ties by core index).
-fn lpt_queues(lengths: &[u64], n: usize) -> Vec<VecDeque<usize>> {
+fn lpt_queues(lengths: &[u64], n: usize) -> Vec<Vec<usize>> {
     let mut order: Vec<usize> = (0..lengths.len()).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(lengths[i]), i));
-    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); n];
+    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut load = vec![0u64; n];
     for s in order {
         let c = (0..n)
             .min_by_key(|&c| (load[c], c))
             .expect("at least one core");
         load[c] += lengths[s];
-        queues[c].push_back(s);
+        queues[c].push(s);
     }
     queues
-}
-
-/// Removes and returns the not-yet-started shard with the most remaining
-/// ops across every queue (ties by lowest shard index), if any.
-fn steal_largest<S: InstStream>(shards: &[S], queues: &mut [VecDeque<usize>]) -> Option<usize> {
-    let (qi, pos, _) = queues
-        .iter()
-        .enumerate()
-        .flat_map(|(qi, q)| q.iter().enumerate().map(move |(pos, &s)| (qi, pos, s)))
-        .max_by_key(|&(_, _, s)| (shards[s].remaining(), std::cmp::Reverse(s)))?;
-    queues[qi].remove(pos)
 }
 
 #[cfg(test)]
@@ -1229,11 +974,8 @@ mod tests {
 
     #[test]
     fn lpt_beats_static_on_unbalanced_shards() {
-        // Two long + two short shards on 2 cores. Static can only take two
-        // streams, so compare against the pathological pairing (long+long
-        // on core 0 conceptually = run them sequentially via LPT with a
-        // deliberately bad... instead: 4 shards, 2 cores). LPT pairs
-        // long/short per core; a naive in-order fold pairs long/long.
+        // Two long + two short shards on 2 cores: LPT pairs long/short per
+        // core; a naive in-order fold pairs long/long.
         let long = mixed_trace(120, 64);
         let short = mixed_trace(30, 64);
         let engine = EngineConfig::rasa_dm();
@@ -1277,57 +1019,6 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_rescues_a_mispacked_queue() {
-        // LPT packs by declared op count, but tile ops run far longer than
-        // scalar ops. Counts (100, 90, 50, 45, 40) pack as core 0 ←
-        // {100, 45} and core 1 ← {90, 50-tile, 40}: core 1's tile shard
-        // dominates the makespan while the trailing 40-op shard sits
-        // unstarted behind it. A stealing core 0 takes it off the queue.
-        let scalar = |n: usize| {
-            let mut t = Trace::new();
-            for i in 0..n {
-                t.push(TraceOp::Scalar {
-                    dst: (i % 8) as u8,
-                    src: 0,
-                });
-            }
-            t
-        };
-        let tiles = {
-            let mut t = Trace::new();
-            for i in 0..50 {
-                t.push_inst(Inst::TileSpmmU {
-                    acc: TReg::new((i % 3) as u8).unwrap(),
-                    a: TReg::T6,
-                    b: UReg::U2,
-                });
-            }
-            t
-        };
-        let shards = [scalar(100), scalar(90), tiles, scalar(45), scalar(40)];
-        let engine = EngineConfig::vegeta_s(16).unwrap();
-        let packed = MultiCoreSim::new(MultiCoreConfig::new(2), engine.clone()).run_sharded(
-            shards.iter().map(Trace::stream).collect(),
-            None,
-            SchedulerPolicy::Lpt,
-        );
-        let mut steal_cfg = MultiCoreConfig::new(2);
-        steal_cfg.work_stealing = true;
-        let stolen = MultiCoreSim::new(steal_cfg, engine).run_sharded(
-            shards.iter().map(Trace::stream).collect(),
-            None,
-            SchedulerPolicy::Lpt,
-        );
-        assert_eq!(stolen.instructions(), packed.instructions());
-        assert!(
-            stolen.core_cycles < packed.core_cycles,
-            "stealing {} vs packed {}",
-            stolen.core_cycles,
-            packed.core_cycles
-        );
-    }
-
-    #[test]
     fn reduction_runs_after_the_barrier_on_core_zero() {
         let shard = mixed_trace(40, 64);
         let reduction = mixed_trace(16, 128);
@@ -1355,14 +1046,15 @@ mod tests {
 
     #[test]
     fn event_merge_matches_the_stepped_scan_reference() {
-        // The event-driven merge and the retained linear scan must agree on
-        // every field of the result — policies, stealing, reduction and
-        // ragged shard mixes included.
+        // Both production paths (per-core runs under prefetch, the event
+        // merge on a cold L2) and the retained linear scan must agree on
+        // every field of the result — policies, reduction and ragged shard
+        // mixes included.
         let shards: Vec<Trace> = (1..=6).map(|i| mixed_trace(12 * i, 64)).collect();
         let reduction = mixed_trace(20, 128);
         let engine = EngineConfig::vegeta_s(16).unwrap();
         for policy in [SchedulerPolicy::Static, SchedulerPolicy::Lpt] {
-            for stealing in [false, true] {
+            for prefetched in [true, false] {
                 // Static refuses more shards than cores.
                 let take = if policy == SchedulerPolicy::Static {
                     3
@@ -1370,18 +1062,8 @@ mod tests {
                     6
                 };
                 let mut cfg = MultiCoreConfig::new(3);
-                cfg.work_stealing = stealing;
-                let event = MultiCoreSim::new(cfg.clone(), engine.clone()).run_sharded(
-                    shards[..take].iter().map(Trace::stream).collect(),
-                    Some(reduction.stream()),
-                    policy,
-                );
-                let stepped = MultiCoreSim::new(cfg, engine.clone()).run_sharded_stepped(
-                    shards[..take].iter().map(Trace::stream).collect(),
-                    Some(reduction.stream()),
-                    policy,
-                );
-                assert_eq!(event, stepped, "policy {policy}, stealing {stealing}");
+                cfg.prefetched = prefetched;
+                assert_matches_stepped(&cfg, &engine, &shards[..take], Some(&reduction), policy);
             }
         }
     }
@@ -1436,8 +1118,21 @@ mod tests {
     fn forced_host_threads() -> Option<usize> {
         std::env::var(HOST_THREADS_ENV)
             .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
+            .map(|raw| parse_host_threads(&raw).unwrap_or_else(|e| panic!("{e}")))
+    }
+
+    #[test]
+    fn host_threads_parser_rejects_bad_values_loudly() {
+        assert_eq!(parse_host_threads(" 2 "), Ok(2));
+        assert_eq!(parse_host_threads("1"), Ok(1));
+        for bad in ["", "0", "-1", "abc"] {
+            assert_eq!(
+                parse_host_threads(bad),
+                Err(format!(
+                    "VEGETA_HOST_THREADS='{bad}' is not a positive integer"
+                ))
+            );
+        }
     }
 
     #[test]
@@ -1457,7 +1152,7 @@ mod tests {
                 .with_exec(ExecMode::ParallelHost(0))
                 .resolved_host_threads(),
             expect(1, 4),
-            "0 means sequential, not a panic"
+            "0 means one host thread, not a panic"
         );
         assert_eq!(
             MultiCoreConfig::new(4)
@@ -1481,113 +1176,147 @@ mod tests {
         );
     }
 
-    #[test]
-    fn parallel_host_matches_sequential_bit_for_bit() {
-        // Ragged shards + a K-split reduction across simulated-core ×
-        // host-thread combinations, full MultiCoreResult equality. (Under
-        // the CI leg that forces host threads to 1 this degenerates to
-        // sequential-vs-sequential — exactly the fallback it pins.)
-        let shards: Vec<Trace> = (1..=6).map(|i| mixed_trace(14 * i, 64)).collect();
-        let reduction = mixed_trace(20, 128);
-        let engine = EngineConfig::vegeta_s(16).unwrap();
-        for cores in [2usize, 3, 4] {
-            let seq = MultiCoreSim::new(
-                MultiCoreConfig::new(cores).with_exec(ExecMode::Sequential),
+    /// `run_sharded` at every host-thread count in `1..=4` must equal the
+    /// stepped reference field for field.
+    fn assert_matches_stepped(
+        cfg: &MultiCoreConfig,
+        engine: &EngineConfig,
+        shards: &[Trace],
+        reduction: Option<&Trace>,
+        policy: SchedulerPolicy,
+    ) -> MultiCoreResult {
+        let stepped = MultiCoreSim::new(cfg.clone(), engine.clone()).run_sharded_stepped(
+            shards.iter().map(Trace::stream).collect(),
+            reduction.map(Trace::stream),
+            policy,
+        );
+        for host in 1..=4 {
+            let got = MultiCoreSim::new(
+                cfg.clone().with_exec(ExecMode::ParallelHost(host)),
                 engine.clone(),
             )
             .run_sharded(
                 shards.iter().map(Trace::stream).collect(),
-                Some(reduction.stream()),
+                reduction.map(Trace::stream),
+                policy,
+            );
+            assert_eq!(got, stepped, "{} cores, {host} host threads", cfg.cores);
+        }
+        stepped
+    }
+
+    #[test]
+    fn parallel_host_matches_sequential_bit_for_bit() {
+        // Ragged shards + a K-split reduction across simulated-core ×
+        // host-thread combinations, against the sequential stepped scan.
+        let shards: Vec<Trace> = (1..=6).map(|i| mixed_trace(14 * i, 64)).collect();
+        let reduction = mixed_trace(20, 128);
+        let engine = EngineConfig::vegeta_s(16).unwrap();
+        for cores in [2usize, 3, 4] {
+            assert_matches_stepped(
+                &MultiCoreConfig::new(cores),
+                &engine,
+                &shards,
+                Some(&reduction),
                 SchedulerPolicy::Lpt,
             );
-            for host in [2usize, 3, 8] {
-                let par = MultiCoreSim::new(
-                    MultiCoreConfig::new(cores).with_exec(ExecMode::ParallelHost(host)),
-                    engine.clone(),
-                )
-                .run_sharded(
-                    shards.iter().map(Trace::stream).collect(),
-                    Some(reduction.stream()),
-                    SchedulerPolicy::Lpt,
-                );
-                assert_eq!(par, seq, "{cores} cores, {host} host threads");
-            }
         }
     }
 
     #[test]
     fn parallel_host_reproduces_shared_attribution_and_idle_cores() {
-        // Identical streams: every touch after the first core's is a
-        // shared hit, and first-toucher attribution is exactly what the
-        // ordered log replay must reconstruct. Cores 3/4 stay idle.
+        // Identical streams: the cores tie on wake time at every step, so
+        // every line's first toucher is decided by the core-id tiebreak
+        // alone. Cores 3/4 stay idle.
         let t = mixed_trace(64, 64);
-        let streams = || vec![t.stream(), t.stream(), t.stream()];
-        let seq = MultiCoreSim::new(
-            MultiCoreConfig::new(5).with_exec(ExecMode::Sequential),
-            EngineConfig::rasa_dm(),
-        )
-        .run_streams(streams());
-        let par = MultiCoreSim::new(
-            MultiCoreConfig::new(5).with_exec(ExecMode::ParallelHost(4)),
-            EngineConfig::rasa_dm(),
-        )
-        .run_streams(streams());
-        assert!(seq.shared_l2.shared_hits > 0, "cross-core reuse observed");
-        assert_eq!(par, seq);
+        let res = assert_matches_stepped(
+            &MultiCoreConfig::new(5),
+            &EngineConfig::rasa_dm(),
+            &[t.clone(), t.clone(), t],
+            None,
+            SchedulerPolicy::Static,
+        );
+        assert!(res.shared_l2.shared_hits > 0, "cross-core reuse observed");
+        assert_eq!(res.stranded_cores(), 2);
+    }
+
+    #[test]
+    fn long_lanes_fold_their_summaries_midway() {
+        // Each core sweeps twice over more lines than a summary holds, so
+        // it re-touches lines it already folded; the cores sweep in
+        // opposite directions, so first touchers flip halfway through.
+        let lines = 2 * SUMMARY_LINES as u64;
+        let sweep = |order: &mut dyn Iterator<Item = u64>| {
+            let mut t = Trace::new();
+            for (i, line) in order.enumerate() {
+                t.push(TraceOp::VecLoad {
+                    dst: (i % 16) as u8,
+                    addr: line * 64,
+                });
+            }
+            t
+        };
+        let up = sweep(&mut (0..lines).chain(0..lines));
+        let down = sweep(&mut (0..lines).rev().chain((0..lines).rev()));
+        let res = assert_matches_stepped(
+            &MultiCoreConfig::new(2),
+            &EngineConfig::rasa_dm(),
+            &[up, down],
+            None,
+            SchedulerPolicy::Static,
+        );
+        assert_eq!(res.shared_l2.accesses, 4 * lines);
+        assert!(res.shared_l2.shared_hits > lines, "both cores own lines");
     }
 
     #[test]
     fn ineligible_configs_fall_back_to_the_sequential_path() {
-        // Work stealing or a cold L2 couples the cores, so ParallelHost
-        // must quietly run the sequential event merge and still match it.
+        // A cold L2 couples the cores, so every host-thread count must run
+        // the single-threaded event merge and still match the reference.
         let shards: Vec<Trace> = (1..=5).map(|i| mixed_trace(10 * i, 64)).collect();
-        let engine = EngineConfig::vegeta_s(16).unwrap();
-        for (stealing, prefetched) in [(true, true), (false, false), (true, false)] {
-            let mut base = MultiCoreConfig::new(3);
-            base.work_stealing = stealing;
-            base.prefetched = prefetched;
-            let seq =
-                MultiCoreSim::new(base.clone().with_exec(ExecMode::Sequential), engine.clone())
-                    .run_sharded(
-                        shards.iter().map(Trace::stream).collect(),
-                        None,
-                        SchedulerPolicy::Lpt,
-                    );
-            let par = MultiCoreSim::new(base.with_exec(ExecMode::ParallelHost(3)), engine.clone())
-                .run_sharded(
-                    shards.iter().map(Trace::stream).collect(),
-                    None,
-                    SchedulerPolicy::Lpt,
-                );
-            assert_eq!(par, seq, "stealing {stealing}, prefetched {prefetched}");
-        }
+        let mut cold = MultiCoreConfig::new(3);
+        cold.prefetched = false;
+        let res = assert_matches_stepped(
+            &cold,
+            &EngineConfig::vegeta_s(16).unwrap(),
+            &shards,
+            None,
+            SchedulerPolicy::Lpt,
+        );
+        assert!(res.shared_l2.misses > 0, "cold lines miss");
     }
 
     #[test]
     fn progress_sequence_is_identical_across_exec_modes() {
         // Two ~36k-op shards cross PROGRESS_STRIDE once; the callback must
-        // observe the same (done, total) pairs in the same order whether
-        // the main phase ran sequential or host-parallel.
+        // observe every stride and then the completion, in order, whether
+        // the cores ran inline, on several host threads, or (cold L2)
+        // through the event merge.
         let shard = mixed_trace(12_000, 64);
         let engine = EngineConfig::rasa_dm();
-        let collect = |exec: ExecMode| {
+        let collect = |exec: ExecMode, prefetched: bool| {
             let mut seen: Vec<(u64, u64)> = Vec::new();
             let mut cb = |d: u64, t: u64| seen.push((d, t));
-            MultiCoreSim::new(MultiCoreConfig::new(2).with_exec(exec), engine.clone())
-                .run_sharded_with(
-                    vec![shard.stream(), shard.stream()],
-                    None,
-                    SchedulerPolicy::Lpt,
-                    Some(&mut cb),
-                );
+            let mut cfg = MultiCoreConfig::new(2).with_exec(exec);
+            cfg.prefetched = prefetched;
+            MultiCoreSim::new(cfg, engine.clone()).run_sharded_with(
+                vec![shard.stream(), shard.stream()],
+                None,
+                SchedulerPolicy::Lpt,
+                Some(&mut cb),
+            );
             seen
         };
-        let seq = collect(ExecMode::Sequential);
-        assert!(
-            seq.iter().any(|&(d, _)| d == PROGRESS_STRIDE),
-            "the stride path fired"
+        let total = 2 * shard.len() as u64;
+        let expected = vec![(PROGRESS_STRIDE, total), (total, total)];
+        for exec in [ExecMode::Sequential, ExecMode::ParallelHost(2)] {
+            assert_eq!(collect(exec, true), expected, "{exec:?}");
+        }
+        assert_eq!(
+            collect(ExecMode::ParallelHost(2), false),
+            expected,
+            "cold L2"
         );
-        assert_eq!(collect(ExecMode::ParallelHost(2)), seq);
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! Differential pin for the event-driven scheduler: replaying any shard
-//! set through the production event-queue merge loop
-//! ([`MultiCoreSim::run_sharded`]) must produce a [`MultiCoreResult`]
-//! identical **down to the last field** to the retained linear-scan
-//! reference ([`MultiCoreSim::run_sharded_stepped`]) — makespan, barrier
-//! and reduction cycles, every per-core `SimResult` (cycles, cache stats,
-//! peak resident bytes), and the shared-L2 counters.
+//! Differential pin for the production multi-core paths: replaying any
+//! shard set through [`MultiCoreSim::run_sharded`] — per-core runs with
+//! folded first-touch summaries under the prefetch assumption, the
+//! event-queue merge loop on a cold L2 — must produce a
+//! [`MultiCoreResult`] identical **down to the last field** to the
+//! retained linear-scan reference ([`MultiCoreSim::run_sharded_stepped`])
+//! — makespan, barrier and reduction cycles, every per-core `SimResult`
+//! (cycles, cache stats, peak resident bytes), and the shared-L2 counters.
 //!
 //! Timestamps in this simulator are *computed*, never counted, so the
-//! merge loop only decides the order cores are advanced in; these tests
-//! are the proof that the order genuinely cannot leak into any reported
-//! number, across ragged shapes, every kernel family, both scheduler
-//! policies, work stealing, and the cold-L2 (non-prefetched) path.
+//! loop only decides the order cores are advanced in; these tests are the
+//! proof that the order genuinely cannot leak into any reported number,
+//! across ragged shapes, every kernel family, both scheduler policies, and
+//! both the prefetched and the cold-L2 path.
 
 use proptest::prelude::*;
 use vegeta_engine::EngineConfig;
@@ -98,9 +99,9 @@ fn shards_for(
 }
 
 proptest! {
-    /// Event-driven == stepped over ragged shapes × kernel families ×
-    /// both policies × core counts × stealing × cold/prefetched L2, with
-    /// the full result structure compared at once.
+    /// Production == stepped over ragged shapes × kernel families × both
+    /// policies × core counts × cold/prefetched L2, with the full result
+    /// structure compared at once.
     #[test]
     fn event_driven_replay_is_field_identical_to_the_stepped_scan(
         m in 4usize..=90,
@@ -109,13 +110,11 @@ proptest! {
         fam in family(),
         cores in 1usize..=5,
         pol in policy(),
-        stealing in any::<bool>(),
         prefetched in any::<bool>(),
     ) {
         let shape = GemmShape::new(m, n, k);
         let spec = fam.spec(shape);
         let mut cfg = MultiCoreConfig::with_core(SimConfig::default(), cores);
-        cfg.work_stealing = stealing;
         cfg.prefetched = prefetched;
         let engine = EngineConfig::vegeta_s(16).unwrap().with_output_forwarding(true);
 
@@ -135,7 +134,7 @@ proptest! {
     }
 }
 
-/// The merge loops also agree across engine classes (issue widths and
+/// The production paths also agree with the scan across engine classes (issue widths and
 /// latencies shift every timestamp, so this catches an ordering
 /// assumption that only holds for one engine's timing).
 #[test]

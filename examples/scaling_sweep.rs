@@ -103,7 +103,7 @@ fn main() {
 
     // 4. The raw harness: plan the shard set yourself and run it on an
     //    explicitly configured MultiCoreSim (cold shared L2, pricier
-    //    barrier, work stealing) — the knobs the Session defaults hide.
+    //    barrier) — the knobs the Session defaults hide.
     let spec = KernelSpec::tiled(SparseMode::Nm2of4);
     let shape = layer.scaled_shape(quick);
     let plan = spec.shard_plan(shape, 4);
@@ -119,7 +119,6 @@ fn main() {
     let mut cfg = MultiCoreConfig::new(4);
     cfg.prefetched = false; // charge memory latency on cold L2 lines
     cfg.barrier_latency = 128;
-    cfg.work_stealing = true; // drain early? steal the largest unstarted shard
     let mut sim = MultiCoreSim::new(cfg, EngineConfig::vegeta_s(16).expect("valid alpha"));
     let res = sim.run_sharded(set.shards, set.reduction, SchedulerPolicy::Lpt);
     println!(
