@@ -22,7 +22,9 @@
 //! one full-fidelity Table IV layer per engine class — including the
 //! largest GPT-3 layer — exercising the streaming path at network scale.
 //!
-//! Flags: `--baseline <path>` overrides the committed baseline,
+//! Flags: `--baseline <path>` overrides the committed baseline
+//! (`BENCH_fig13.json` in the current directory, the repository root in
+//! CI),
 //! `--tolerance <fraction>` the ±2% default (the `VEGETA_PERF_TOL`
 //! environment variable also overrides the default; the flag wins over
 //! both), `--scaling-floor <speedup>` the 3.5× scaling floor,
@@ -44,19 +46,10 @@ use vegeta_bench::scaling::{
     check_scaling_floor, run_scaling_floor_sweep, DEFAULT_SCALING_FLOOR, SCALING_FLOOR_CORES,
 };
 
-fn workspace_baseline() -> std::path::PathBuf {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    if std::path::Path::new(root).is_dir() {
-        std::path::Path::new(root).join("BENCH_fig13.json")
-    } else {
-        std::path::PathBuf::from("BENCH_fig13.json")
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut full_scale = false;
-    let mut baseline_path = workspace_baseline();
+    let mut baseline_path = std::path::PathBuf::from("BENCH_fig13.json");
     let mut tolerance_flag: Option<f64> = None;
     let mut min_ips_flag: Option<f64> = None;
     let mut min_mc_ips_flag: Option<f64> = None;

@@ -25,26 +25,25 @@ pub use lint_sweep::{
     print_lint_sweep, print_replay_check, run_lint_sweep, run_replay_check, run_self_test,
 };
 
-/// Writes a JSON artifact named `file_name` into `$VEGETA_CSV_DIR` (when
-/// set) or the workspace root; returns the path on success. Shared by the
-/// perf-gate and scaling reports — artifact dumps log failures to stderr
-/// rather than aborting an experiment.
+/// The directory artifacts are written to: `$VEGETA_CSV_DIR` when set and
+/// non-empty, else the current directory. Never a path fixed at compile
+/// time, so a binary copied elsewhere writes where it runs.
+pub(crate) fn artifact_dir() -> std::path::PathBuf {
+    std::env::var_os("VEGETA_CSV_DIR")
+        .filter(|d| !d.is_empty())
+        .map_or_else(|| ".".into(), Into::into)
+}
+
+/// Writes a JSON artifact named `file_name` into [`artifact_dir`]; returns
+/// the path on success. Shared by the perf-gate, scaling and serving
+/// reports — artifact dumps log failures to stderr rather than aborting an
+/// experiment.
 pub(crate) fn write_artifact_json(
     file_name: &str,
     doc: &vegeta::json::JsonValue,
 ) -> Option<std::path::PathBuf> {
-    let dir = std::env::var("VEGETA_CSV_DIR")
-        .ok()
-        .filter(|d| !d.is_empty())
-        .unwrap_or_else(|| {
-            let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-            if std::path::Path::new(root).is_dir() {
-                root.to_string()
-            } else {
-                ".".to_string()
-            }
-        });
-    let path = std::path::Path::new(&dir).join(file_name);
+    let dir = artifact_dir();
+    let path = dir.join(file_name);
     match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, doc.to_string())) {
         Ok(()) => {
             eprintln!("wrote {}", path.display());
@@ -329,40 +328,25 @@ pub fn figure13_sweep(quick: usize) -> SweepReport {
 }
 
 /// Writes the per-engine geomean speedups of a Fig. 13 sweep to
-/// `BENCH_fig13.json` (in `$VEGETA_CSV_DIR` when set, else the workspace
-/// root), so the performance trajectory is machine-readable across PRs —
-/// the cycle counts are simulated, so quick-mode output is deterministic
-/// and diffable. Returns the path on success.
+/// `BENCH_fig13.json` in `$VEGETA_CSV_DIR` (when set) or the current
+/// directory, so the performance trajectory is machine-readable across
+/// PRs — the cycle counts are simulated, so quick-mode output is
+/// deterministic and diffable. Returns the path on success.
 ///
-/// The committed workspace-root copy is the `VEGETA_QUICK=1` baseline;
-/// full-size runs therefore only write when `$VEGETA_CSV_DIR` names an
-/// explicit destination, so regenerating the figure at full scale never
-/// dirties the tracked quick-mode artifact.
+/// The committed copy at the repository root is the `VEGETA_QUICK=1`
+/// baseline; full-size runs therefore only write when `$VEGETA_CSV_DIR`
+/// names an explicit destination, so regenerating the figure at full scale
+/// never dirties the tracked quick-mode artifact.
 pub fn write_fig13_json(report: &SweepReport, quick: usize) -> Option<std::path::PathBuf> {
-    let explicit = std::env::var("VEGETA_CSV_DIR")
-        .ok()
-        .filter(|d| !d.is_empty());
-    let dir = match explicit {
-        Some(dir) => dir,
-        None if quick > 1 => {
-            // Fall back to the workspace root when this binary still lives
-            // in its build checkout, else the cwd.
-            let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-            if std::path::Path::new(root).is_dir() {
-                root.to_string()
-            } else {
-                ".".to_string()
-            }
-        }
-        None => {
-            eprintln!(
-                "skipping BENCH_fig13.json: full-size run and no VEGETA_CSV_DIR \
-                 (the tracked artifact is the quick-mode baseline)"
-            );
-            return None;
-        }
-    };
-    write_fig13_json_to(report, quick, std::path::Path::new(&dir))
+    let explicit = std::env::var_os("VEGETA_CSV_DIR").is_some_and(|d| !d.is_empty());
+    if !explicit && quick <= 1 {
+        eprintln!(
+            "skipping BENCH_fig13.json: full-size run and no VEGETA_CSV_DIR \
+             (the tracked artifact is the quick-mode baseline)"
+        );
+        return None;
+    }
+    write_fig13_json_to(report, quick, &artifact_dir())
 }
 
 /// [`write_fig13_json`] with an explicit output directory.

@@ -313,7 +313,7 @@ pub fn perf_report(mode: &str, cells: &[PerfCell], mc_cells: &[PerfCell]) -> Jso
 }
 
 /// Writes `BENCH_perf.json` into `$VEGETA_CSV_DIR` (when set) or the
-/// workspace root; returns the path on success.
+/// current directory; returns the path on success.
 pub fn write_perf_json(doc: &JsonValue) -> Option<std::path::PathBuf> {
     crate::write_artifact_json("BENCH_perf.json", doc)
 }

@@ -201,9 +201,10 @@ pub fn scaling_report(mode: &str, report: &SweepReport, walls: &[f64]) -> JsonVa
 }
 
 /// Writes `BENCH_scaling.json` into `$VEGETA_CSV_DIR` (when set) or the
-/// workspace root; returns the path on success. The file is a CI artifact
-/// (gitignored), not a committed baseline — scaling numbers move whenever
-/// the core model does, and the perf gate already pins absolute cycles.
+/// current directory; returns the path on success. The file is a CI
+/// artifact (gitignored), not a committed baseline — scaling numbers move
+/// whenever the core model does, and the perf gate already pins absolute
+/// cycles.
 pub fn write_scaling_json(doc: &JsonValue) -> Option<std::path::PathBuf> {
     crate::write_artifact_json("BENCH_scaling.json", doc)
 }

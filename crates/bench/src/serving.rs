@@ -311,8 +311,8 @@ pub fn check_serving_floor(engine: &str, cells: &[ServingCell]) -> Result<(), St
 }
 
 /// Writes `BENCH_serving.json` into `$VEGETA_CSV_DIR` (when set) or the
-/// workspace root; returns the path on success. Like the scaling report
-/// this is a CI artifact (gitignored), not a committed baseline.
+/// current directory; returns the path on success. Like the scaling
+/// report this is a CI artifact (gitignored), not a committed baseline.
 pub fn write_serving_json(doc: &JsonValue) -> Option<std::path::PathBuf> {
     crate::write_artifact_json("BENCH_serving.json", doc)
 }

@@ -1,14 +1,14 @@
 //! The verification driver: walks emitters block-by-block, runs every
 //! pass, and rolls findings into a [`Report`].
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use vegeta_isa::footprint::Footprint;
 use vegeta_isa::stream::{BlockEmitter, InstStream};
 use vegeta_isa::trace::TraceOp;
 use vegeta_kernels::{GemmShape, KernelEmitter, KernelSpec, ShardKind, ShardPlan, ShardStream};
 
-use crate::bounds::{check_bounds, AccessSummary, BoundsPass};
+use crate::bounds::{check_bounds, normalize_runs, AccessSummary, BoundsPass};
 use crate::coverage::{check_coverage, CoverBox};
 use crate::dataflow::{DataflowConfig, DataflowPass};
 use crate::diag::{DiagCode, Diagnostic, Report};
@@ -121,30 +121,20 @@ pub fn check_set(
         .collect();
     let mut diags = check_coverage(m_units, n_units, k_units, &boxes);
 
-    // Concurrent shards must never write the same cache line.
-    let mut writers: HashMap<u64, usize> = HashMap::new();
-    'shards: for (i, (_, summary)) in shards.iter().enumerate() {
-        for &(line, _) in &summary.store_lines {
-            if let Some(&prev) = writers.get(&line) {
-                if prev != i {
-                    diags.push(
-                        Diagnostic::new(
-                            DiagCode::ShardWriteOverlap,
-                            format!(
-                                "shards {prev} and {i} both write line {:#x}",
-                                line * vegeta_isa::CACHE_LINE_BYTES as u64
-                            ),
-                        )
-                        .in_shard(i),
-                    );
-                    // One witness per set is enough; a systematic overlap
-                    // would otherwise flood the report.
-                    break 'shards;
-                }
-            } else {
-                writers.insert(line, i);
-            }
-        }
+    // Concurrent shards must never write the same cache line. One witness
+    // per set is enough; a systematic overlap would otherwise flood the
+    // report.
+    if let Some((a, b, line)) = first_write_overlap(shards) {
+        diags.push(
+            Diagnostic::new(
+                DiagCode::ShardWriteOverlap,
+                format!(
+                    "shards {a} and {b} both write line {:#x}",
+                    line * vegeta_isa::CACHE_LINE_BYTES as u64
+                ),
+            )
+            .in_shard(b),
+        );
     }
 
     // Every K-split needs a matching reduction, and vice versa.
@@ -173,23 +163,54 @@ pub fn check_set(
                     format!("reduction merges {parts} parts but shards produce {split_parts}"),
                 ));
             }
-            let written: std::collections::BTreeSet<u64> = shards
-                .iter()
-                .flat_map(|(_, s)| s.partial_store_lines())
-                .collect();
-            if summary.partial_read_lines != written {
+            let written = normalize_runs(shards.iter().flat_map(|(_, s)| s.partial_store_lines()));
+            let read = normalize_runs(summary.partial_read_lines.iter().cloned());
+            if read != written {
+                let lines = |runs: &[Range<u64>]| runs.iter().map(|r| r.end - r.start).sum::<u64>();
                 diags.push(Diagnostic::new(
                     DiagCode::ReductionMismatch,
                     format!(
                         "reduction reads {} partial-C lines but shards wrote {}",
-                        summary.partial_read_lines.len(),
-                        written.len()
+                        lines(&read),
+                        lines(&written)
                     ),
                 ));
             }
         }
     }
     diags
+}
+
+/// The first line, in address order, that two shards' tile stores both
+/// write: `(lower shard, higher shard, line)`.
+///
+/// Each shard's runs are normalized first, so runs of one shard never
+/// overlap. Sweeping all runs by start, a run then overlaps an earlier one
+/// exactly when the furthest-reaching earlier run ends past its start, and
+/// that run belongs to another shard.
+fn first_write_overlap(shards: &[(ShardKind, AccessSummary)]) -> Option<(usize, usize, u64)> {
+    let mut runs: Vec<(u64, u64, usize)> = shards
+        .iter()
+        .enumerate()
+        .flat_map(|(i, (_, s))| {
+            normalize_runs(s.store_lines.iter().map(|(run, _)| run.clone()))
+                .into_iter()
+                .map(move |run| (run.start, run.end, i))
+        })
+        .collect();
+    runs.sort_unstable();
+    // `(end, shard)` of the furthest-reaching run so far.
+    let mut furthest: Option<(u64, usize)> = None;
+    for (start, end, shard) in runs {
+        match furthest {
+            Some((f_end, owner)) if f_end > start => {
+                return Some((owner.min(shard), owner.max(shard), start))
+            }
+            Some((f_end, _)) if f_end >= end => {}
+            _ => furthest = Some((end, shard)),
+        }
+    }
+    None
 }
 
 /// Verifies the unsharded stream of `spec` at `shape`: dataflow, bounds,
@@ -279,4 +300,138 @@ fn verify_shards_of(
         reduction_result.as_ref().map(|(p, s)| (*p, s)),
     ));
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vegeta_isa::footprint::RegionClass;
+
+    /// Two full-depth shards splitting a 2×1×1 grid, storing the
+    /// `(start, end)` line runs `a` and `b`.
+    fn rect_pair(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(ShardKind, AccessSummary)> {
+        let shard = |row: usize, runs: &[(u64, u64)]| {
+            let kind = ShardKind::Rect {
+                rows: row..row + 1,
+                cols: 0..1,
+            };
+            let summary = AccessSummary {
+                store_lines: runs.iter().map(|&(s, e)| (s..e, RegionClass::C)).collect(),
+                partial_read_lines: Vec::new(),
+            };
+            (kind, summary)
+        };
+        vec![shard(0, a), shard(1, b)]
+    }
+
+    fn codes(diags: &[Diagnostic]) -> Vec<DiagCode> {
+        diags.iter().map(|d| d.code).collect()
+    }
+
+    #[test]
+    fn straddling_runs_of_two_shards_overlap() {
+        let shards = rect_pair(&[(0, 16), (32, 48)], &[(16, 20), (44, 60)]);
+        let diags = check_set((2, 1, 1), &shards, None);
+        assert_eq!(codes(&diags), [DiagCode::ShardWriteOverlap]);
+        assert!(
+            diags[0]
+                .message
+                .contains("shards 0 and 1 both write line 0xb00"),
+            "witness is the first shared line (44 * 64): {}",
+            diags[0].message
+        );
+        assert_eq!(diags[0].shard, Some(1));
+        // A run nested inside another shard's run, listed out of order;
+        // and a shard whose own runs overlap each other reaching one line
+        // into the other shard's run.
+        let shards = rect_pair(&[(100, 101), (0, 64)], &[(80, 90), (10, 11)]);
+        assert_eq!(
+            codes(&check_set((2, 1, 1), &shards, None)),
+            [DiagCode::ShardWriteOverlap]
+        );
+        let shards = rect_pair(&[(5, 6), (5, 40)], &[(39, 41)]);
+        assert_eq!(
+            codes(&check_set((2, 1, 1), &shards, None)),
+            [DiagCode::ShardWriteOverlap]
+        );
+    }
+
+    #[test]
+    fn adjacent_runs_and_same_shard_overlaps_are_clean() {
+        // Shard 1 starts exactly where shard 0 ends, and vice versa.
+        let shards = rect_pair(&[(0, 16), (32, 48)], &[(16, 32), (48, 64)]);
+        assert!(check_set((2, 1, 1), &shards, None).is_empty());
+        // A shard may store the same lines twice (and its own runs may
+        // overlap in any order) without tripping the cross-shard check.
+        let shards = rect_pair(&[(0, 16), (8, 24), (0, 4), (24, 25)], &[(25, 40), (30, 35)]);
+        assert!(check_set((2, 1, 1), &shards, None).is_empty());
+    }
+
+    /// A 2-way K-split of a 1×1×2 grid whose shards store `parts`, and
+    /// the reduction summary reading `reads`.
+    fn ksplit(
+        parts: [&[(u64, u64)]; 2],
+        reads: &[(u64, u64)],
+    ) -> (Vec<(ShardKind, AccessSummary)>, AccessSummary) {
+        let shards = parts
+            .iter()
+            .enumerate()
+            .map(|(part, runs)| {
+                let kind = ShardKind::KSlice {
+                    rows: 0..1,
+                    cols: 0..1,
+                    kts: part..part + 1,
+                    part,
+                };
+                let summary = AccessSummary {
+                    store_lines: runs
+                        .iter()
+                        .map(|&(s, e)| (s..e, RegionClass::PartialC))
+                        .collect(),
+                    partial_read_lines: Vec::new(),
+                };
+                (kind, summary)
+            })
+            .collect();
+        let reduction = AccessSummary {
+            store_lines: vec![(0..32, RegionClass::C)],
+            partial_read_lines: reads.iter().map(|&(s, e)| s..e).collect(),
+        };
+        (shards, reduction)
+    }
+
+    #[test]
+    fn reduction_reads_split_differently_but_covering_the_same_lines_are_clean() {
+        // The shards write [100, 132) and [200, 232) in 16-line tiles; the
+        // reduction reads them in other pieces, out of order, one line
+        // twice, and with the two parts' halves interleaved.
+        let (shards, reduction) = ksplit(
+            [&[(100, 116), (116, 132)], &[(216, 232), (200, 216)]],
+            &[(200, 201), (100, 108), (201, 232), (108, 132), (120, 121)],
+        );
+        assert!(check_set((1, 1, 2), &shards, Some((2, &reduction))).is_empty());
+    }
+
+    #[test]
+    fn one_missing_reduction_line_is_a_mismatch() {
+        let (shards, reduction) = ksplit(
+            [&[(100, 132)], &[(200, 232)]],
+            &[(100, 132), (200, 215), (216, 232)],
+        );
+        let diags = check_set((1, 1, 2), &shards, Some((2, &reduction)));
+        assert_eq!(codes(&diags), [DiagCode::ReductionMismatch]);
+        assert!(
+            diags[0]
+                .message
+                .contains("reduction reads 63 partial-C lines but shards wrote 64"),
+            "{}",
+            diags[0].message
+        );
+        // One extra line read is a mismatch too.
+        let (shards, reduction) = ksplit([&[(100, 132)], &[(200, 232)]], &[(100, 132), (199, 232)]);
+        assert_eq!(
+            codes(&check_set((1, 1, 2), &shards, Some((2, &reduction)))),
+            [DiagCode::ReductionMismatch]
+        );
+    }
 }

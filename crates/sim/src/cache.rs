@@ -20,15 +20,29 @@
 //!
 //! # Replacement in O(1)
 //!
-//! Recency is kept as an intrusive doubly-linked list over slot indices
-//! (`LruTable`): a hit unlinks the line and re-links it at the MRU tail,
-//! a miss at capacity evicts the list head. Because every access moves the
-//! touched line to the tail, the head is always the line whose last use is
-//! oldest — the exact same victim a last-use-stamp scan would pick (stamps
-//! are strictly increasing, so the minimum stamp *is* the list head). This
-//! turned the per-miss victim search from O(capacity) into O(1), which is
-//! what makes full-fidelity replays fast; the equivalence is pinned by a
-//! randomized differential test against a stamp-scan reference model.
+//! An exact-LRU table (`LruTable`) keeps each resident line in a *slot*:
+//! its address, and its links in an intrusive doubly-linked recency list
+//! over slot numbers. A hit unlinks the line and re-links it at the MRU
+//! tail; a miss at capacity evicts the list head and reuses its slot.
+//! Because every access moves the touched line to the tail, the head is
+//! always the line whose last use is oldest — the exact same victim a
+//! last-use-stamp scan would pick (stamps are strictly increasing, so the
+//! minimum stamp *is* the list head).
+//!
+//! Lines find their slot through an open-addressed index of `u32` slot
+//! numbers, a power of two at least twice the capacity long, so it is at
+//! most half full. A lookup probes linearly from a multiplicative hash of
+//! the line number and compares keys through the slot's address, so no
+//! key is stored twice; an eviction deletes by backward shift, moving
+//! later entries of the probe run into the hole, so no tombstones build
+//! up. The index is allocated on the first insert: a prefetched
+//! [`SharedL2`] never evicts and keeps no table at all.
+//!
+//! Every access of a Fig. 13 replay goes through the L1's table, and most
+//! of them miss (a ~7% hit ratio), so a miss is three short probes and a
+//! shift-delete in one small array rather than three SipHash map
+//! operations. The equivalence with the stamp scan is pinned by
+//! randomized differential tests against a reference model.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -112,10 +126,24 @@ struct Claim {
     /// fold may change.
     time: u64,
     /// The first-toucher core.
-    core: usize,
+    core: u32,
     /// Accesses the first toucher itself made to the line, the first
     /// touch included. Every other access is a shared hit.
-    own: u64,
+    own: u32,
+}
+
+// One claim per resident line: a GPT-L3 multi-core cell holds hundreds of
+// thousands, so 16 bytes rather than 24 keeps the claim map's peak down.
+const _: () = assert!(std::mem::size_of::<Claim>() == 16);
+
+impl Claim {
+    /// Counts one more access by the first toucher.
+    fn add_own(&mut self, accesses: u32) {
+        self.own = self
+            .own
+            .checked_add(accesses)
+            .expect("one core touches one line fewer than 2^32 times");
+    }
 }
 
 /// Hashes the line addresses keying a [`SharedL2`]'s claims on every L1
@@ -142,7 +170,8 @@ impl Hasher for LineHasher {
     }
 }
 
-/// Sentinel for "no slot" in the intrusive recency list.
+/// Sentinel for "no slot": an empty index bucket, or the end of the
+/// intrusive recency list.
 const NO_SLOT: u32 = u32::MAX;
 
 /// An exact-LRU residency table: line address → slot, with recency as an
@@ -154,9 +183,18 @@ const NO_SLOT: u32 = u32::MAX;
 /// eviction pops the head. The head is always the exact least-recently-
 /// used line, so this is observationally identical to scanning for the
 /// minimum last-use stamp — just without the O(capacity) scan per miss.
-#[derive(Debug, Clone, Default)]
+///
+/// The index is an open-addressed table of slot numbers (see the module
+/// doc), allocated on the first insert.
+#[derive(Debug, Clone)]
 struct LruTable {
-    index: HashMap<u64, u32>,
+    /// Most lines the owner keeps resident; sizes the index.
+    capacity_lines: usize,
+    /// Index buckets, each a slot number or [`NO_SLOT`]; a power of two at
+    /// least twice `capacity_lines` long, or empty before the first insert.
+    buckets: Vec<u32>,
+    /// `64 - log2(buckets.len())`: the hash keeps the top bits.
+    shift: u32,
     addrs: Vec<u64>,
     prev: Vec<u32>,
     next: Vec<u32>,
@@ -166,9 +204,13 @@ struct LruTable {
 }
 
 impl LruTable {
-    fn new() -> Self {
+    /// An empty table for at most `capacity_lines` (at least one)
+    /// resident lines.
+    fn new(capacity_lines: usize) -> Self {
         LruTable {
-            index: HashMap::new(),
+            capacity_lines: capacity_lines.max(1),
+            buckets: Vec::new(),
+            shift: 0,
             addrs: Vec::new(),
             prev: Vec::new(),
             next: Vec::new(),
@@ -180,7 +222,60 @@ impl LruTable {
 
     /// Resident lines.
     fn len(&self) -> usize {
-        self.index.len()
+        self.addrs.len() - self.free.len()
+    }
+
+    /// The bucket `addr`'s probe starts from: a multiplicative hash of its
+    /// line number.
+    fn home(&self, addr: u64) -> usize {
+        ((addr / LINE_BYTES).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// The bucket holding `addr`, or the empty bucket ending its probe.
+    fn probe(&self, addr: u64) -> usize {
+        let mask = self.buckets.len() - 1;
+        let mut b = self.home(addr);
+        loop {
+            let slot = self.buckets[b];
+            if slot == NO_SLOT || self.addrs[slot as usize] == addr {
+                return b;
+            }
+            b = (b + 1) & mask;
+        }
+    }
+
+    /// The slot of `addr`, if it is resident.
+    fn find(&self, addr: u64) -> Option<u32> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        let slot = self.buckets[self.probe(addr)];
+        (slot != NO_SLOT).then_some(slot)
+    }
+
+    /// Empties bucket `hole` by backward shift: every later entry of the
+    /// probe run that may sit at or before `hole` moves back into it, so
+    /// no tombstone is left and every probe still ends at the first empty
+    /// bucket.
+    fn remove_bucket(&mut self, mut hole: usize) {
+        let mask = self.buckets.len() - 1;
+        let mut b = hole;
+        loop {
+            b = (b + 1) & mask;
+            let slot = self.buckets[b];
+            if slot == NO_SLOT {
+                break;
+            }
+            // Probe distance of the entry at `b` vs the distance from the
+            // hole: the entry may fill the hole unless its home lies in
+            // `(hole, b]`.
+            let home = self.home(self.addrs[slot as usize]);
+            if b.wrapping_sub(home) & mask >= b.wrapping_sub(hole) & mask {
+                self.buckets[hole] = slot;
+                hole = b;
+            }
+        }
+        self.buckets[hole] = NO_SLOT;
     }
 
     fn unlink(&mut self, slot: u32) {
@@ -209,20 +304,31 @@ impl LruTable {
     }
 
     /// If `addr` is resident, refreshes it to most-recently-used and
-    /// returns its slot.
-    fn touch(&mut self, addr: u64) -> Option<u32> {
-        let slot = *self.index.get(&addr)?;
+    /// returns `true`.
+    fn touch(&mut self, addr: u64) -> bool {
+        let Some(slot) = self.find(addr) else {
+            return false;
+        };
         if self.tail != slot {
             self.unlink(slot);
             self.link_tail(slot);
         }
-        Some(slot)
+        true
     }
 
-    /// Inserts a non-resident `addr` as most-recently-used, returning its
-    /// slot.
-    fn insert(&mut self, addr: u64) -> u32 {
-        debug_assert!(!self.index.contains_key(&addr), "insert of resident line");
+    /// Inserts a non-resident `addr` as most-recently-used. A full table
+    /// first evicts its least-recently-used line and returns its address,
+    /// so at most `capacity_lines` lines are ever resident and the index
+    /// stays at most half full.
+    fn insert(&mut self, addr: u64) -> Option<u64> {
+        let victim = (self.len() >= self.capacity_lines).then(|| self.evict_lru());
+        if self.buckets.is_empty() {
+            let buckets = (2 * self.capacity_lines).next_power_of_two().max(2);
+            self.buckets = vec![NO_SLOT; buckets];
+            self.shift = 64 - buckets.trailing_zeros();
+        }
+        let bucket = self.probe(addr);
+        debug_assert_eq!(self.buckets[bucket], NO_SLOT, "insert of resident line");
         let slot = if let Some(slot) = self.free.pop() {
             self.addrs[slot as usize] = addr;
             slot
@@ -233,24 +339,22 @@ impl LruTable {
             self.next.push(NO_SLOT);
             slot
         };
-        self.index.insert(addr, slot);
+        self.buckets[bucket] = slot;
         self.link_tail(slot);
-        slot
+        victim
     }
 
-    /// Evicts the least-recently-used line, returning its address.
-    /// Returns `None` when the table is empty (mirroring the stamp-scan
-    /// reference, which finds no victim in an empty map).
-    fn evict_lru(&mut self) -> Option<u64> {
+    /// Evicts the least-recently-used line (the list head — exactly the
+    /// line a min-last-use-stamp scan would pick) of a non-empty table,
+    /// returning its address.
+    fn evict_lru(&mut self) -> u64 {
         let victim = self.head;
-        if victim == NO_SLOT {
-            return None;
-        }
         self.unlink(victim);
         let addr = self.addrs[victim as usize];
-        self.index.remove(&addr);
+        let bucket = self.probe(addr);
+        self.remove_bucket(bucket);
         self.free.push(victim);
-        Some(addr)
+        addr
     }
 }
 
@@ -292,7 +396,7 @@ impl SharedL2 {
             capacity_lines: capacity_lines.max(1),
             hit_latency,
             miss_latency,
-            recency: Some(LruTable::new()),
+            recency: Some(LruTable::new(capacity_lines)),
             claims: HashMap::default(),
             stats: SharedL2Stats::default(),
             now: 0,
@@ -303,7 +407,7 @@ impl SharedL2 {
     /// hits at the hit latency, and residency tracking only attributes
     /// sharing. Set it before the first access.
     pub fn with_prefetched(mut self, prefetched: bool) -> Self {
-        self.recency = (!prefetched).then(LruTable::new);
+        self.recency = (!prefetched).then(|| LruTable::new(self.capacity_lines));
         self
     }
 
@@ -339,6 +443,7 @@ impl SharedL2 {
     /// Looks up one line on behalf of `core`, updating residency and
     /// sharing attribution; returns the load-to-use latency.
     pub fn access_line(&mut self, core: usize, line_addr: u64) -> u64 {
+        let core = u32::try_from(core).expect("fewer than 2^32 simulated cores");
         self.stats.accesses += 1;
         if let Some(claim) = self.claims.get_mut(&line_addr) {
             if let Some(recency) = &mut self.recency {
@@ -346,7 +451,7 @@ impl SharedL2 {
             }
             self.stats.hits += 1;
             if claim.core == core {
-                claim.own += 1;
+                claim.add_own(1);
             } else {
                 self.stats.shared_hits += 1;
             }
@@ -364,12 +469,9 @@ impl SharedL2 {
             return self.hit_latency;
         };
         // Capacity only matters when misses cost something.
-        if recency.len() >= self.capacity_lines {
-            if let Some(victim) = recency.evict_lru() {
-                self.claims.remove(&victim);
-            }
+        if let Some(victim) = recency.insert(line_addr) {
+            self.claims.remove(&victim);
         }
-        recency.insert(line_addr);
         self.stats.misses += 1;
         self.miss_latency
     }
@@ -391,19 +493,19 @@ impl SharedL2 {
             "only a prefetched L2 never evicts"
         );
         for (line, theirs) in summary.claims.drain() {
-            self.stats.accesses += theirs.own;
-            self.stats.hits += theirs.own;
+            self.stats.accesses += u64::from(theirs.own);
+            self.stats.hits += u64::from(theirs.own);
             let ours = self
                 .claims
                 .entry(line)
                 .or_insert(Claim { own: 0, ..theirs });
             if ours.core == theirs.core {
-                ours.own += theirs.own;
+                ours.add_own(theirs.own);
             } else if (theirs.time, theirs.core) < (ours.time, ours.core) {
-                self.stats.shared_hits += ours.own;
+                self.stats.shared_hits += u64::from(ours.own);
                 *ours = theirs;
             } else {
-                self.stats.shared_hits += theirs.own;
+                self.stats.shared_hits += u64::from(theirs.own);
             }
         }
     }
@@ -413,7 +515,6 @@ impl SharedL2 {
 /// always-hitting L2) or, in multi-core runs, a [`SharedL2`].
 #[derive(Debug, Clone)]
 pub struct CacheModel {
-    capacity_lines: usize,
     l1_latency: u64,
     l2_latency: u64,
     lines: LruTable,
@@ -425,10 +526,9 @@ impl CacheModel {
     /// latencies (in core cycles).
     pub fn new(capacity_lines: usize, l1_latency: u64, l2_latency: u64) -> Self {
         CacheModel {
-            capacity_lines: capacity_lines.max(1),
             l1_latency,
             l2_latency,
-            lines: LruTable::new(),
+            lines: LruTable::new(capacity_lines),
             stats: CacheStats::default(),
         }
     }
@@ -458,16 +558,11 @@ impl CacheModel {
         } else {
             self.stats.bytes_read += LINE_BYTES;
         }
-        if self.lines.touch(line_addr).is_some() {
+        if self.lines.touch(line_addr) {
             self.stats.l1_hits += 1;
             return self.l1_latency;
         }
         self.stats.l2_hits += 1;
-        if self.lines.len() >= self.capacity_lines {
-            // Evict the least recently used line (the list head — exactly
-            // the line a min-last-use-stamp scan would pick).
-            self.lines.evict_lru();
-        }
         self.lines.insert(line_addr);
         match next {
             Some((core, l2)) => l2.access_line(core, line_addr),
@@ -688,33 +783,62 @@ mod tests {
         }
     }
 
+    /// `count` line addresses whose index home is one of the last two
+    /// buckets of a `capacity`-line table: their probe runs pile up into
+    /// one long run that wraps past the end of the index, so evictions
+    /// delete from the middle of it, where a backward-shift bug would lose
+    /// or strand an entry.
+    fn colliding_addrs(capacity: usize, count: usize) -> Vec<u64> {
+        let mut table = LruTable::new(capacity);
+        table.insert(0);
+        let last = table.buckets.len() - 1;
+        (0u64..)
+            .map(|line| line * LINE_BYTES)
+            .filter(|&addr| table.home(addr) + 1 >= last)
+            .take(count)
+            .collect()
+    }
+
+    /// Line addresses `0, 64, .. 64 * (count - 1)`.
+    fn sequential_addrs(count: usize) -> Vec<u64> {
+        (0..count as u64).map(|line| line * LINE_BYTES).collect()
+    }
+
+    /// Capacities the differential tests cover: tiny ones, non-powers of
+    /// two (the index rounds up) and the default 768-line L1.
+    const DIFF_CAPACITIES: [usize; 9] = [1, 2, 3, 5, 7, 16, 64, 100, 768];
+
     #[test]
     fn o1_lru_is_identical_to_the_stamp_scan_reference() {
         // Deterministic xorshift address sequences over a working set a
         // few times the capacity, across several capacities: the fast list
         // and the reference scan must agree on every single access.
-        for capacity in [1usize, 2, 3, 7, 16, 64] {
-            let mut fast = CacheModel::new(capacity, 5, 14);
-            let mut reference = StampScanReference::new(capacity, 5, 14);
-            let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ capacity as u64;
-            for step in 0..4000u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                // Mix uniform-random and looping sequential phases so both
-                // thrash and reuse paths are exercised.
-                let addr = if step % 512 < 256 {
-                    (x % (capacity as u64 * 3 + 1)) * LINE_BYTES
-                } else {
-                    (step % (capacity as u64 * 2 + 1)) * LINE_BYTES
-                };
-                assert_eq!(
-                    fast.access_line(addr, false),
-                    reference.access_line(addr),
-                    "capacity {capacity}, step {step}, addr {addr}"
-                );
+        for capacity in DIFF_CAPACITIES {
+            let span = capacity * 3 + 1;
+            for pool in [sequential_addrs(span), colliding_addrs(capacity, span)] {
+                let mut fast = CacheModel::new(capacity, 5, 14);
+                let mut reference = StampScanReference::new(capacity, 5, 14);
+                let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ capacity as u64;
+                let phase = 512.max(4 * capacity as u64);
+                for step in 0..4000.max(8 * capacity as u64) {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    // Mix uniform-random and looping sequential phases so
+                    // both thrash and reuse paths are exercised.
+                    let addr = if step % phase < phase / 2 {
+                        pool[(x % span as u64) as usize]
+                    } else {
+                        pool[(step % (capacity as u64 * 2 + 1)) as usize]
+                    };
+                    assert_eq!(
+                        fast.access_line(addr, false),
+                        reference.access_line(addr),
+                        "capacity {capacity}, step {step}, addr {addr}"
+                    );
+                }
+                assert_eq!(fast.lines.len(), reference.lines.len());
             }
-            assert_eq!(fast.lines.len(), reference.lines.len());
         }
     }
 
@@ -722,22 +846,45 @@ mod tests {
     fn shared_l2_o1_lru_matches_reference_victims() {
         // Same differential for the shared level with the prefetch
         // assumption off (the only configuration that evicts).
-        for capacity in [1usize, 2, 5, 32] {
-            let mut fast = SharedL2::new(capacity, 14, 100);
-            let mut reference = StampScanReference::new(capacity, 14, 100);
-            let mut x = 0xdead_beef_cafe_f00du64 ^ capacity as u64;
-            for step in 0..3000u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let addr = (x % (capacity as u64 * 4 + 1)) * LINE_BYTES;
-                assert_eq!(
-                    fast.access_line((step % 3) as usize, addr),
-                    reference.access_line(addr),
-                    "capacity {capacity}, step {step}, addr {addr}"
-                );
+        for capacity in DIFF_CAPACITIES {
+            let span = capacity * 4 + 1;
+            for pool in [sequential_addrs(span), colliding_addrs(capacity, span)] {
+                let mut fast = SharedL2::new(capacity, 14, 100);
+                let mut reference = StampScanReference::new(capacity, 14, 100);
+                let mut x = 0xdead_beef_cafe_f00du64 ^ capacity as u64;
+                for step in 0..3000.max(8 * capacity as u64) {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let addr = pool[(x % span as u64) as usize];
+                    assert_eq!(
+                        fast.access_line((step % 3) as usize, addr),
+                        reference.access_line(addr),
+                        "capacity {capacity}, step {step}, addr {addr}"
+                    );
+                }
+                assert_eq!(fast.resident_lines(), reference.lines.len());
             }
         }
+    }
+
+    #[test]
+    fn lru_index_is_allocated_on_first_insert_only() {
+        let mut c = CacheModel::new(768, 5, 14);
+        assert_eq!(c.lines.buckets.capacity(), 0, "untouched L1 holds no index");
+        c.access_line(0, false);
+        assert_eq!(c.lines.buckets.len(), 2048, "2 x 768 rounded up");
+        assert_eq!(CacheModel::new(100, 5, 14).lines.buckets.capacity(), 0);
+
+        let mut l2 =
+            SharedL2::new(crate::multicore::DEFAULT_L2_LINES, 14, 100).with_prefetched(true);
+        for line in 0..4096u64 {
+            l2.access_line((line % 4) as usize, line * LINE_BYTES);
+        }
+        assert!(l2.recency.is_none(), "a prefetched L2 keeps no LRU table");
+        let cold = SharedL2::new(crate::multicore::DEFAULT_L2_LINES, 14, 100);
+        let recency = cold.recency.as_ref().expect("a cold L2 tracks recency");
+        assert_eq!(recency.buckets.capacity(), 0, "untouched cold L2: no index");
     }
 
     /// One core's first-touch summary of `(stamp, line)` accesses.
