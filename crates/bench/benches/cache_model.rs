@@ -7,10 +7,14 @@
 //! the tile just loaded, whose 16 lines all hit. That is 1 hit in 15 loads,
 //! a 6.7% line hit ratio. One iteration is [`LOADS_PER_ITER`] tile loads,
 //! so ns/iter ÷ (16 × `LOADS_PER_ITER`) is the cost of one line access.
+//!
+//! A second pair times what a sweep saves per cell by memoizing the L1: a
+//! whole `CoreSim` replay of one quick-fidelity Fig. 13 trace, once through
+//! a fresh L1 model and once replaying a recorded [`L1Memo`].
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use vegeta::prelude::*;
-use vegeta::sim::CacheModel;
+use vegeta::sim::{CacheModel, L1Memo};
 
 /// Bytes of one tile load (16 rows of 64 B, §V-F).
 const TILE_BYTES: u64 = 1024;
@@ -66,5 +70,32 @@ fn bench_l1_tile_loads(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_l1_tile_loads);
+fn bench_memoized_replay(c: &mut Criterion) {
+    // BERT-L2 at 2:4 on VEGETA-S-16-2, the quick (÷4) fidelity.
+    let layer = table4()[7];
+    let shape = Fidelity::Quick(4).shape_of(&layer);
+    let engine = EngineConfig::vegeta_s(16).expect("valid alpha");
+    let spec = engine.kernel_spec(NmRatio::S2_4, KernelOptions::default());
+    let sim = || CoreSim::new(SimConfig::default(), engine.clone());
+    let memo = L1Memo::new();
+    let recorded = sim().run_stream_memoized(spec.stream(shape), &memo);
+    assert_eq!(recorded, sim().run_stream(spec.stream(shape)));
+    println!(
+        "{} at {}x{}x{}: {} instructions, {} L1 line accesses",
+        spec.name(),
+        shape.m,
+        shape.n,
+        shape.k,
+        recorded.instructions,
+        recorded.cache.l1_hits + recorded.cache.l2_hits
+    );
+    c.bench_function("coresim_replay_fresh_l1_bert_l2_quick4", |b| {
+        b.iter(|| black_box(sim().run_stream(spec.stream(shape))));
+    });
+    c.bench_function("coresim_replay_memoized_l1_bert_l2_quick4", |b| {
+        b.iter(|| black_box(sim().run_stream_memoized(spec.stream(shape), &memo)));
+    });
+}
+
+criterion_group!(benches, bench_l1_tile_loads, bench_memoized_replay);
 criterion_main!(benches);

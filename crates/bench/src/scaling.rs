@@ -124,6 +124,7 @@ pub fn run_timed_scaling_sweep(fidelity: Fidelity) -> (SweepReport, Vec<f64>) {
         cells,
         traces_built: cache.misses(),
         trace_cache_hits: cache.hits(),
+        l1_fresh_replays: 0,
         cache: cache.stats(),
         threads: 1,
     };

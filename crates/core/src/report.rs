@@ -444,6 +444,11 @@ pub struct SweepReport {
     pub traces_built: u64,
     /// Trace-cache hits during the sweep.
     pub trace_cache_hits: u64,
+    /// Single-core cells whose L1 model replayed fresh; every other
+    /// single-core cell replayed a memoized L1 outcome
+    /// ([`vegeta_sim::L1Memo`]). On one thread, the number of distinct
+    /// single-core traces.
+    pub l1_fresh_replays: u64,
     /// Snapshot of the shared [`vegeta_kernels::TraceCache`]'s counters at
     /// sweep completion (hits/misses are lifetime totals for the shared
     /// cache; `traces_built`/`trace_cache_hits` above are this sweep's
@@ -581,6 +586,7 @@ impl SweepReport {
         JsonValue::Object(vec![
             ("traces_built".into(), self.traces_built.into()),
             ("trace_cache_hits".into(), self.trace_cache_hits.into()),
+            ("l1_fresh_replays".into(), self.l1_fresh_replays.into()),
             ("cache_entries".into(), self.cache.entries.into()),
             ("cache_resident".into(), self.cache.resident.into()),
             ("cache_evictions".into(), self.cache.evictions.into()),
@@ -758,6 +764,7 @@ mod tests {
             cells: vec![one, four],
             traces_built: 1,
             trace_cache_hits: 1,
+            l1_fresh_replays: 0,
             cache: vegeta_kernels::TraceCacheStats::default(),
             threads: 1,
         };
@@ -802,6 +809,7 @@ mod tests {
             ],
             traces_built: 2,
             trace_cache_hits: 2,
+            l1_fresh_replays: 0,
             cache: vegeta_kernels::TraceCacheStats::default(),
             threads: 1,
         };

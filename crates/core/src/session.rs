@@ -33,7 +33,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rand::rngs::SmallRng;
@@ -41,7 +41,9 @@ use rand::SeedableRng;
 use vegeta_engine::EngineConfig;
 use vegeta_isa::trace::Trace;
 use vegeta_kernels::{EngineKernelExt, Kernel, KernelOptions, KernelSpec, SparseMode, TraceCache};
-use vegeta_sim::{CoreSim, ExecMode, MultiCoreConfig, MultiCoreSim, SchedulerPolicy, SimConfig};
+use vegeta_sim::{
+    CoreSim, ExecMode, L1Memo, MultiCoreConfig, MultiCoreSim, SchedulerPolicy, SimConfig,
+};
 use vegeta_sparse::{prune, transform, FormatSpec, NmRatio};
 use vegeta_workloads::Layer;
 
@@ -80,16 +82,39 @@ pub fn figure13_sparsities() -> Vec<NmRatio> {
     vec![NmRatio::D4_4, NmRatio::S2_4, NmRatio::S1_4]
 }
 
+/// The environment variable that turns quick mode on.
+const QUICK_ENV: &str = "VEGETA_QUICK";
+
+/// Parses a [`QUICK_ENV`] value: `""` and `"0"` are off, `"1"` is on.
+/// Anything else is refused with the wording every environment knob of
+/// the workspace uses.
+fn parse_quick(raw: &str) -> Result<bool, String> {
+    match raw {
+        "" | "0" => Ok(false),
+        "1" => Ok(true),
+        _ => Err(format!("{QUICK_ENV}='{raw}' is not 0 or 1")),
+    }
+}
+
 /// The layer scale factor requested via the `VEGETA_QUICK` environment
-/// variable: 4 when quick mode is on (any non-empty value other than
-/// `"0"`), 1 otherwise. The single source of truth for quick-mode
-/// detection across benches, binaries and examples; pass the result to
-/// [`Sweep::with_scale`] or [`Session::run_layer_scaled`], or use
-/// [`Fidelity::from_env`] for the fidelity-axis form.
+/// variable: 4 when it is `"1"`, 1 when it is unset, empty or `"0"`. The
+/// single source of truth for quick-mode detection across benches,
+/// binaries and examples; pass the result to [`Sweep::with_scale`] or
+/// [`Session::run_layer_scaled`], or use [`Fidelity::from_env`] for the
+/// fidelity-axis form.
+///
+/// # Panics
+///
+/// Panics with `VEGETA_QUICK='<value>' is not 0 or 1` for any other
+/// value: a typo such as `VEGETA_QUICK=false` must not silently pick a
+/// layer scale.
 pub fn quick_factor() -> usize {
-    match std::env::var("VEGETA_QUICK") {
-        Ok(v) if v != "0" && !v.is_empty() => 4,
-        _ => 1,
+    let quick = std::env::var_os(QUICK_ENV)
+        .is_some_and(|raw| parse_quick(&raw.to_string_lossy()).unwrap_or_else(|e| panic!("{e}")));
+    if quick {
+        4
+    } else {
+        1
     }
 }
 
@@ -112,6 +137,11 @@ pub enum Fidelity {
 impl Fidelity {
     /// The fidelity `VEGETA_QUICK` requests: `Quick(4)` when quick mode is
     /// on, [`Fidelity::Full`] otherwise.
+    ///
+    /// # Panics
+    ///
+    /// As [`quick_factor`] does, on a value other than unset, `""`, `"0"`
+    /// or `"1"`.
     pub fn from_env() -> Self {
         Fidelity::from_factor(quick_factor())
     }
@@ -352,6 +382,13 @@ impl Preflight {
     }
 }
 
+/// How a single-core cell replays its L1: through a fresh model,
+/// reporting progress if asked, or through a sweep's shared [`L1Memo`].
+enum L1Replay<'a> {
+    Fresh(Option<&'a ProgressFn>),
+    Memoized(&'a L1Memo),
+}
+
 /// Simulates one `(engine, shape, spec)` cell through the streaming
 /// pipeline — the trace is generated lazily and never materialized — and
 /// wraps it in a report including the executed kernel's storage-format
@@ -367,17 +404,18 @@ fn run_cell(
     fidelity: Fidelity,
     shape: GemmShape,
     spec: &KernelSpec,
-    progress: Option<&ProgressFn>,
+    l1: L1Replay<'_>,
 ) -> RunReport {
     preflight.check(shape, spec, 0, SchedulerPolicy::Static);
     let mut stream = cache.stream(shape, spec);
     let mut core = CoreSim::new(sim.clone(), engine.clone());
-    let res = match progress {
-        Some(p) => {
+    let res = match l1 {
+        L1Replay::Fresh(Some(p)) => {
             let mut cb = |done: u64, total: u64| p(workload, done, total);
             core.run_stream_with(&mut stream, Some(&mut cb))
         }
-        None => core.run_stream(&mut stream),
+        L1Replay::Fresh(None) => core.run_stream(&mut stream),
+        L1Replay::Memoized(memo) => core.run_stream_memoized(&mut stream, memo),
     };
     CellOutcome::from(res).report(engine, sim, workload, sparsity, fidelity, shape, spec)
 }
@@ -624,7 +662,7 @@ impl Session {
             Fidelity::Full,
             shape,
             &spec,
-            self.progress.as_ref(),
+            L1Replay::Fresh(self.progress.as_ref()),
         )
     }
 
@@ -643,7 +681,7 @@ impl Session {
             fidelity,
             fidelity.shape_of(layer),
             &spec,
-            self.progress.as_ref(),
+            L1Replay::Fresh(self.progress.as_ref()),
         )
     }
 
@@ -749,7 +787,7 @@ impl Session {
             Fidelity::Full,
             shape,
             &spec,
-            self.progress.as_ref(),
+            L1Replay::Fresh(self.progress.as_ref()),
         )
     }
 
@@ -770,7 +808,7 @@ impl Session {
             Fidelity::Full,
             shape,
             spec,
-            self.progress.as_ref(),
+            L1Replay::Fresh(self.progress.as_ref()),
         )
     }
 
@@ -1127,7 +1165,21 @@ impl Sweep {
     /// then fidelity, then axis entry (sparsities before formats), then
     /// core count, then scheduler policy, then engine, whatever the thread
     /// count.
+    ///
+    /// Single-core cells that replay the same `(shape, kernel)` trace share
+    /// one [`L1Memo`]: the first of them to run records its L1 outcome and
+    /// the others replay it, with the same results as fresh runs. Within
+    /// each run of cells sharing a shape, every trace's first cell is
+    /// scheduled before the others, so concurrent workers record different
+    /// traces instead of the same one twice. A memo is dropped when the
+    /// last cell of its trace finishes.
     pub fn run(&self) -> SweepReport {
+        self.run_with_memos().0
+    }
+
+    /// [`Sweep::run`], also returning its L1 memo slots (all empty once it
+    /// returns).
+    fn run_with_memos(&self) -> (SweepReport, L1Memos) {
         // Enumerate cells in their deterministic report order.
         let axes: Vec<GridAxis> = self
             .sparsities
@@ -1138,22 +1190,21 @@ impl Sweep {
         let fidelities = self.effective_fidelities();
         let cores_axis = self.effective_cores();
         let scheduler_axis = self.effective_schedulers();
-        #[allow(clippy::type_complexity)] // one-shot cell enumeration tuple
-        let mut cells: Vec<(
-            &Layer,
-            Fidelity,
-            GridAxis,
-            Option<usize>,
-            SchedulerPolicy,
-            &EngineConfig,
-        )> = Vec::with_capacity(self.cell_count());
+        let mut cells: Vec<GridCell<'_>> = Vec::with_capacity(self.cell_count());
         for layer in &self.layers {
             for &fidelity in &fidelities {
                 for &axis in &axes {
                     for &cores in &cores_axis {
                         for &scheduler in &scheduler_axis {
                             for engine in &self.engines {
-                                cells.push((layer, fidelity, axis, cores, scheduler, engine));
+                                cells.push(GridCell {
+                                    layer,
+                                    fidelity,
+                                    axis,
+                                    cores,
+                                    scheduler,
+                                    engine,
+                                });
                             }
                         }
                     }
@@ -1172,8 +1223,7 @@ impl Sweep {
 
         // Row-wise format cells share their synthesized covers: compute
         // each distinct shape once, not once per engine cell.
-        let mut rw_covers: std::collections::HashMap<GemmShape, Vec<NmRatio>> =
-            std::collections::HashMap::new();
+        let mut rw_covers: HashMap<GemmShape, Vec<NmRatio>> = HashMap::new();
         if self
             .formats
             .iter()
@@ -1188,102 +1238,214 @@ impl Sweep {
                 }
             }
         }
+        let spec_of = |cell: &GridCell<'_>| match cell.axis {
+            GridAxis::Pattern(ratio) => cell.engine.kernel_spec(ratio, self.opts),
+            GridAxis::Format(format) => kernel_for_format(
+                cell.engine,
+                cell.shape(),
+                format,
+                self.opts,
+                self.unstructured_degree,
+                rw_covers.get(&cell.shape()).map(Vec::as_slice),
+            ),
+        };
 
-        let run_one = |(layer, fidelity, axis, cores, scheduler, engine): &(
-            &Layer,
-            Fidelity,
-            GridAxis,
-            Option<usize>,
-            SchedulerPolicy,
-            &EngineConfig,
-        )|
-         -> RunReport {
-            let shape = fidelity.shape_of(layer);
-            let (spec, label) = match *axis {
-                GridAxis::Pattern(ratio) => {
-                    (engine.kernel_spec(ratio, self.opts), ratio.to_string())
-                }
-                GridAxis::Format(format) => (
-                    kernel_for_format(
-                        engine,
-                        shape,
-                        format,
-                        self.opts,
-                        self.unstructured_degree,
-                        rw_covers.get(&shape).map(Vec::as_slice),
-                    ),
-                    format.to_string(),
-                ),
+        let memos = L1Memos::plan(
+            cells
+                .iter()
+                .map(|cell| cell.cores.is_none().then(|| (cell.shape(), spec_of(cell)))),
+        );
+        let order = memos.schedule(&cells);
+        let run_one = |i: usize| -> RunReport {
+            let cell = &cells[i];
+            let (shape, spec) = (cell.shape(), spec_of(cell));
+            let label = match cell.axis {
+                GridAxis::Pattern(ratio) => ratio.to_string(),
+                GridAxis::Format(format) => format.to_string(),
             };
-            match *cores {
+            match cell.cores {
                 // The classic single-core path (no cores axis requested).
-                None => run_cell(
-                    &self.preflight,
-                    engine,
-                    &self.sim,
-                    &self.cache,
-                    layer.name,
-                    label,
-                    *fidelity,
-                    shape,
-                    &spec,
-                    None,
-                ),
+                None => memos.with(i, |memo| {
+                    run_cell(
+                        &self.preflight,
+                        cell.engine,
+                        &self.sim,
+                        &self.cache,
+                        cell.layer.name,
+                        label,
+                        cell.fidelity,
+                        shape,
+                        &spec,
+                        L1Replay::Memoized(memo),
+                    )
+                }),
                 Some(n) => run_cell_cores(
                     &self.preflight,
-                    engine,
+                    cell.engine,
                     &self.sim,
                     &self.cache,
-                    layer.name,
+                    cell.layer.name,
                     label,
-                    *fidelity,
+                    cell.fidelity,
                     shape,
                     &spec,
                     n,
-                    *scheduler,
+                    cell.scheduler,
                     cell_exec,
                     None,
                 ),
             }
         };
 
-        let reports: Vec<RunReport> = if threads <= 1 {
-            cells.iter().map(run_one).collect()
-        } else {
-            // Workers pull cell indices from a shared counter and tag each
-            // report with its index, so the merged output is independent of
-            // scheduling.
-            let next = AtomicUsize::new(0);
-            let mut indexed: Vec<(usize, RunReport)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut mine = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(cell) = cells.get(i) else { break };
-                                mine.push((i, run_one(cell)));
-                            }
-                            mine
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("sweep worker panicked"))
-                    .collect()
-            });
-            indexed.sort_by_key(|(i, _)| *i);
-            indexed.into_iter().map(|(_, r)| r).collect()
+        // Workers pull the next cell of the schedule from a shared counter
+        // and store its report at the cell's index, so the report order is
+        // independent of scheduling.
+        let next = AtomicUsize::new(0);
+        let reports: Mutex<Vec<Option<RunReport>>> = Mutex::new(vec![None; cells.len()]);
+        let work = || {
+            while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let report = run_one(i);
+                reports.lock().expect("sweep reports poisoned")[i] = Some(report);
+            }
         };
+        if threads <= 1 {
+            work();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(work);
+                }
+            });
+        }
 
-        SweepReport {
-            cells: reports,
+        let report = SweepReport {
+            cells: reports
+                .into_inner()
+                .expect("sweep reports poisoned")
+                .into_iter()
+                .map(|r| r.expect("every cell ran"))
+                .collect(),
             traces_built: self.cache.misses() - misses_before,
             trace_cache_hits: self.cache.hits() - hits_before,
+            l1_fresh_replays: memos.fresh.load(Ordering::Relaxed),
             cache: self.cache.stats(),
             threads,
+        };
+        (report, memos)
+    }
+}
+
+/// One grid cell of a [`Sweep`]: where it sits on every axis.
+#[derive(Debug, Clone, Copy)]
+struct GridCell<'a> {
+    layer: &'a Layer,
+    fidelity: Fidelity,
+    axis: GridAxis,
+    cores: Option<usize>,
+    scheduler: SchedulerPolicy,
+    engine: &'a EngineConfig,
+}
+
+impl GridCell<'_> {
+    fn shape(&self) -> GemmShape {
+        self.fidelity.shape_of(self.layer)
+    }
+}
+
+/// The L1 memo of one single-core `(shape, spec)` trace, held while any
+/// cell of that trace is still to run.
+#[derive(Debug)]
+struct MemoSlot {
+    memo: Mutex<Option<Arc<L1Memo>>>,
+    left: AtomicUsize,
+}
+
+/// A sweep's L1 memos: one slot per distinct single-core trace, and the
+/// slot of each cell.
+#[derive(Debug)]
+struct L1Memos {
+    slots: Vec<MemoSlot>,
+    /// Per cell in report order; `None` for multi-core cells.
+    slot_of: Vec<Option<usize>>,
+    /// Recordings of the memos dropped so far: the cells whose L1 was
+    /// replayed fresh.
+    fresh: AtomicU64,
+}
+
+impl L1Memos {
+    /// Slots for cells keyed in report order (`None` for cells that do
+    /// not memoize).
+    fn plan(keys: impl Iterator<Item = Option<(GemmShape, KernelSpec)>>) -> Self {
+        let mut index = HashMap::new();
+        let mut counts: Vec<usize> = Vec::new();
+        let slot_of = keys
+            .map(|key| {
+                let next = index.len();
+                let slot = *index.entry(key?).or_insert(next);
+                if slot == counts.len() {
+                    counts.push(0);
+                }
+                counts[slot] += 1;
+                Some(slot)
+            })
+            .collect();
+        let slots = counts
+            .into_iter()
+            .map(|cells| MemoSlot {
+                memo: Mutex::new(None),
+                left: AtomicUsize::new(cells),
+            })
+            .collect();
+        L1Memos {
+            slots,
+            slot_of,
+            fresh: AtomicU64::new(0),
         }
+    }
+
+    /// The order cells run in: within each run of cells that share a
+    /// shape, the first cell of every trace, then the others, each in
+    /// report order.
+    fn schedule(&self, cells: &[GridCell<'_>]) -> Vec<usize> {
+        let mut first = vec![true; self.slots.len()];
+        let mut order = Vec::with_capacity(cells.len());
+        let mut start = 0;
+        for block in cells.chunk_by(|a, b| a.shape() == b.shape()) {
+            let block = start..start + block.len();
+            let mut rest = Vec::new();
+            for i in block.clone() {
+                match self.slot_of[i] {
+                    Some(slot) if first[slot] => {
+                        first[slot] = false;
+                        order.push(i);
+                    }
+                    _ => rest.push(i),
+                }
+            }
+            order.extend(rest);
+            start = block.end;
+        }
+        order
+    }
+
+    /// Runs single-core cell `i` with its trace's memo; the trace's last
+    /// cell drops the memo.
+    fn with<R>(&self, i: usize, run: impl FnOnce(&L1Memo) -> R) -> R {
+        let slot = &self.slots[self.slot_of[i].expect("single-core cells have a memo slot")];
+        let memo = Arc::clone(
+            slot.memo
+                .lock()
+                .expect("L1 memo slot poisoned")
+                .get_or_insert_with(Default::default),
+        );
+        let out = run(&memo);
+        // Each cell's decrement releases its recording count; the last
+        // one acquires them all before it reads the total.
+        if slot.left.fetch_sub(1, Ordering::AcqRel) == 1 {
+            slot.memo.lock().expect("L1 memo slot poisoned").take();
+            self.fresh.fetch_add(memo.recordings(), Ordering::Relaxed);
+        }
+        out
     }
 }
 
@@ -1291,6 +1453,19 @@ impl Sweep {
 mod tests {
     use super::*;
     use vegeta_workloads::table4;
+
+    #[test]
+    fn quick_parser_rejects_bad_values_loudly() {
+        assert_eq!(parse_quick(""), Ok(false));
+        assert_eq!(parse_quick("0"), Ok(false));
+        assert_eq!(parse_quick("1"), Ok(true));
+        for bad in ["false", "true", "2", " 1", "yes", "off"] {
+            assert_eq!(
+                parse_quick(bad),
+                Err(format!("VEGETA_QUICK='{bad}' is not 0 or 1"))
+            );
+        }
+    }
 
     #[test]
     fn figure13_lineup_has_ten_entries() {
@@ -1768,6 +1943,124 @@ mod tests {
         assert_eq!(serial.cells, parallel.cells);
         assert_eq!(serial.threads, 1);
         assert!(parallel.threads > 1);
+    }
+
+    #[test]
+    fn memoized_sweep_cells_match_fresh_session_runs() {
+        // Pattern and format axes (row-wise included) at two fidelities:
+        // every sweep cell, whose L1 was recorded or replayed from a memo,
+        // must equal the same cell run fresh through a Session.
+        let layer = table4()[7];
+        let engines = [
+            EngineConfig::rasa_dm(),
+            EngineConfig::stc_like(),
+            EngineConfig::vegeta_s(16).unwrap(),
+        ];
+        let formats = [
+            FormatSpec::Dense,
+            FormatSpec::RowWise { m: 4 },
+            FormatSpec::Csr,
+        ];
+        let fidelities = [Fidelity::Quick(8), Fidelity::Quick(4)];
+        let grid = |threads| {
+            Sweep::new()
+                .with_engines(engines.clone())
+                .with_layer(layer)
+                .with_sparsities([NmRatio::S2_4, NmRatio::S1_4])
+                .with_formats(formats)
+                .with_fidelities(fidelities)
+                .with_threads(threads)
+        };
+        let mut expected = Vec::new();
+        for fidelity in fidelities {
+            let shape = fidelity.shape_of(&layer);
+            for ratio in [NmRatio::S2_4, NmRatio::S1_4] {
+                for engine in &engines {
+                    expected
+                        .push(Session::new(engine.clone()).run_layer_at(&layer, ratio, fidelity));
+                }
+            }
+            for format in formats {
+                for engine in &engines {
+                    // `run_format` takes an ad-hoc shape, which it labels
+                    // full fidelity.
+                    let fresh = Session::new(engine.clone()).run_format(layer.name, shape, format);
+                    expected.push(RunReport {
+                        fidelity: fidelity.to_string(),
+                        ..fresh
+                    });
+                }
+            }
+        }
+        let distinct: std::collections::HashSet<(GemmShape, String)> = expected
+            .iter()
+            .map(|r| (r.shape, r.kernel.clone()))
+            .collect();
+        for threads in [1, 4] {
+            let (report, memos) = grid(threads).run_with_memos();
+            assert_eq!(report.cells, expected, "{threads} threads");
+            assert!(
+                memos
+                    .slots
+                    .iter()
+                    .all(|slot| slot.memo.lock().unwrap().is_none()),
+                "every memo is dropped once its last cell finished"
+            );
+            assert_eq!(memos.slots.len(), distinct.len());
+            if threads == 1 {
+                assert_eq!(
+                    report.l1_fresh_replays,
+                    distinct.len() as u64,
+                    "one fresh L1 replay per distinct trace"
+                );
+                assert_eq!(report.l1_fresh_replays, report.traces_built);
+            }
+        }
+    }
+
+    #[test]
+    fn sweeps_schedule_each_traces_first_cell_first() {
+        // Dense engines share one dense trace per sparsity, the sparse
+        // engine has one trace per pattern: within the shape's block the
+        // first cell of every trace runs before the rest.
+        let sweep = Sweep::new()
+            .with_engines([EngineConfig::rasa_dm(), EngineConfig::vegeta_s(16).unwrap()])
+            .with_layer(table4()[7])
+            .with_sparsities([NmRatio::D4_4, NmRatio::S2_4])
+            .with_cores([2])
+            .with_scale(8);
+        // A cores axis: every cell is multi-core and keeps no memo.
+        let (report, memos) = sweep.run_with_memos();
+        assert!(memos.slots.is_empty() && memos.slot_of.iter().all(Option::is_none));
+        assert_eq!(report.l1_fresh_replays, 0);
+
+        let layer = &table4()[7];
+        let engines = [EngineConfig::rasa_dm(), EngineConfig::vegeta_s(16).unwrap()];
+        let cells: Vec<GridCell<'_>> = [NmRatio::D4_4, NmRatio::S2_4]
+            .into_iter()
+            .flat_map(|ratio| {
+                engines.iter().map(move |engine| GridCell {
+                    layer,
+                    fidelity: Fidelity::Quick(8),
+                    axis: GridAxis::Pattern(ratio),
+                    cores: None,
+                    scheduler: SchedulerPolicy::default(),
+                    engine,
+                })
+            })
+            .collect();
+        let memos = L1Memos::plan(cells.iter().map(|c| {
+            let GridAxis::Pattern(ratio) = c.axis else {
+                unreachable!()
+            };
+            Some((
+                c.shape(),
+                c.engine.kernel_spec(ratio, KernelOptions::default()),
+            ))
+        }));
+        // Cells: dense/DM, dense/S, 2:4/DM (dense trace), 2:4/S.
+        assert_eq!(memos.slot_of, vec![Some(0), Some(0), Some(0), Some(1)]);
+        assert_eq!(memos.schedule(&cells), vec![0, 3, 1, 2]);
     }
 
     #[test]

@@ -515,7 +515,7 @@ impl SharedL2 {
 /// always-hitting L2) or, in multi-core runs, a [`SharedL2`].
 #[derive(Debug, Clone)]
 pub struct CacheModel {
-    l1_latency: u64,
+    pub(crate) l1_latency: u64,
     l2_latency: u64,
     lines: LruTable,
     stats: CacheStats,
@@ -588,10 +588,9 @@ impl CacheModel {
         is_store: bool,
         mut next: Option<(usize, &mut SharedL2)>,
     ) -> (u64, u64) {
-        let first = addr / LINE_BYTES;
-        let last = (addr + bytes.max(1) as u64 - 1) / LINE_BYTES;
+        let (first, lines) = line_span(addr, bytes);
         let mut worst = 0;
-        for line in first..=last {
+        for line in first..first + lines {
             let hop = match next.as_mut() {
                 Some((core, l2)) => {
                     self.access_line_via(line * LINE_BYTES, is_store, Some((*core, l2)))
@@ -600,8 +599,18 @@ impl CacheModel {
             };
             worst = worst.max(hop);
         }
-        (worst, last - first + 1)
+        (worst, lines)
     }
+}
+
+/// The 64 B lines a `bytes`-long access at `addr` covers: the first line
+/// number and the line count (at least one, for a zero-byte access too).
+/// The one line arithmetic of [`CacheModel::access_range_via`] and of a
+/// core replaying a memoized L1 outcome.
+pub(crate) fn line_span(addr: u64, bytes: usize) -> (u64, u64) {
+    let first = addr / LINE_BYTES;
+    let last = (addr + bytes.max(1) as u64 - 1) / LINE_BYTES;
+    (first, last - first + 1)
 }
 
 #[cfg(test)]

@@ -25,7 +25,8 @@ use vegeta_isa::stream::InstStream;
 use vegeta_isa::trace::{ArchReg, Trace, TraceOp};
 use vegeta_isa::Inst;
 
-use crate::cache::{CacheModel, CacheStats, SharedL2};
+use crate::cache::{CacheStats, SharedL2};
+use crate::memo::{L1Config, L1Memo, L1Path};
 
 /// Core configuration (§VI-B values by default).
 #[derive(Debug, Clone, PartialEq)]
@@ -306,13 +307,18 @@ pub trait CoreModel {
 /// pools, ROB/load-buffer occupancy rings, private L1 and engine timer —
 /// so stepping a single core through a stream is cycle-identical to the
 /// pre-refactor loop.
+///
+/// The private L1 is the core's memory outcome, kept apart from its
+/// timing: a core built by [`Core::new`] steps a fresh L1 model, while
+/// [`CoreSim::run_stream_memoized`] may record that outcome or replay it
+/// (see [`L1Memo`]).
 #[derive(Debug, Clone)]
 pub struct Core {
     id: usize,
     cfg: SimConfig,
     ratio: u64,
     engine: EngineTimer,
-    l1: CacheModel,
+    l1: L1Path,
     reg_ready: ReadyTable,
     /// Which accumulator tregs were last written by the engine (so the
     /// engine's internal forwarding rule, not the architectural
@@ -344,7 +350,7 @@ impl Core {
     /// owns the timer across runs can lend it to the core).
     pub fn with_timer(id: usize, cfg: SimConfig, engine: EngineTimer) -> Self {
         let ratio = cfg.clock_ratio();
-        let l1 = CacheModel::new(cfg.l1_lines, cfg.l1_latency, cfg.l2_latency);
+        let l1 = L1Path::model(&cfg);
         Core {
             id,
             ratio,
@@ -377,12 +383,6 @@ impl Core {
     /// The simulation configuration.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
-    }
-
-    /// Consumes the core, returning its engine timer (with whatever state
-    /// the run left in it).
-    pub fn into_timer(self) -> EngineTimer {
-        self.engine
     }
 }
 
@@ -453,7 +453,7 @@ impl CoreModel for Core {
                     .mem_access()
                     .expect("remaining tile ops and vec mem ops access memory");
                 let next = shared_l2.as_mut().map(|l2| (self.id, &mut **l2));
-                let (latency, lines) = self.l1.access_range_via(addr, bytes, is_store, next);
+                let (latency, lines) = self.l1.access(addr, bytes, is_store, next);
                 if is_store {
                     let start = self.store_ports.reserve(ready, lines);
                     start + lines // drains into the store buffer
@@ -569,10 +569,44 @@ impl CoreSim {
     pub fn run_stream_with<S: InstStream>(
         &mut self,
         stream: &mut S,
-        mut progress: Option<&mut dyn FnMut(u64, u64)>,
+        progress: Option<&mut dyn FnMut(u64, u64)>,
     ) -> SimResult {
+        let l1 = L1Path::model(&self.cfg);
+        self.drive(stream, progress, l1).0
+    }
+
+    /// [`CoreSim::run_stream`] through `memo`, the memory outcome of this
+    /// stream's L1: a memo that is still empty is recorded, one that is
+    /// filled is replayed in place of the L1 model (see [`L1Memo`]). The
+    /// result is the one [`CoreSim::run_stream`] reports, field for field.
+    ///
+    /// # Panics
+    ///
+    /// When `memo` was recorded under another `(l1_lines, l1_latency,
+    /// l2_latency)` triple, or over a stream with another memory-op
+    /// count. The message names both values.
+    pub fn run_stream_memoized<S: InstStream>(
+        &mut self,
+        mut stream: S,
+        memo: &L1Memo,
+    ) -> SimResult {
+        let config = L1Config::of(&self.cfg);
+        let (result, l1) = self.drive(&mut stream, None, memo.path(config));
+        memo.finish(l1, config);
+        result
+    }
+
+    /// Runs `stream` to completion on a core whose memory ops take `l1`,
+    /// returning the result and the path as the run left it.
+    fn drive<S: InstStream>(
+        &mut self,
+        stream: &mut S,
+        mut progress: Option<&mut dyn FnMut(u64, u64)>,
+        l1: L1Path,
+    ) -> (SimResult, L1Path) {
         let total = stream.remaining();
         let mut core = Core::with_timer(0, self.cfg.clone(), self.engine.clone());
+        core.l1 = l1;
         while let Some(op) = stream.next_op() {
             core.step(op, None);
             if core.instructions().is_multiple_of(PROGRESS_STRIDE) {
@@ -593,8 +627,8 @@ impl CoreSim {
         let result = core.result(stream.peak_resident_bytes() as u64);
         // The timer belongs to the simulator across runs (its hazard state
         // deliberately persists for back-to-back replays on one CoreSim).
-        self.engine = core.into_timer();
-        result
+        self.engine = core.engine;
+        (result, core.l1)
     }
 }
 

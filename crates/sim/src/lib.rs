@@ -12,7 +12,10 @@
 //! state behind the [`CoreModel`] trait, [`CoreSim`] drives a single core
 //! (the paper's setup), and [`MultiCoreSim`] interleaves many cores —
 //! private L1s, one coherence-free [`SharedL2`] — to answer how a sharded
-//! GEMM scales to 2/4/8/16 matrix-engine-equipped cores.
+//! GEMM scales to 2/4/8/16 matrix-engine-equipped cores. A single core's
+//! L1 outcome depends only on its trace's addresses, so an [`L1Memo`]
+//! records it once and replays it for every other engine that runs the
+//! same trace ([`CoreSim::run_stream_memoized`]).
 //!
 //! # Example
 //!
@@ -38,6 +41,7 @@
 pub mod cache;
 mod core;
 pub mod event;
+mod memo;
 pub mod multicore;
 
 pub use crate::core::{
@@ -45,6 +49,7 @@ pub use crate::core::{
 };
 pub use cache::{CacheModel, CacheStats, SharedL2, SharedL2Stats, LINE_BYTES};
 pub use event::EventQueue;
+pub use memo::L1Memo;
 pub use multicore::{
     ExecMode, MultiCoreConfig, MultiCoreResult, MultiCoreSim, SchedulerPolicy, HOST_THREADS_ENV,
 };
