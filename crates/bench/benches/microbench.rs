@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use vegeta::engine::{dataflow, EngineConfig, EngineTimer};
 use vegeta::kernels::{GemmShape, Kernel, KernelSpec, SparseMode, TraceCache};
 use vegeta::num::Matrix;
-use vegeta::prelude::Session;
+use vegeta::sim::CoreSim;
 use vegeta::sparse::{prune, CompressedTile, NmRatio, RowWiseTile};
 
 fn bench_compression(c: &mut Criterion) {
@@ -69,9 +69,9 @@ fn bench_simulator(c: &mut Criterion) {
     let shape = GemmShape::new(64, 64, 512);
     let spec = KernelSpec::tiled(SparseMode::Nm2of4);
     let trace = spec.build(shape);
-    let session = Session::new(EngineConfig::vegeta_s(16).unwrap());
+    let engine = EngineConfig::vegeta_s(16).unwrap();
     c.bench_function("core_sim_64x64x512_2of4", |b| {
-        b.iter(|| session.run_trace("microbench", shape, &trace));
+        b.iter(|| CoreSim::with_engine(engine.clone()).run(&trace));
     });
     c.bench_function("trace_cache_hit_64x64x512_2of4", |b| {
         let cache = TraceCache::new();

@@ -172,7 +172,7 @@ fn main() {
     // the whole grid through fig13_runtime a second time. Without
     // VEGETA_CSV_DIR nothing is written — the committed workspace
     // baseline must stay untouched.
-    if std::env::var("VEGETA_CSV_DIR").is_ok_and(|d| !d.is_empty()) {
+    if vegeta::report::requested_artifact_dir().is_some() {
         report.save_csv("fig13_runtime");
         vegeta_bench::write_fig13_json(&report, 4);
     }

@@ -29,9 +29,7 @@ pub use lint_sweep::{
 /// non-empty, else the current directory. Never a path fixed at compile
 /// time, so a binary copied elsewhere writes where it runs.
 pub(crate) fn artifact_dir() -> std::path::PathBuf {
-    std::env::var_os("VEGETA_CSV_DIR")
-        .filter(|d| !d.is_empty())
-        .map_or_else(|| ".".into(), Into::into)
+    vegeta::report::requested_artifact_dir().unwrap_or_else(|| ".".into())
 }
 
 /// Writes a JSON artifact named `file_name` into [`artifact_dir`]; returns
@@ -190,8 +188,12 @@ pub fn print_fig04() {
     for dim in [32usize, 64, 128] {
         let shape = GemmShape::new(dim, dim, dim);
         let label = format!("gemm-{dim}");
-        let vec = session.run_spec(&label, shape, &KernelSpec::Vector);
-        let mat = session.run_spec(&label, shape, &KernelSpec::tiled(SparseMode::Dense));
+        let vec = session.run(&Cell::shape(&label, shape, &KernelSpec::Vector));
+        let mat = session.run(&Cell::shape(
+            &label,
+            shape,
+            &KernelSpec::tiled(SparseMode::Dense),
+        ));
         println!(
             "{:>6} {:>12} {:>12} {:>12.1} {:>12} {:>12} {:>14.1}",
             dim,
@@ -338,8 +340,7 @@ pub fn figure13_sweep(quick: usize) -> SweepReport {
 /// names an explicit destination, so regenerating the figure at full scale
 /// never dirties the tracked quick-mode artifact.
 pub fn write_fig13_json(report: &SweepReport, quick: usize) -> Option<std::path::PathBuf> {
-    let explicit = std::env::var_os("VEGETA_CSV_DIR").is_some_and(|d| !d.is_empty());
-    if !explicit && quick <= 1 {
+    if vegeta::report::requested_artifact_dir().is_none() && quick <= 1 {
         eprintln!(
             "skipping BENCH_fig13.json: full-size run and no VEGETA_CSV_DIR \
              (the tracked artifact is the quick-mode baseline)"
@@ -526,7 +527,7 @@ pub fn print_fig15() {
 /// The §I headline: speedups of VEGETA-S-16-2(+OF) over the SOTA dense
 /// engine (RASA-DM) at 4:4 / 2:4 / 1:4 / unstructured-95%.
 pub fn print_headline() {
-    let quick = quick_factor();
+    let fidelity = Fidelity::from_env();
     println!("## Headline speedups vs RASA-DM (paper: 1.09x / 2.20x / 3.74x / 3.28x)");
     let cache = std::sync::Arc::new(TraceCache::new());
     let dm = Session::new(EngineConfig::rasa_dm()).with_cache(std::sync::Arc::clone(&cache));
@@ -544,9 +545,8 @@ pub fn print_headline() {
         let ratios: Vec<f64> = table4()
             .iter()
             .map(|layer| {
-                let base = dm.run_layer_scaled(layer, ratio, quick);
-                let ours = s16.run_layer_scaled(layer, ratio, quick);
-                base.cycles as f64 / ours.cycles as f64
+                let cell = Cell::layer(layer, fidelity, ratio);
+                dm.run(&cell).cycles as f64 / s16.run(&cell).cycles as f64
             })
             .collect();
         println!(
@@ -560,7 +560,7 @@ pub fn print_headline() {
         .iter()
         .enumerate()
         .map(|(i, layer)| {
-            let shape = layer.scaled_shape(quick);
+            let shape = fidelity.shape_of(layer);
             let mut rng = SmallRng::seed_from_u64(7000 + i as u64);
             let a = prune::random_unstructured(shape.m, shape.k, 0.95, &mut rng);
             model.speedup(GranularityHw::RowWise, &a)
@@ -589,14 +589,18 @@ pub fn print_kernel_ablation() {
     );
     for layer in table4().iter().take(4) {
         let shape = layer.scaled_shape(quick.max(2));
-        let naive = session.run_spec(
+        let naive = session.run(&Cell::shape(
             layer.name,
             shape,
             &KernelSpec::Listing1 {
                 mode: SparseMode::Nm2of4,
             },
-        );
-        let opt = session.run_spec(layer.name, shape, &KernelSpec::tiled(SparseMode::Nm2of4));
+        ));
+        let opt = session.run(&Cell::shape(
+            layer.name,
+            shape,
+            &KernelSpec::tiled(SparseMode::Nm2of4),
+        ));
         println!(
             "{:<14} {:>12} {:>12} {:>9.2}",
             layer.name,
@@ -633,9 +637,9 @@ pub fn print_of_ablation() {
         let session = Session::new(base.clone()).with_cache(std::sync::Arc::clone(&cache));
         let of_session = Session::new(base.with_output_forwarding(true))
             .with_cache(std::sync::Arc::clone(&cache));
-        let rotated = session.run_spec(layer.name, shape, &rotated_spec);
-        let no_of = session.run_spec(layer.name, shape, &dep_spec);
-        let with_of = of_session.run_spec(layer.name, shape, &dep_spec);
+        let rotated = session.run(&Cell::shape(layer.name, shape, &rotated_spec));
+        let no_of = session.run(&Cell::shape(layer.name, shape, &dep_spec));
+        let with_of = of_session.run(&Cell::shape(layer.name, shape, &dep_spec));
         println!(
             "{:<14} {:>14} {:>14} {:>14}",
             format!("VEGETA-S-{alpha}-2"),
@@ -753,7 +757,7 @@ mod tests {
             .into_iter()
             .map(|engine| {
                 Session::new(engine)
-                    .run_shape("bench-smoke", shape, NmRatio::S2_4)
+                    .run(&Cell::shape("bench-smoke", shape, NmRatio::S2_4))
                     .cycles
             })
             .collect();

@@ -241,7 +241,7 @@ pub fn run_perf_cells(layers: &[Layer], fidelities: &[Fidelity]) -> Vec<PerfCell
             for engine in perf_gate_engines() {
                 let session = Session::new(engine).with_cache(std::sync::Arc::clone(&cache));
                 let start = Instant::now();
-                let report = session.run_layer_at(layer, NmRatio::S2_4, fidelity);
+                let report = session.run(&Cell::layer(layer, fidelity, NmRatio::S2_4));
                 cells.push(PerfCell {
                     report,
                     wall_seconds: start.elapsed().as_secs_f64(),
@@ -269,7 +269,8 @@ pub fn run_multicore_perf_cells(layers: &[Layer], fidelity: Fidelity) -> Vec<Per
         for engine in perf_gate_engines() {
             let session = Session::new(engine).with_cache(std::sync::Arc::clone(&cache));
             let start = Instant::now();
-            let report = session.run_layer_cores_at(layer, NmRatio::S2_4, fidelity, MC_PERF_CORES);
+            let report =
+                session.run(&Cell::layer(layer, fidelity, NmRatio::S2_4).cores(MC_PERF_CORES));
             cells.push(PerfCell {
                 report,
                 wall_seconds: start.elapsed().as_secs_f64(),

@@ -115,7 +115,7 @@ pub fn run_timed_scaling_sweep(fidelity: Fidelity) -> (SweepReport, Vec<f64>) {
             for engine in perf_gate_engines() {
                 let session = Session::new(engine).with_cache(std::sync::Arc::clone(&cache));
                 let start = std::time::Instant::now();
-                cells.push(session.run_layer_cores_at(&layer, NmRatio::S2_4, fidelity, cores));
+                cells.push(session.run(&Cell::layer(&layer, fidelity, NmRatio::S2_4).cores(cores)));
                 walls.push(start.elapsed().as_secs_f64());
             }
         }

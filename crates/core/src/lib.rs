@@ -21,7 +21,7 @@
 //! | [`kernels`] | tiled GEMM/SPMM/vector kernels, im2col, [`kernels::KernelSpec`] |
 //! | [`workloads`] | Table IV layers and weight generators |
 //! | [`model`] | roofline (Fig. 3) and granularity (Fig. 15) models |
-//! | [`session`] | the experiment API: [`session::Session`] + [`session::Sweep`] |
+//! | [`session`] | the experiment API: [`session::Cell`], [`session::Session`] + [`session::Sweep`] |
 //! | [`report`] | structured run/sweep reports with JSON + CSV output |
 //! | [`json`] | the dependency-free JSON value behind the reports |
 //!
@@ -32,18 +32,19 @@
 //!
 //! # Quickstart
 //!
-//! Experiments are driven through a [`session::Session`] (one engine) or a
-//! [`session::Sweep`] (an engine × layer × sparsity grid, run on a worker
-//! pool with trace memoization):
+//! Experiments are [`session::Cell`]s — a layer or shape, a weight
+//! operand, optionally a core count — run on a [`session::Session`] (one
+//! engine) or built into a [`session::Sweep`] (an engine × layer × sparsity
+//! grid, run on a worker pool with trace memoization):
 //!
 //! ```
 //! use vegeta::prelude::*;
 //!
 //! // How fast does VEGETA-S-16-2 run BERT-L2 with 2:4-sparse weights?
-//! // (The doctest scales the layer down 8x; drop `_scaled` for full size.)
+//! // (The doctest scales the layer down 8x; `Fidelity::Full` is full size.)
 //! let layer = table4()[7];
 //! let session = Session::new(EngineConfig::vegeta_s(16).unwrap());
-//! let report = session.run_layer_scaled(&layer, NmRatio::S2_4, 8);
+//! let report = session.run(&Cell::layer(&layer, Fidelity::Quick(8), NmRatio::S2_4));
 //! assert!(report.cycles > 0);
 //! println!("{} on {}: {}", report.workload, report.engine, report.to_json());
 //!
@@ -89,7 +90,7 @@ pub mod prelude {
     pub use crate::rand_seed;
     pub use crate::report::{geomean, NetworkReport, RunReport, SweepReport};
     pub use crate::session::{
-        figure13_engines, figure13_sparsities, quick_factor, Fidelity, Preflight, ProgressFn,
+        figure13_engines, figure13_sparsities, quick_factor, Cell, Fidelity, Operand, Preflight,
         Session, Sweep,
     };
     pub use vegeta_engine::{CostModel, EngineConfig, EngineTimer};

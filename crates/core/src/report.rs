@@ -8,6 +8,7 @@
 //! serialize to JSON and CSV with no external dependencies
 //! ([`crate::json`]).
 
+use std::ffi::OsString;
 use std::path::PathBuf;
 
 use vegeta_kernels::GemmShape;
@@ -30,6 +31,24 @@ pub fn geomean(values: &[f64]) -> Option<f64> {
         return None;
     }
     Some((values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp())
+}
+
+/// The environment variable naming the directory artifacts (CSV and JSON
+/// reports) are written to.
+const ARTIFACT_DIR_ENV: &str = "VEGETA_CSV_DIR";
+
+/// Parses an [`ARTIFACT_DIR_ENV`] value: unset and empty both name no
+/// directory.
+fn parse_artifact_dir(raw: Option<OsString>) -> Option<PathBuf> {
+    raw.filter(|dir| !dir.is_empty()).map(PathBuf::from)
+}
+
+/// The artifact directory `$VEGETA_CSV_DIR` names, or `None` when the
+/// variable is unset or empty. Every artifact writer of the workspace
+/// reads the variable through this function; each decides for itself what
+/// `None` means (write nothing, or fall back to the current directory).
+pub fn requested_artifact_dir() -> Option<PathBuf> {
+    parse_artifact_dir(std::env::var_os(ARTIFACT_DIR_ENV))
 }
 
 /// Why a report failed to deserialize.
@@ -605,10 +624,7 @@ impl SweepReport {
     /// write fails (a diagnostic goes to stderr — artifact dumps must never
     /// abort an experiment).
     pub fn save_csv(&self, name: &str) -> Option<PathBuf> {
-        let dir = std::env::var("VEGETA_CSV_DIR")
-            .ok()
-            .filter(|d| !d.is_empty())?;
-        let path = PathBuf::from(dir).join(format!("{name}.csv"));
+        let path = requested_artifact_dir()?.join(format!("{name}.csv"));
         match std::fs::create_dir_all(path.parent().expect("joined path has a parent"))
             .and_then(|()| std::fs::write(&path, self.to_csv()))
         {
@@ -627,6 +643,16 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn artifact_dir_parser_treats_empty_as_unset() {
+        assert_eq!(parse_artifact_dir(None), None);
+        assert_eq!(parse_artifact_dir(Some("".into())), None);
+        assert_eq!(
+            parse_artifact_dir(Some("out/csv".into())),
+            Some(PathBuf::from("out/csv"))
+        );
+    }
 
     fn sample(workload: &str, engine: &str, sparsity: &str, cycles: u64) -> RunReport {
         RunReport {

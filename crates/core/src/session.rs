@@ -1,13 +1,16 @@
 //! The first-class experiment API: [`Session`] and [`Sweep`].
 //!
-//! This module is the §VI evaluation flow as a library. A [`Session`] binds
-//! one engine design point to a simulator configuration, kernel options and
-//! a shared memoizing [`TraceCache`]; it runs single layers, ad-hoc shapes,
-//! explicit [`KernelSpec`]s, prebuilt traces, or whole layer suites, and
-//! returns structured [`RunReport`]s. A [`Sweep`] runs an
-//! engine × workload × sparsity grid — the shape of Fig. 13 — across a
-//! scoped worker pool, building each distinct trace once per sweep instead
-//! of once per engine.
+//! This module is the §VI evaluation flow as a library. A [`Cell`] is one
+//! point of the evaluation grid: a layer or ad-hoc shape, the `A` operand
+//! (a weight pattern, a storage format or an explicit [`KernelSpec`]) and,
+//! optionally, the cores it is sharded across. A [`Session`] binds one
+//! engine design point to a simulator configuration, kernel options and a
+//! shared memoizing [`TraceCache`]; [`Session::run`] simulates one cell and
+//! [`Session::run_network`] a whole layer suite, returning structured
+//! [`RunReport`]s. A [`Sweep`] builds the cells of an
+//! engine × workload × sparsity grid — the shape of Fig. 13 — and runs them
+//! through the same cell runner across a scoped worker pool, building each
+//! distinct trace once per sweep instead of once per engine.
 //!
 //! # Example
 //!
@@ -17,7 +20,7 @@
 //! // One cell: BERT-L2 (scaled down 8x for the doctest) at 2:4 on VEGETA.
 //! let layer = table4()[7];
 //! let session = Session::new(EngineConfig::vegeta_s(16).unwrap());
-//! let report = session.run_shape(layer.name, layer.scaled_shape(8), NmRatio::S2_4);
+//! let report = session.run(&Cell::layer(&layer, Fidelity::Quick(8), NmRatio::S2_4));
 //! assert!(report.cycles > 0 && report.kernel.contains("2of4"));
 //!
 //! // A grid: two engines x one layer x two sparsities, in parallel.
@@ -32,6 +35,7 @@
 //!     "RASA-DM (VEGETA-D-1-2)", "VEGETA-S-16-2", "2:4").unwrap() > 1.0);
 //! ```
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -39,7 +43,6 @@ use std::sync::{Arc, Mutex};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use vegeta_engine::EngineConfig;
-use vegeta_isa::trace::Trace;
 use vegeta_kernels::{EngineKernelExt, Kernel, KernelOptions, KernelSpec, SparseMode, TraceCache};
 use vegeta_sim::{
     CoreSim, ExecMode, L1Memo, MultiCoreConfig, MultiCoreSim, SchedulerPolicy, SimConfig,
@@ -100,8 +103,7 @@ fn parse_quick(raw: &str) -> Result<bool, String> {
 /// variable: 4 when it is `"1"`, 1 when it is unset, empty or `"0"`. The
 /// single source of truth for quick-mode detection across benches,
 /// binaries and examples; pass the result to [`Sweep::with_scale`] or
-/// [`Session::run_layer_scaled`], or use [`Fidelity::from_env`] for the
-/// fidelity-axis form.
+/// [`Fidelity::from_factor`], or use [`Fidelity::from_env`] directly.
 ///
 /// # Panics
 ///
@@ -178,14 +180,8 @@ impl std::fmt::Display for Fidelity {
     }
 }
 
-/// Callback observing a streamed replay's progress:
-/// `(workload label, instructions simulated, exact total)`. Invoked every
-/// [`vegeta_sim::PROGRESS_STRIDE`] instructions and at completion.
-pub type ProgressFn = Arc<dyn Fn(&str, u64, u64) + Send + Sync>;
-
 /// The execution-side numbers of one simulated cell, whichever simulator
-/// produced them — the single place a cell's `RunReport` is assembled
-/// from (see [`CellOutcome::report`]).
+/// produced them.
 struct CellOutcome {
     cycles: u64,
     instructions: u64,
@@ -193,7 +189,7 @@ struct CellOutcome {
     engine_busy_cycles: u64,
     peak_resident_bytes: u64,
     cores: usize,
-    scheduler: String,
+    scheduler: &'static str,
     per_core_cycles: Vec<u64>,
     shared_l2: vegeta_sim::SharedL2Stats,
     scaling_efficiency: f64,
@@ -208,7 +204,7 @@ impl From<vegeta_sim::SimResult> for CellOutcome {
             engine_busy_cycles: res.engine_busy_cycles,
             peak_resident_bytes: res.peak_resident_bytes,
             cores: 1,
-            scheduler: "-".to_string(),
+            scheduler: "-",
             per_core_cycles: Vec::new(),
             shared_l2: Default::default(),
             scaling_efficiency: if res.core_cycles == 0 { 0.0 } else { 1.0 },
@@ -216,8 +212,8 @@ impl From<vegeta_sim::SimResult> for CellOutcome {
     }
 }
 
-impl From<vegeta_sim::MultiCoreResult> for CellOutcome {
-    fn from(res: vegeta_sim::MultiCoreResult) -> Self {
+impl CellOutcome {
+    fn sharded(res: vegeta_sim::MultiCoreResult, policy: SchedulerPolicy) -> Self {
         CellOutcome {
             cycles: res.core_cycles,
             instructions: res.instructions(),
@@ -227,49 +223,8 @@ impl From<vegeta_sim::MultiCoreResult> for CellOutcome {
             scaling_efficiency: res.scaling_efficiency(),
             per_core_cycles: res.per_core_cycles(),
             cores: res.cores,
-            scheduler: SchedulerPolicy::default().label().to_string(),
+            scheduler: policy.label(),
             shared_l2: res.shared_l2,
-        }
-    }
-}
-
-impl CellOutcome {
-    /// Labels the outcome into the full cell report (every session run
-    /// streams, so `insts_streamed == instructions`).
-    #[allow(clippy::too_many_arguments)] // internal plumbing behind every run_* entry point
-    fn report(
-        self,
-        engine: &EngineConfig,
-        sim: &SimConfig,
-        workload: &str,
-        sparsity: String,
-        fidelity: Fidelity,
-        shape: GemmShape,
-        spec: &KernelSpec,
-    ) -> RunReport {
-        RunReport {
-            workload: workload.to_string(),
-            engine: engine.name().to_string(),
-            sparsity,
-            fidelity: fidelity.to_string(),
-            kernel: spec.name(),
-            format: spec.format().to_string(),
-            a_values_bytes: spec.a_values_bytes(shape),
-            a_metadata_bits: spec.a_metadata_bits(shape),
-            shape,
-            cycles: self.cycles,
-            instructions: self.instructions,
-            tile_compute: self.tile_compute,
-            engine_busy_cycles: self.engine_busy_cycles,
-            insts_streamed: self.instructions,
-            peak_resident_bytes: self.peak_resident_bytes,
-            macs: shape.macs(),
-            core_ghz: sim.core_ghz,
-            cores: self.cores,
-            scheduler: self.scheduler,
-            per_core_cycles: self.per_core_cycles,
-            shared_l2: self.shared_l2,
-            scaling_efficiency: self.scaling_efficiency,
         }
     }
 }
@@ -382,97 +337,6 @@ impl Preflight {
     }
 }
 
-/// How a single-core cell replays its L1: through a fresh model,
-/// reporting progress if asked, or through a sweep's shared [`L1Memo`].
-enum L1Replay<'a> {
-    Fresh(Option<&'a ProgressFn>),
-    Memoized(&'a L1Memo),
-}
-
-/// Simulates one `(engine, shape, spec)` cell through the streaming
-/// pipeline — the trace is generated lazily and never materialized — and
-/// wraps it in a report including the executed kernel's storage-format
-/// accounting.
-#[allow(clippy::too_many_arguments)] // internal plumbing behind every run_* entry point
-fn run_cell(
-    preflight: &Preflight,
-    engine: &EngineConfig,
-    sim: &SimConfig,
-    cache: &TraceCache,
-    workload: &str,
-    sparsity: String,
-    fidelity: Fidelity,
-    shape: GemmShape,
-    spec: &KernelSpec,
-    l1: L1Replay<'_>,
-) -> RunReport {
-    preflight.check(shape, spec, 0, SchedulerPolicy::Static);
-    let mut stream = cache.stream(shape, spec);
-    let mut core = CoreSim::new(sim.clone(), engine.clone());
-    let res = match l1 {
-        L1Replay::Fresh(Some(p)) => {
-            let mut cb = |done: u64, total: u64| p(workload, done, total);
-            core.run_stream_with(&mut stream, Some(&mut cb))
-        }
-        L1Replay::Fresh(None) => core.run_stream(&mut stream),
-        L1Replay::Memoized(memo) => core.run_stream_memoized(&mut stream, memo),
-    };
-    CellOutcome::from(res).report(engine, sim, workload, sparsity, fidelity, shape, spec)
-}
-
-/// Simulates one `(engine, shape, spec)` cell sharded across `cores` cores
-/// of a [`MultiCoreSim`]. Under [`SchedulerPolicy::Static`] the kernel is
-/// split 1D by M-tile rows ([`KernelSpec::shard_streams`]), one stream per
-/// core; under [`SchedulerPolicy::Lpt`] it is decomposed into a 2D/K-split
-/// shard set ([`KernelSpec::shard_set`]) and LPT-packed onto the cores,
-/// with any K-split reduction replayed after the barrier. Each shard
-/// streams through its core (private L1 + engine) over one coherence-free
-/// shared L2. The report's `cycles` is the makespan including the
-/// end-of-shard barrier (and reduction); per-core cycles, shared-L2 stats
-/// and the run's parallel efficiency ride along.
-#[allow(clippy::too_many_arguments)] // internal plumbing behind every run_* entry point
-fn run_cell_cores(
-    preflight: &Preflight,
-    engine: &EngineConfig,
-    sim: &SimConfig,
-    cache: &TraceCache,
-    workload: &str,
-    sparsity: String,
-    fidelity: Fidelity,
-    shape: GemmShape,
-    spec: &KernelSpec,
-    cores: usize,
-    policy: SchedulerPolicy,
-    exec: ExecMode,
-    progress: Option<&ProgressFn>,
-) -> RunReport {
-    preflight.check(shape, spec, cores, policy);
-    // Memoize the unsharded generator summary so sweeps account trace
-    // construction identically whichever axis ran first.
-    cache.summary(shape, spec);
-    let (shards, reduction) = match policy {
-        SchedulerPolicy::Static => (spec.shard_streams(shape, cores), None),
-        SchedulerPolicy::Lpt => {
-            let set = spec.shard_set(shape, cores);
-            (set.shards, set.reduction)
-        }
-    };
-    let mut sim_mc = MultiCoreSim::new(
-        MultiCoreConfig::with_core(sim.clone(), cores).with_exec(exec),
-        engine.clone(),
-    );
-    let res = match progress {
-        Some(p) => {
-            let mut cb = |done: u64, total: u64| p(workload, done, total);
-            sim_mc.run_sharded_with(shards, reduction, policy, Some(&mut cb))
-        }
-        None => sim_mc.run_sharded(shards, reduction, policy),
-    };
-    let mut outcome = CellOutcome::from(res);
-    outcome.scheduler = policy.label().to_string();
-    outcome.report(engine, sim, workload, sparsity, fidelity, shape, spec)
-}
-
 /// Synthesizes the sorted §V-E row covers a row-wise format cell executes:
 /// per-row `N:4` covers of a seeded unstructured matrix at `degree`
 /// (deterministic in the shape, so repeated cells agree).
@@ -530,37 +394,283 @@ fn kernel_for_format(
     }
 }
 
+/// The `A` operand of a [`Cell`]: what the engine multiplies, and so which
+/// kernel it runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Operand<'a> {
+    /// A weight-sparsity pattern: the engine runs the kernel it executes
+    /// for that pattern (§VI-C; a dense engine runs any pattern densely).
+    /// The report's sparsity label is the pattern.
+    Pattern(NmRatio),
+    /// An operand *stored* in a format: the kernel the engine executes for
+    /// that storage (structured formats run their tile kernels, row-wise
+    /// `N:4` runs `TILE_SPMM_R` on flexible engines, CSR falls back to the
+    /// vector engine). The report's sparsity label is the format.
+    Format(FormatSpec),
+    /// An explicit kernel, for ablations and non-tiled kernels. The
+    /// report's sparsity label is the kernel's own pattern, `"-"` when it
+    /// has none.
+    Spec(&'a KernelSpec),
+}
+
+impl From<NmRatio> for Operand<'_> {
+    fn from(ratio: NmRatio) -> Self {
+        Operand::Pattern(ratio)
+    }
+}
+
+impl From<FormatSpec> for Operand<'_> {
+    fn from(format: FormatSpec) -> Self {
+        Operand::Format(format)
+    }
+}
+
+impl<'a> From<&'a KernelSpec> for Operand<'a> {
+    fn from(spec: &'a KernelSpec) -> Self {
+        Operand::Spec(spec)
+    }
+}
+
+/// What a [`Cell`] multiplies: a Table IV layer at a fidelity, or an
+/// ad-hoc named shape.
+#[derive(Debug, Clone, Copy)]
+enum Workload<'a> {
+    Layer(&'a Layer, Fidelity),
+    Shape(&'a str, GemmShape),
+}
+
+/// One cell of the §VI evaluation grid — a workload, its `A` operand and
+/// where it runs — which [`Session::run`] simulates on the session's
+/// engine and every [`Sweep`] cell runs through.
+///
+/// * The workload is a Table IV layer at a [`Fidelity`] ([`Cell::layer`])
+///   or an ad-hoc GEMM shape ([`Cell::shape`]); an ad-hoc shape is its own
+///   ground truth, so its report says `"full"` fidelity.
+/// * The operand is anything that converts into an [`Operand`]: an
+///   [`NmRatio`], a [`FormatSpec`] or a `&`[`KernelSpec`].
+/// * A cell without cores runs unsharded on one [`CoreSim`]: the paper's
+///   single-core setup, the path Fig. 13 and `BENCH_fig13.json` run on.
+///   Its report has no per-core cycles and scheduler `"-"`. [`Cell::cores`]
+///   shards the kernel across that many cores of a [`MultiCoreSim`] under
+///   the cell's [`SchedulerPolicy`] ([`Cell::scheduler`]; LPT unless set).
+///   `cores(1)` is that harness with a single shard: the same cycles,
+///   instructions and tile work as the unsharded cell, but a report with
+///   one per-core entry and the policy label, a `peak_resident_bytes`
+///   that counts the shard emitter's state, and a preflight that verifies
+///   the shard set rather than the unsharded stream.
+///
+/// ```
+/// use vegeta::prelude::*;
+///
+/// let layer = table4()[7];
+/// let session = Session::new(EngineConfig::vegeta_s(16).unwrap());
+/// let cell = Cell::layer(&layer, Fidelity::Quick(8), NmRatio::S2_4);
+/// let one = session.run(&cell);
+/// let four = session.run(&cell.cores(4));
+/// assert!(four.cycles < one.cycles && four.cores == 4);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Cell<'a> {
+    workload: Workload<'a>,
+    operand: Operand<'a>,
+    cores: Option<usize>,
+    scheduler: SchedulerPolicy,
+}
+
+impl<'a> Cell<'a> {
+    /// A Table IV layer at `fidelity`, unsharded.
+    pub fn layer(layer: &'a Layer, fidelity: Fidelity, operand: impl Into<Operand<'a>>) -> Self {
+        Cell::of(Workload::Layer(layer, fidelity), operand.into())
+    }
+
+    /// An ad-hoc GEMM shape labelled `name`, unsharded.
+    pub fn shape(name: &'a str, shape: GemmShape, operand: impl Into<Operand<'a>>) -> Self {
+        Cell::of(Workload::Shape(name, shape), operand.into())
+    }
+
+    fn of(workload: Workload<'a>, operand: Operand<'a>) -> Self {
+        Cell {
+            workload,
+            operand,
+            cores: None,
+            scheduler: SchedulerPolicy::default(),
+        }
+    }
+
+    /// The cell sharded across `cores` cores, at least one (see the type
+    /// docs for how `cores(1)` differs from an unsharded cell).
+    pub fn cores(mut self, cores: usize) -> Self {
+        self.cores = Some(cores.max(1));
+        self
+    }
+
+    /// The policy a sharded cell assigns shards to cores by: the default
+    /// [`SchedulerPolicy::Lpt`] also unlocks 2D/K-split shard plans,
+    /// [`SchedulerPolicy::Static`] is the one-M-row-shard-per-core path.
+    /// An unsharded cell has no shards to assign and ignores it.
+    pub fn scheduler(mut self, policy: SchedulerPolicy) -> Self {
+        self.scheduler = policy;
+        self
+    }
+
+    /// The GEMM shape the cell executes.
+    fn gemm_shape(&self) -> GemmShape {
+        match self.workload {
+            Workload::Layer(layer, fidelity) => fidelity.shape_of(layer),
+            Workload::Shape(_, shape) => shape,
+        }
+    }
+}
+
+/// Everything a cell runs against besides its engine: the simulator
+/// configuration, kernel options, trace cache and preflight a [`Session`]
+/// and a [`Sweep`] both hold.
+#[derive(Debug, Clone)]
+struct Harness {
+    sim: SimConfig,
+    opts: KernelOptions,
+    unstructured_degree: f64,
+    cache: Arc<TraceCache>,
+    preflight: Preflight,
+}
+
+impl Default for Harness {
+    fn default() -> Self {
+        Harness {
+            sim: SimConfig::default(),
+            opts: KernelOptions::default(),
+            unstructured_degree: DEFAULT_UNSTRUCTURED_DEGREE,
+            cache: Arc::new(TraceCache::new()),
+            preflight: Preflight::default(),
+        }
+    }
+}
+
+impl Harness {
+    /// The kernel `engine` runs for `cell`'s operand; `covers` are the
+    /// row-wise covers of the cell's shape when the caller has them.
+    fn spec<'c>(
+        &self,
+        engine: &EngineConfig,
+        cell: &Cell<'c>,
+        covers: Option<&[NmRatio]>,
+    ) -> Cow<'c, KernelSpec> {
+        match cell.operand {
+            Operand::Pattern(ratio) => Cow::Owned(engine.kernel_spec(ratio, self.opts)),
+            Operand::Format(format) => Cow::Owned(kernel_for_format(
+                engine,
+                cell.gemm_shape(),
+                format,
+                self.opts,
+                self.unstructured_degree,
+                covers,
+            )),
+            Operand::Spec(spec) => Cow::Borrowed(spec),
+        }
+    }
+
+    /// Simulates `cell` on `engine` with kernel `spec` through the
+    /// streaming pipeline — the trace is generated lazily and never
+    /// materialized — after the preflight has verified the stream (or
+    /// shard set) it replays.
+    ///
+    /// An unsharded cell replays on one [`CoreSim`], through `memo` when
+    /// given. A sharded cell splits the kernel per its policy: 1D by M-tile
+    /// rows under [`SchedulerPolicy::Static`], a 2D/K-split shard set
+    /// LPT-packed onto the cores under [`SchedulerPolicy::Lpt`], with any
+    /// K-split reduction replayed after the barrier. Its shards stream
+    /// through private L1s over one coherence-free shared L2 on `exec`
+    /// host threads, and `cycles` is the makespan.
+    fn run(
+        &self,
+        engine: &EngineConfig,
+        cell: &Cell<'_>,
+        spec: &KernelSpec,
+        exec: ExecMode,
+        memo: Option<&L1Memo>,
+    ) -> RunReport {
+        let shape = cell.gemm_shape();
+        let outcome = match cell.cores {
+            None => {
+                self.preflight
+                    .check(shape, spec, 0, SchedulerPolicy::Static);
+                let stream = self.cache.stream(shape, spec);
+                let mut core = CoreSim::new(self.sim.clone(), engine.clone());
+                CellOutcome::from(match memo {
+                    Some(memo) => core.run_stream_memoized(stream, memo),
+                    None => core.run_stream(stream),
+                })
+            }
+            Some(cores) => {
+                let policy = cell.scheduler;
+                self.preflight.check(shape, spec, cores, policy);
+                // Memoize the unsharded generator summary so sweeps account
+                // trace construction identically whichever axis ran first.
+                self.cache.summary(shape, spec);
+                let (shards, reduction) = match policy {
+                    SchedulerPolicy::Static => (spec.shard_streams(shape, cores), None),
+                    SchedulerPolicy::Lpt => {
+                        let set = spec.shard_set(shape, cores);
+                        (set.shards, set.reduction)
+                    }
+                };
+                let res = MultiCoreSim::new(
+                    MultiCoreConfig::with_core(self.sim.clone(), cores).with_exec(exec),
+                    engine.clone(),
+                )
+                .run_sharded(shards, reduction, policy);
+                CellOutcome::sharded(res, policy)
+            }
+        };
+        let (workload, fidelity) = match cell.workload {
+            Workload::Layer(layer, fidelity) => (layer.name, fidelity),
+            Workload::Shape(name, _) => (name, Fidelity::Full),
+        };
+        let sparsity = match cell.operand {
+            Operand::Pattern(ratio) => ratio.to_string(),
+            Operand::Format(format) => format.to_string(),
+            Operand::Spec(spec) => spec
+                .mode()
+                .map_or_else(|| "-".to_string(), |m| m.ratio().to_string()),
+        };
+        RunReport {
+            workload: workload.to_string(),
+            engine: engine.name().to_string(),
+            sparsity,
+            fidelity: fidelity.to_string(),
+            kernel: spec.name(),
+            format: spec.format().to_string(),
+            a_values_bytes: spec.a_values_bytes(shape),
+            a_metadata_bits: spec.a_metadata_bits(shape),
+            shape,
+            cycles: outcome.cycles,
+            instructions: outcome.instructions,
+            tile_compute: outcome.tile_compute,
+            engine_busy_cycles: outcome.engine_busy_cycles,
+            // Every cell streams.
+            insts_streamed: outcome.instructions,
+            peak_resident_bytes: outcome.peak_resident_bytes,
+            macs: shape.macs(),
+            core_ghz: self.sim.core_ghz,
+            cores: outcome.cores,
+            scheduler: outcome.scheduler.to_string(),
+            per_core_cycles: outcome.per_core_cycles,
+            shared_l2: outcome.shared_l2,
+            scaling_efficiency: outcome.scaling_efficiency,
+        }
+    }
+}
+
 /// One engine bound to a simulator configuration, kernel options and a
 /// trace cache: the single-engine experiment driver.
 ///
 /// Sessions are cheap to clone-per-engine while sharing one cache: pass the
 /// same [`Arc<TraceCache>`] via [`Session::with_cache`] and identical
 /// kernels are built once across all of them.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct Session {
     engine: EngineConfig,
-    sim: SimConfig,
-    opts: KernelOptions,
-    unstructured_degree: f64,
-    scheduler: SchedulerPolicy,
-    cache: Arc<TraceCache>,
-    progress: Option<ProgressFn>,
-    preflight: Preflight,
-}
-
-impl std::fmt::Debug for Session {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Session")
-            .field("engine", &self.engine)
-            .field("sim", &self.sim)
-            .field("opts", &self.opts)
-            .field("unstructured_degree", &self.unstructured_degree)
-            .field("scheduler", &self.scheduler)
-            .field("cache", &self.cache)
-            .field("progress", &self.progress.as_ref().map(|_| "Fn"))
-            .field("preflight", &self.preflight)
-            .finish()
-    }
+    harness: Harness,
 }
 
 impl Session {
@@ -569,55 +679,32 @@ impl Session {
     pub fn new(engine: EngineConfig) -> Self {
         Session {
             engine,
-            sim: SimConfig::default(),
-            opts: KernelOptions::default(),
-            unstructured_degree: DEFAULT_UNSTRUCTURED_DEGREE,
-            scheduler: SchedulerPolicy::default(),
-            cache: Arc::new(TraceCache::new()),
-            progress: None,
-            preflight: Preflight::default(),
+            harness: Harness::default(),
         }
     }
 
-    /// Replaces the scheduler policy multi-core runs use to assign shards
-    /// to cores (the default is [`SchedulerPolicy::Lpt`], which also
-    /// unlocks 2D/K-split shard plans; [`SchedulerPolicy::Static`] is the
-    /// legacy one-M-row-shard-per-core path).
-    pub fn with_scheduler(mut self, scheduler: SchedulerPolicy) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Installs a progress observer for streamed replays (useful for long
-    /// full-fidelity runs): called with
-    /// `(workload, instructions simulated, exact total)`.
-    pub fn with_progress(mut self, progress: ProgressFn) -> Self {
-        self.progress = Some(progress);
-        self
-    }
-
     /// Replaces the sparsity degree of the synthesized unstructured weights
-    /// behind [`Session::run_format`] row-wise/CSR cells.
+    /// behind row-wise/CSR [`Operand::Format`] cells.
     pub fn with_unstructured_degree(mut self, degree: f64) -> Self {
-        self.unstructured_degree = degree;
+        self.harness.unstructured_degree = degree;
         self
     }
 
     /// Replaces the simulator configuration.
     pub fn with_sim(mut self, sim: SimConfig) -> Self {
-        self.sim = sim;
+        self.harness.sim = sim;
         self
     }
 
-    /// Replaces the kernel options used for layer/shape runs.
+    /// Replaces the kernel options used for pattern and format cells.
     pub fn with_kernel_options(mut self, opts: KernelOptions) -> Self {
-        self.opts = opts;
+        self.harness.opts = opts;
         self
     }
 
     /// Shares a trace cache (for example across per-engine sessions).
     pub fn with_cache(mut self, cache: Arc<TraceCache>) -> Self {
-        self.cache = cache;
+        self.harness.cache = cache;
         self
     }
 
@@ -627,7 +714,7 @@ impl Session {
     /// aborts the run with the lint report. Verification is memoized, so
     /// repeated cells (and clones sharing this session's memo) pay once.
     pub fn with_preflight(mut self, enabled: bool) -> Self {
-        self.preflight.disabled = !enabled;
+        self.harness.preflight.disabled = !enabled;
         self
     }
 
@@ -638,233 +725,27 @@ impl Session {
 
     /// The session's trace cache.
     pub fn cache(&self) -> &Arc<TraceCache> {
-        &self.cache
+        &self.harness.cache
     }
 
-    /// The execution mode this session's engine uses for the given weight
-    /// pattern (delegates to [`EngineKernelExt::execution_mode`]).
-    pub fn execution_mode(&self, weights: NmRatio) -> SparseMode {
-        self.engine.execution_mode(weights)
+    /// Runs one cell on this session's engine (see [`Cell`]). The
+    /// streaming pipeline makes [`Fidelity::Full`] replays feasible in
+    /// bounded memory even for the largest layers.
+    ///
+    /// # Panics
+    ///
+    /// With the `vegeta-lint` report when the preflight rejects the cell's
+    /// stream.
+    pub fn run(&self, cell: &Cell<'_>) -> RunReport {
+        let spec = self.harness.spec(&self.engine, cell, None);
+        self.harness
+            .run(&self.engine, cell, &spec, ExecMode::Auto, None)
     }
 
-    /// Runs an ad-hoc GEMM shape at the given weight sparsity, picking the
-    /// kernel the engine would execute (§VI-C). Ad-hoc shapes are their own
-    /// ground truth, so the report's fidelity is `"full"`.
-    pub fn run_shape(&self, workload: &str, shape: GemmShape, weights: NmRatio) -> RunReport {
-        let spec = self.engine.kernel_spec(weights, self.opts);
-        run_cell(
-            &self.preflight,
-            &self.engine,
-            &self.sim,
-            &self.cache,
-            workload,
-            weights.to_string(),
-            Fidelity::Full,
-            shape,
-            &spec,
-            L1Replay::Fresh(self.progress.as_ref()),
-        )
-    }
-
-    /// Runs one Table IV layer at the given fidelity: the streaming
-    /// pipeline makes [`Fidelity::Full`] replays feasible in bounded
-    /// memory even for the largest layers.
-    pub fn run_layer_at(&self, layer: &Layer, weights: NmRatio, fidelity: Fidelity) -> RunReport {
-        let spec = self.engine.kernel_spec(weights, self.opts);
-        run_cell(
-            &self.preflight,
-            &self.engine,
-            &self.sim,
-            &self.cache,
-            layer.name,
-            weights.to_string(),
-            fidelity,
-            fidelity.shape_of(layer),
-            &spec,
-            L1Replay::Fresh(self.progress.as_ref()),
-        )
-    }
-
-    /// Runs one Table IV layer at full size ([`Fidelity::Full`]).
-    pub fn run_layer(&self, layer: &Layer, weights: NmRatio) -> RunReport {
-        self.run_layer_at(layer, weights, Fidelity::Full)
-    }
-
-    /// Runs one Table IV layer sharded across `cores` matrix-engine cores
-    /// at full fidelity (see [`Session::run_layer_cores_at`]).
-    pub fn run_layer_cores(&self, layer: &Layer, weights: NmRatio, cores: usize) -> RunReport {
-        self.run_layer_cores_at(layer, weights, Fidelity::Full, cores)
-    }
-
-    /// Runs one Table IV layer sharded across `cores` cores of a
-    /// [`vegeta_sim::MultiCoreSim`] at the given fidelity: the kernel is
-    /// decomposed per the session's [`SchedulerPolicy`] (the default LPT
-    /// path over-decomposes into a 2D/K-split shard set and load-balances
-    /// it; the static path splits 1D by M-tile rows, one stream per core),
-    /// private L1s share a coherence-free L2, and the report carries the
-    /// makespan (barrier and any K-split reduction included), per-core
-    /// cycles, shared-L2 stats and parallel efficiency. `cores == 1` runs
-    /// the same harness with a single unsplit shard (cycle-identical to
-    /// [`Session::run_layer_at`] — the barrier is free for one core).
-    pub fn run_layer_cores_at(
-        &self,
-        layer: &Layer,
-        weights: NmRatio,
-        fidelity: Fidelity,
-        cores: usize,
-    ) -> RunReport {
-        let spec = self.engine.kernel_spec(weights, self.opts);
-        run_cell_cores(
-            &self.preflight,
-            &self.engine,
-            &self.sim,
-            &self.cache,
-            layer.name,
-            weights.to_string(),
-            fidelity,
-            fidelity.shape_of(layer),
-            &spec,
-            cores,
-            self.scheduler,
-            ExecMode::Auto,
-            self.progress.as_ref(),
-        )
-    }
-
-    /// Runs an ad-hoc GEMM shape sharded across `cores` cores (the
-    /// ad-hoc-shape twin of [`Session::run_layer_cores_at`]).
-    pub fn run_shape_cores(
-        &self,
-        workload: &str,
-        shape: GemmShape,
-        weights: NmRatio,
-        cores: usize,
-    ) -> RunReport {
-        let spec = self.engine.kernel_spec(weights, self.opts);
-        run_cell_cores(
-            &self.preflight,
-            &self.engine,
-            &self.sim,
-            &self.cache,
-            workload,
-            weights.to_string(),
-            Fidelity::Full,
-            shape,
-            &spec,
-            cores,
-            self.scheduler,
-            ExecMode::Auto,
-            self.progress.as_ref(),
-        )
-    }
-
-    /// Runs one layer scaled down by `factor` (see [`Layer::scaled_shape`]).
-    pub fn run_layer_scaled(&self, layer: &Layer, weights: NmRatio, factor: usize) -> RunReport {
-        self.run_layer_at(layer, weights, Fidelity::from_factor(factor))
-    }
-
-    /// Runs an ad-hoc GEMM shape with the `A` operand *stored* in the given
-    /// format, picking the kernel the engine executes for that storage
-    /// (structured formats run their tile kernels, CSR falls back to the
-    /// vector engine — see the module docs). The report's sparsity label is
-    /// the format label.
-    pub fn run_format(&self, workload: &str, shape: GemmShape, format: FormatSpec) -> RunReport {
-        let spec = kernel_for_format(
-            &self.engine,
-            shape,
-            format,
-            self.opts,
-            self.unstructured_degree,
-            None,
-        );
-        run_cell(
-            &self.preflight,
-            &self.engine,
-            &self.sim,
-            &self.cache,
-            workload,
-            format.to_string(),
-            Fidelity::Full,
-            shape,
-            &spec,
-            L1Replay::Fresh(self.progress.as_ref()),
-        )
-    }
-
-    /// Runs an explicit kernel spec on a shape (for ablations and
-    /// non-tiled kernels). The sparsity label is derived from the spec's
-    /// mode, `"-"` for kernels without one.
-    pub fn run_spec(&self, workload: &str, shape: GemmShape, spec: &KernelSpec) -> RunReport {
-        let sparsity = spec
-            .mode()
-            .map_or_else(|| "-".to_string(), |m| m.ratio().to_string());
-        run_cell(
-            &self.preflight,
-            &self.engine,
-            &self.sim,
-            &self.cache,
-            workload,
-            sparsity,
-            Fidelity::Full,
-            shape,
-            spec,
-            L1Replay::Fresh(self.progress.as_ref()),
-        )
-    }
-
-    /// Runs a prebuilt materialized trace (bypassing kernel selection and
-    /// the cache). Operand storage is unknown for a raw trace, so the
-    /// format label is `"-"` and the operand accounting is zero;
-    /// `insts_streamed` is 0 (nothing streamed — the trace was already
-    /// resident) and the peak residency is the whole trace.
-    pub fn run_trace(&self, workload: &str, shape: GemmShape, trace: &Trace) -> RunReport {
-        let res = CoreSim::new(self.sim.clone(), self.engine.clone()).run(trace);
-        RunReport {
-            workload: workload.to_string(),
-            engine: self.engine.name().to_string(),
-            sparsity: "-".to_string(),
-            fidelity: Fidelity::Full.to_string(),
-            kernel: "prebuilt-trace".to_string(),
-            format: "-".to_string(),
-            a_values_bytes: 0,
-            a_metadata_bits: 0,
-            shape,
-            cycles: res.core_cycles,
-            instructions: res.instructions,
-            tile_compute: res.tile_compute,
-            engine_busy_cycles: res.engine_busy_cycles,
-            insts_streamed: 0,
-            peak_resident_bytes: res.peak_resident_bytes,
-            macs: shape.macs(),
-            core_ghz: self.sim.core_ghz,
-            cores: 1,
-            scheduler: "-".to_string(),
-            per_core_cycles: Vec::new(),
-            shared_l2: Default::default(),
-            scaling_efficiency: if res.core_cycles == 0 { 0.0 } else { 1.0 },
-        }
-    }
-
-    /// Runs a layer suite back to back, as a network inference would (each
-    /// layer's GEMM executes in full before the next begins).
-    pub fn run_network(&self, layers: &[Layer], weights: NmRatio) -> NetworkReport {
-        self.run_network_scaled(layers, weights, 1)
-    }
-
-    /// Runs a layer suite with every layer scaled down by `factor` (see
-    /// [`Layer::scaled_shape`]); 1 means full size.
-    pub fn run_network_scaled(
-        &self,
-        layers: &[Layer],
-        weights: NmRatio,
-        factor: usize,
-    ) -> NetworkReport {
-        self.run_network_at(layers, weights, Fidelity::from_factor(factor))
-    }
-
-    /// Runs a layer suite at the given fidelity — the end-to-end network
-    /// replay of §VI, streaming every layer's trace in bounded memory.
-    pub fn run_network_at(
+    /// Runs a layer suite back to back at `fidelity`, as a network
+    /// inference would: each layer's GEMM executes in full before the next
+    /// begins, streaming every trace in bounded memory (§VI).
+    pub fn run_network(
         &self,
         layers: &[Layer],
         weights: NmRatio,
@@ -875,18 +756,10 @@ impl Session {
             sparsity: weights.to_string(),
             layers: layers
                 .iter()
-                .map(|l| self.run_layer_at(l, weights, fidelity))
+                .map(|layer| self.run(&Cell::layer(layer, fidelity, weights)))
                 .collect(),
         }
     }
-}
-
-/// One entry of a sweep's middle axis: either a weight-sparsity pattern
-/// (the engine picks its storage) or an explicit storage format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GridAxis {
-    Pattern(NmRatio),
-    Format(FormatSpec),
 }
 
 /// A grid runner over engine × workload × {sparsity pattern | storage
@@ -912,13 +785,9 @@ pub struct Sweep {
     fidelities: Vec<Fidelity>,
     cores: Vec<usize>,
     schedulers: Vec<SchedulerPolicy>,
-    unstructured_degree: f64,
     scale: usize,
-    sim: SimConfig,
-    opts: KernelOptions,
     threads: usize,
-    cache: Arc<TraceCache>,
-    preflight: Preflight,
+    harness: Harness,
 }
 
 impl Default for Sweep {
@@ -931,13 +800,9 @@ impl Default for Sweep {
             fidelities: Vec::new(),
             cores: Vec::new(),
             schedulers: Vec::new(),
-            unstructured_degree: DEFAULT_UNSTRUCTURED_DEGREE,
             scale: 1,
-            sim: SimConfig::default(),
-            opts: KernelOptions::default(),
             threads: 0,
-            cache: Arc::new(TraceCache::new()),
-            preflight: Preflight::default(),
+            harness: Harness::default(),
         }
     }
 }
@@ -1012,7 +877,7 @@ impl Sweep {
     /// Replaces the sparsity degree of the synthesized unstructured weights
     /// behind row-wise/CSR format cells.
     pub fn with_unstructured_degree(mut self, degree: f64) -> Self {
-        self.unstructured_degree = degree;
+        self.harness.unstructured_degree = degree;
         self
     }
 
@@ -1110,13 +975,13 @@ impl Sweep {
 
     /// Replaces the simulator configuration.
     pub fn with_sim(mut self, sim: SimConfig) -> Self {
-        self.sim = sim;
+        self.harness.sim = sim;
         self
     }
 
     /// Replaces the kernel options.
     pub fn with_kernel_options(mut self, opts: KernelOptions) -> Self {
-        self.opts = opts;
+        self.harness.opts = opts;
         self
     }
 
@@ -1129,7 +994,7 @@ impl Sweep {
 
     /// Shares a trace cache across sweeps.
     pub fn with_cache(mut self, cache: Arc<TraceCache>) -> Self {
-        self.cache = cache;
+        self.harness.cache = cache;
         self
     }
 
@@ -1138,7 +1003,7 @@ impl Sweep {
     /// distinct `(shape, kernel, sharding)` cell is verified once per
     /// sweep, not once per engine replaying it.
     pub fn with_preflight(mut self, enabled: bool) -> Self {
-        self.preflight.disabled = !enabled;
+        self.harness.preflight.disabled = !enabled;
         self
     }
 
@@ -1180,37 +1045,43 @@ impl Sweep {
     /// [`Sweep::run`], also returning its L1 memo slots (all empty once it
     /// returns).
     fn run_with_memos(&self) -> (SweepReport, L1Memos) {
-        // Enumerate cells in their deterministic report order.
-        let axes: Vec<GridAxis> = self
+        // One cell per point of the non-engine axes, in report order; the
+        // engine is the innermost axis, so grid cell `i` is cell
+        // `i / engines` on engine `i % engines`.
+        let operands: Vec<Operand<'_>> = self
             .sparsities
             .iter()
-            .map(|&r| GridAxis::Pattern(r))
-            .chain(self.formats.iter().map(|&f| GridAxis::Format(f)))
+            .map(|&r| Operand::Pattern(r))
+            .chain(self.formats.iter().map(|&f| Operand::Format(f)))
             .collect();
         let fidelities = self.effective_fidelities();
         let cores_axis = self.effective_cores();
         let scheduler_axis = self.effective_schedulers();
-        let mut cells: Vec<GridCell<'_>> = Vec::with_capacity(self.cell_count());
+        let mut cells: Vec<Cell<'_>> = Vec::with_capacity(
+            self.layers.len()
+                * fidelities.len()
+                * operands.len()
+                * cores_axis.len()
+                * scheduler_axis.len(),
+        );
         for layer in &self.layers {
             for &fidelity in &fidelities {
-                for &axis in &axes {
+                for &operand in &operands {
                     for &cores in &cores_axis {
                         for &scheduler in &scheduler_axis {
-                            for engine in &self.engines {
-                                cells.push(GridCell {
-                                    layer,
-                                    fidelity,
-                                    axis,
-                                    cores,
-                                    scheduler,
-                                    engine,
-                                });
-                            }
+                            cells.push(Cell {
+                                cores,
+                                scheduler,
+                                ..Cell::layer(layer, fidelity, operand)
+                            });
                         }
                     }
                 }
             }
         }
+        let engines = self.engines.len();
+        let grid_cell = |i: usize| (&cells[i / engines], &self.engines[i % engines]);
+        let count = cells.len() * engines;
         let threads = self.resolved_threads();
         // Host-thread budget for each cell's multi-core replay: the grid's
         // cell-level pool and the per-cell parallel simulation share one
@@ -1218,8 +1089,8 @@ impl Sweep {
         // (at least one) and the grid never oversubscribes the host.
         let avail = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let cell_exec = ExecMode::ParallelHost((avail / threads).max(1));
-        let hits_before = self.cache.hits();
-        let misses_before = self.cache.misses();
+        let hits_before = self.harness.cache.hits();
+        let misses_before = self.harness.cache.misses();
 
         // Row-wise format cells share their synthesized covers: compute
         // each distinct shape once, not once per engine cell.
@@ -1232,68 +1103,35 @@ impl Sweep {
             for layer in &self.layers {
                 for fidelity in &fidelities {
                     let shape = fidelity.shape_of(layer);
-                    rw_covers
-                        .entry(shape)
-                        .or_insert_with(|| row_wise_covers(shape, self.unstructured_degree));
+                    rw_covers.entry(shape).or_insert_with(|| {
+                        row_wise_covers(shape, self.harness.unstructured_degree)
+                    });
                 }
             }
         }
-        let spec_of = |cell: &GridCell<'_>| match cell.axis {
-            GridAxis::Pattern(ratio) => cell.engine.kernel_spec(ratio, self.opts),
-            GridAxis::Format(format) => kernel_for_format(
-                cell.engine,
-                cell.shape(),
-                format,
-                self.opts,
-                self.unstructured_degree,
-                rw_covers.get(&cell.shape()).map(Vec::as_slice),
-            ),
+        // Sweep operands are patterns and formats, whose kernels are built
+        // owned.
+        let kernel_of = |cell: &Cell<'_>, engine: &EngineConfig| {
+            let covers = rw_covers.get(&cell.gemm_shape()).map(Vec::as_slice);
+            self.harness.spec(engine, cell, covers).into_owned()
         };
 
-        let memos = L1Memos::plan(
-            cells
-                .iter()
-                .map(|cell| cell.cores.is_none().then(|| (cell.shape(), spec_of(cell)))),
-        );
-        let order = memos.schedule(&cells);
+        let memos = L1Memos::plan((0..count).map(|i| {
+            let (cell, engine) = grid_cell(i);
+            cell.cores
+                .is_none()
+                .then(|| (cell.gemm_shape(), kernel_of(cell, engine)))
+        }));
+        let order = memos.schedule((0..count).map(|i| grid_cell(i).0.gemm_shape()));
         let run_one = |i: usize| -> RunReport {
-            let cell = &cells[i];
-            let (shape, spec) = (cell.shape(), spec_of(cell));
-            let label = match cell.axis {
-                GridAxis::Pattern(ratio) => ratio.to_string(),
-                GridAxis::Format(format) => format.to_string(),
-            };
+            let (cell, engine) = grid_cell(i);
+            let spec = kernel_of(cell, engine);
+            let run =
+                |memo: Option<&L1Memo>| self.harness.run(engine, cell, &spec, cell_exec, memo);
             match cell.cores {
-                // The classic single-core path (no cores axis requested).
-                None => memos.with(i, |memo| {
-                    run_cell(
-                        &self.preflight,
-                        cell.engine,
-                        &self.sim,
-                        &self.cache,
-                        cell.layer.name,
-                        label,
-                        cell.fidelity,
-                        shape,
-                        &spec,
-                        L1Replay::Memoized(memo),
-                    )
-                }),
-                Some(n) => run_cell_cores(
-                    &self.preflight,
-                    cell.engine,
-                    &self.sim,
-                    &self.cache,
-                    cell.layer.name,
-                    label,
-                    cell.fidelity,
-                    shape,
-                    &spec,
-                    n,
-                    cell.scheduler,
-                    cell_exec,
-                    None,
-                ),
+                // Unsharded cells replay their trace's L1 memo.
+                None => memos.with(i, |memo| run(Some(memo))),
+                Some(_) => run(None),
             }
         };
 
@@ -1301,7 +1139,7 @@ impl Sweep {
         // and store its report at the cell's index, so the report order is
         // independent of scheduling.
         let next = AtomicUsize::new(0);
-        let reports: Mutex<Vec<Option<RunReport>>> = Mutex::new(vec![None; cells.len()]);
+        let reports: Mutex<Vec<Option<RunReport>>> = Mutex::new(vec![None; count]);
         let work = || {
             while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
                 let report = run_one(i);
@@ -1325,30 +1163,13 @@ impl Sweep {
                 .into_iter()
                 .map(|r| r.expect("every cell ran"))
                 .collect(),
-            traces_built: self.cache.misses() - misses_before,
-            trace_cache_hits: self.cache.hits() - hits_before,
+            traces_built: self.harness.cache.misses() - misses_before,
+            trace_cache_hits: self.harness.cache.hits() - hits_before,
             l1_fresh_replays: memos.fresh.load(Ordering::Relaxed),
-            cache: self.cache.stats(),
+            cache: self.harness.cache.stats(),
             threads,
         };
         (report, memos)
-    }
-}
-
-/// One grid cell of a [`Sweep`]: where it sits on every axis.
-#[derive(Debug, Clone, Copy)]
-struct GridCell<'a> {
-    layer: &'a Layer,
-    fidelity: Fidelity,
-    axis: GridAxis,
-    cores: Option<usize>,
-    scheduler: SchedulerPolicy,
-    engine: &'a EngineConfig,
-}
-
-impl GridCell<'_> {
-    fn shape(&self) -> GemmShape {
-        self.fidelity.shape_of(self.layer)
     }
 }
 
@@ -1403,28 +1224,28 @@ impl L1Memos {
         }
     }
 
-    /// The order cells run in: within each run of cells that share a
-    /// shape, the first cell of every trace, then the others, each in
-    /// report order.
-    fn schedule(&self, cells: &[GridCell<'_>]) -> Vec<usize> {
+    /// The order cells run in, given each cell's shape in report order:
+    /// within each run of cells that share a shape, the first cell of
+    /// every trace, then the others, each in report order.
+    fn schedule(&self, shapes: impl Iterator<Item = GemmShape>) -> Vec<usize> {
         let mut first = vec![true; self.slots.len()];
-        let mut order = Vec::with_capacity(cells.len());
-        let mut start = 0;
-        for block in cells.chunk_by(|a, b| a.shape() == b.shape()) {
-            let block = start..start + block.len();
-            let mut rest = Vec::new();
-            for i in block.clone() {
-                match self.slot_of[i] {
-                    Some(slot) if first[slot] => {
-                        first[slot] = false;
-                        order.push(i);
-                    }
-                    _ => rest.push(i),
-                }
+        let mut order = Vec::with_capacity(self.slot_of.len());
+        let mut rest = Vec::new();
+        let mut block = None;
+        for (i, shape) in shapes.enumerate() {
+            if block != Some(shape) {
+                order.append(&mut rest);
+                block = Some(shape);
             }
-            order.extend(rest);
-            start = block.end;
+            match self.slot_of[i] {
+                Some(slot) if first[slot] => {
+                    first[slot] = false;
+                    order.push(i);
+                }
+                _ => rest.push(i),
+            }
         }
+        order.append(&mut rest);
         order
     }
 
@@ -1481,27 +1302,26 @@ mod tests {
             EngineConfig::rasa_dm(),
             EngineConfig::tmul_like(),
         ] {
-            let session = Session::new(engine);
             for w in [NmRatio::D4_4, NmRatio::S2_4, NmRatio::S1_4] {
-                assert_eq!(session.execution_mode(w), SparseMode::Dense);
+                assert_eq!(engine.execution_mode(w), SparseMode::Dense);
             }
         }
     }
 
     #[test]
     fn stc_like_runs_1_4_layers_in_2_4_mode() {
-        let session = Session::new(EngineConfig::stc_like());
-        assert_eq!(session.execution_mode(NmRatio::S1_4), SparseMode::Nm2of4);
-        assert_eq!(session.execution_mode(NmRatio::S2_4), SparseMode::Nm2of4);
-        assert_eq!(session.execution_mode(NmRatio::D4_4), SparseMode::Dense);
+        let engine = EngineConfig::stc_like();
+        assert_eq!(engine.execution_mode(NmRatio::S1_4), SparseMode::Nm2of4);
+        assert_eq!(engine.execution_mode(NmRatio::S2_4), SparseMode::Nm2of4);
+        assert_eq!(engine.execution_mode(NmRatio::D4_4), SparseMode::Dense);
     }
 
     #[test]
     fn vegeta_s_exploits_every_pattern() {
-        let session = Session::new(EngineConfig::vegeta_s(16).unwrap());
-        assert_eq!(session.execution_mode(NmRatio::S1_4), SparseMode::Nm1of4);
-        assert_eq!(session.execution_mode(NmRatio::S2_4), SparseMode::Nm2of4);
-        assert_eq!(session.execution_mode(NmRatio::D4_4), SparseMode::Dense);
+        let engine = EngineConfig::vegeta_s(16).unwrap();
+        assert_eq!(engine.execution_mode(NmRatio::S1_4), SparseMode::Nm1of4);
+        assert_eq!(engine.execution_mode(NmRatio::S2_4), SparseMode::Nm2of4);
+        assert_eq!(engine.execution_mode(NmRatio::D4_4), SparseMode::Dense);
     }
 
     #[test]
@@ -1511,8 +1331,12 @@ mod tests {
         let s16 = EngineConfig::vegeta_s(16)
             .unwrap()
             .with_output_forwarding(true);
-        let dm = Session::new(EngineConfig::rasa_dm()).run_layer_scaled(layer, NmRatio::D4_4, 8);
-        let sp = Session::new(s16).run_layer_scaled(layer, NmRatio::S1_4, 8);
+        let dm = Session::new(EngineConfig::rasa_dm()).run(&Cell::layer(
+            layer,
+            Fidelity::Quick(8),
+            NmRatio::D4_4,
+        ));
+        let sp = Session::new(s16).run(&Cell::layer(layer, Fidelity::Quick(8), NmRatio::S1_4));
         let speedup = dm.cycles as f64 / sp.cycles as f64;
         assert!(
             speedup > 2.0,
@@ -1523,11 +1347,11 @@ mod tests {
     #[test]
     fn session_reports_are_self_describing() {
         let layer = &table4()[7];
-        let report = Session::new(EngineConfig::vegeta_s(2).unwrap()).run_layer_scaled(
+        let report = Session::new(EngineConfig::vegeta_s(2).unwrap()).run(&Cell::layer(
             layer,
+            Fidelity::Quick(8),
             NmRatio::S2_4,
-            8,
-        );
+        ));
         assert_eq!(report.workload, "BERT-L2");
         assert_eq!(report.engine, "VEGETA-S-2-2");
         assert_eq!(report.sparsity, "2:4");
@@ -1548,7 +1372,7 @@ mod tests {
             EngineConfig::tmul_like(),
         ] {
             let session = Session::new(engine).with_cache(Arc::clone(&cache));
-            session.run_layer_scaled(layer, NmRatio::S2_4, 8);
+            session.run(&Cell::layer(layer, Fidelity::Quick(8), NmRatio::S2_4));
         }
         assert_eq!(cache.misses(), 1, "one dense trace serves all three");
         assert_eq!(cache.hits(), 2);
@@ -1557,19 +1381,15 @@ mod tests {
     #[test]
     fn network_runs_accumulate_layers_in_order() {
         let layers = vegeta_workloads::layers_of(vegeta_workloads::Network::Bert);
-        let scaled: Vec<Layer> = layers.clone();
         let session = Session::new(EngineConfig::vegeta_s(16).unwrap());
-        // Scale for test speed by running the scaled variants directly.
-        let reports: Vec<RunReport> = scaled
+        // Scaled down for test speed.
+        let network = session.run_network(&layers, NmRatio::S2_4, Fidelity::Quick(8));
+        let reports: Vec<RunReport> = layers
             .iter()
-            .map(|l| session.run_layer_scaled(l, NmRatio::S2_4, 8))
+            .map(|l| session.run(&Cell::layer(l, Fidelity::Quick(8), NmRatio::S2_4)))
             .collect();
-        let network = NetworkReport {
-            engine: session.engine().name().to_string(),
-            sparsity: "2:4".into(),
-            layers: reports.clone(),
-        };
-        assert_eq!(network.layers.len(), 3);
+        assert_eq!(network.layers, reports);
+        assert_eq!(network.sparsity, "2:4");
         assert_eq!(
             network.total_cycles(),
             reports.iter().map(|r| r.cycles).sum::<u64>()
@@ -1581,16 +1401,16 @@ mod tests {
         let layer = &table4()[7];
         let shape = layer.scaled_shape(8);
         let session = Session::new(EngineConfig::vegeta_s(16).unwrap());
-        let dense = session.run_format("f", shape, FormatSpec::Dense);
+        let dense = session.run(&Cell::shape("f", shape, FormatSpec::Dense));
         assert_eq!(dense.kernel, "tiled-dense-u3");
         assert_eq!(dense.format, "dense");
         assert_eq!(dense.a_values_bytes, (shape.m * shape.k * 2) as u64);
         assert_eq!(dense.a_metadata_bits, 0);
-        let s24 = session.run_format("f", shape, FormatSpec::Nm(NmRatio::S2_4));
+        let s24 = session.run(&Cell::shape("f", shape, FormatSpec::Nm(NmRatio::S2_4)));
         assert_eq!(s24.kernel, "tiled-2of4-u3");
         assert_eq!(s24.sparsity, "2:4");
         assert_eq!(s24.a_values_bytes, (shape.m * shape.k) as u64);
-        let rw = session.run_format("f", shape, FormatSpec::RowWise { m: 4 });
+        let rw = session.run(&Cell::shape("f", shape, FormatSpec::RowWise { m: 4 }));
         assert!(rw.kernel.starts_with("rowwise-"));
         assert_eq!(rw.format, "rowwise:4");
         assert!(
@@ -1598,7 +1418,7 @@ mod tests {
             "80%-sparse row-wise storage must be smaller than dense"
         );
         assert!(rw.a_metadata_bits > 0);
-        let csr = session.run_format("f", shape, FormatSpec::Csr);
+        let csr = session.run(&Cell::shape("f", shape, FormatSpec::Csr));
         assert_eq!(
             csr.kernel, "vector-gemm",
             "CSR executes on the vector engine"
@@ -1612,7 +1432,8 @@ mod tests {
         let layer = &table4()[7];
         let shape = layer.scaled_shape(8);
         for engine in [EngineConfig::rasa_dm(), EngineConfig::stc_like()] {
-            let report = Session::new(engine).run_format("f", shape, FormatSpec::RowWise { m: 4 });
+            let report =
+                Session::new(engine).run(&Cell::shape("f", shape, FormatSpec::RowWise { m: 4 }));
             assert_eq!(
                 report.kernel, "tiled-dense-u3",
                 "engines without per-row N:M support decompress and run densely"
@@ -1622,11 +1443,11 @@ mod tests {
         // Block sizes the register images cannot encode fall back to dense
         // even on flexible engines, instead of simulating a datapath the
         // storage layer refuses to pack.
-        let report = Session::new(EngineConfig::vegeta_s(16).unwrap()).run_format(
+        let report = Session::new(EngineConfig::vegeta_s(16).unwrap()).run(&Cell::shape(
             "f",
             shape,
             FormatSpec::RowWise { m: 8 },
-        );
+        ));
         assert_eq!(report.kernel, "tiled-dense-u3");
         assert_eq!(report.format, "dense");
     }
@@ -1636,8 +1457,8 @@ mod tests {
         let layer = &table4()[7];
         let shape = layer.scaled_shape(8);
         let session = Session::new(EngineConfig::vegeta_s(16).unwrap());
-        let a = session.run_format("f", shape, FormatSpec::RowWise { m: 4 });
-        let b = session.run_format("f", shape, FormatSpec::RowWise { m: 4 });
+        let a = session.run(&Cell::shape("f", shape, FormatSpec::RowWise { m: 4 }));
+        let b = session.run(&Cell::shape("f", shape, FormatSpec::RowWise { m: 4 }));
         assert_eq!(a, b, "synthesized covers are seeded by shape");
     }
 
@@ -1710,7 +1531,7 @@ mod tests {
     fn reports_carry_streaming_accounting() {
         let layer = &table4()[7];
         let session = Session::new(EngineConfig::vegeta_s(16).unwrap());
-        let report = session.run_layer_at(layer, NmRatio::S2_4, Fidelity::Quick(8));
+        let report = session.run(&Cell::layer(layer, Fidelity::Quick(8), NmRatio::S2_4));
         assert_eq!(report.fidelity, "quick/8");
         assert_eq!(
             report.insts_streamed, report.instructions,
@@ -1731,34 +1552,12 @@ mod tests {
     fn prebuilt_trace_runs_report_materialized_residency() {
         let shape = GemmShape::new(32, 32, 64);
         let trace = vegeta_kernels::build_trace(shape, SparseMode::Dense, KernelOptions::default());
-        let report = Session::new(EngineConfig::rasa_dm()).run_trace("prebuilt", shape, &trace);
-        assert_eq!(report.insts_streamed, 0, "nothing streamed");
+        let report = CoreSim::new(SimConfig::default(), EngineConfig::rasa_dm()).run(&trace);
         assert_eq!(
             report.peak_resident_bytes,
             trace.len() as u64 * vegeta_isa::TRACE_OP_BYTES as u64,
             "the whole trace was resident"
         );
-    }
-
-    #[test]
-    fn session_progress_observer_sees_completion() {
-        use std::sync::Mutex;
-        let seen: Arc<Mutex<Vec<(String, u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        let session = Session::new(EngineConfig::rasa_dm()).with_progress(Arc::new(
-            move |workload: &str, done, total| {
-                sink.lock()
-                    .unwrap()
-                    .push((workload.to_string(), done, total));
-            },
-        ));
-        let layer = &table4()[7];
-        let report = session.run_layer_at(layer, NmRatio::D4_4, Fidelity::Quick(8));
-        let events = seen.lock().unwrap();
-        let last = events.last().expect("at least the completion event");
-        assert_eq!(last.0, "BERT-L2");
-        assert_eq!(last.1, report.instructions);
-        assert_eq!(last.2, report.instructions, "exact-length totals");
     }
 
     #[test]
@@ -1795,8 +1594,8 @@ mod tests {
         // no shared traffic — cycle-identical to the classic session run.
         let layer = &table4()[7];
         let session = Session::new(EngineConfig::vegeta_s(16).unwrap());
-        let classic = session.run_layer_at(layer, NmRatio::S2_4, Fidelity::Quick(8));
-        let sharded = session.run_layer_cores_at(layer, NmRatio::S2_4, Fidelity::Quick(8), 1);
+        let classic = session.run(&Cell::layer(layer, Fidelity::Quick(8), NmRatio::S2_4));
+        let sharded = session.run(&Cell::layer(layer, Fidelity::Quick(8), NmRatio::S2_4).cores(1));
         assert_eq!(sharded.cycles, classic.cycles);
         assert_eq!(sharded.instructions, classic.instructions);
         assert_eq!(sharded.tile_compute, classic.tile_compute);
@@ -1813,7 +1612,7 @@ mod tests {
         let mut last = u64::MAX;
         for cores in [1usize, 2, 4] {
             let report =
-                session.run_layer_cores_at(layer, NmRatio::S2_4, Fidelity::Quick(4), cores);
+                session.run(&Cell::layer(layer, Fidelity::Quick(4), NmRatio::S2_4).cores(cores));
             assert_eq!(report.cores, cores);
             assert_eq!(report.per_core_cycles.len(), cores);
             assert!(
@@ -1830,27 +1629,6 @@ mod tests {
             }
             last = report.cycles;
         }
-    }
-
-    #[test]
-    fn multi_core_runs_report_progress_too() {
-        use std::sync::Mutex;
-        let seen: Arc<Mutex<Vec<(String, u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        let session = Session::new(EngineConfig::rasa_dm()).with_progress(Arc::new(
-            move |workload: &str, done, total| {
-                sink.lock()
-                    .unwrap()
-                    .push((workload.to_string(), done, total));
-            },
-        ));
-        let layer = &table4()[7];
-        let report = session.run_layer_cores_at(layer, NmRatio::D4_4, Fidelity::Quick(8), 4);
-        let events = seen.lock().unwrap();
-        let last = events.last().expect("at least the completion event");
-        assert_eq!(last.0, "BERT-L2");
-        assert_eq!(last.1, report.instructions);
-        assert_eq!(last.2, report.instructions, "summed shard totals are exact");
     }
 
     #[test]
@@ -1949,13 +1727,15 @@ mod tests {
     fn memoized_sweep_cells_match_fresh_session_runs() {
         // Pattern and format axes (row-wise included) at two fidelities:
         // every sweep cell, whose L1 was recorded or replayed from a memo,
-        // must equal the same cell run fresh through a Session.
+        // must equal the same cell run fresh through a Session, and so must
+        // the cell whose operand is the pattern's kernel spelled out.
         let layer = table4()[7];
         let engines = [
             EngineConfig::rasa_dm(),
             EngineConfig::stc_like(),
             EngineConfig::vegeta_s(16).unwrap(),
         ];
+        let ratios = [NmRatio::S2_4, NmRatio::S1_4];
         let formats = [
             FormatSpec::Dense,
             FormatSpec::RowWise { m: 4 },
@@ -1966,29 +1746,33 @@ mod tests {
             Sweep::new()
                 .with_engines(engines.clone())
                 .with_layer(layer)
-                .with_sparsities([NmRatio::S2_4, NmRatio::S1_4])
+                .with_sparsities(ratios)
                 .with_formats(formats)
                 .with_fidelities(fidelities)
                 .with_threads(threads)
         };
         let mut expected = Vec::new();
         for fidelity in fidelities {
-            let shape = fidelity.shape_of(&layer);
-            for ratio in [NmRatio::S2_4, NmRatio::S1_4] {
+            for ratio in ratios {
                 for engine in &engines {
-                    expected
-                        .push(Session::new(engine.clone()).run_layer_at(&layer, ratio, fidelity));
+                    let session = Session::new(engine.clone());
+                    let fresh = session.run(&Cell::layer(&layer, fidelity, ratio));
+                    let spec = engine.kernel_spec(ratio, KernelOptions::default());
+                    let spelled_out = session.run(&Cell::layer(&layer, fidelity, &spec));
+                    assert_eq!(
+                        RunReport {
+                            sparsity: fresh.sparsity.clone(),
+                            ..spelled_out
+                        },
+                        fresh
+                    );
+                    expected.push(fresh);
                 }
             }
             for format in formats {
                 for engine in &engines {
-                    // `run_format` takes an ad-hoc shape, which it labels
-                    // full fidelity.
-                    let fresh = Session::new(engine.clone()).run_format(layer.name, shape, format);
-                    expected.push(RunReport {
-                        fidelity: fidelity.to_string(),
-                        ..fresh
-                    });
+                    let session = Session::new(engine.clone());
+                    expected.push(session.run(&Cell::layer(&layer, fidelity, format)));
                 }
             }
         }
@@ -2016,6 +1800,41 @@ mod tests {
                 assert_eq!(report.l1_fresh_replays, report.traces_built);
             }
         }
+
+        // A cores axis under both policies runs the sharded branch of the
+        // same cell runner.
+        let policies = [SchedulerPolicy::Static, SchedulerPolicy::Lpt];
+        let report = Sweep::new()
+            .with_engines(engines.clone())
+            .with_layer(layer)
+            .with_sparsity(NmRatio::S2_4)
+            .with_cores([1, 4])
+            .with_schedulers(policies)
+            .with_scale(8)
+            .with_threads(2)
+            .run();
+        let mut expected = Vec::new();
+        for cores in [1, 4] {
+            for policy in policies {
+                for engine in &engines {
+                    let cell = Cell::layer(&layer, Fidelity::Quick(8), NmRatio::S2_4)
+                        .cores(cores)
+                        .scheduler(policy);
+                    expected.push(Session::new(engine.clone()).run(&cell));
+                }
+            }
+        }
+        assert_eq!(report.cells, expected);
+    }
+
+    #[test]
+    fn a_zero_core_cell_is_a_one_core_cell() {
+        let layer = table4()[7];
+        let session = Session::new(EngineConfig::vegeta_s(16).unwrap());
+        let cell = Cell::layer(&layer, Fidelity::Quick(8), NmRatio::S2_4);
+        let one = session.run(&cell.cores(1));
+        assert_eq!(session.run(&cell.cores(0)), one);
+        assert_eq!((one.cores, one.per_core_cycles.len()), (1, 1));
     }
 
     #[test]
@@ -2036,31 +1855,29 @@ mod tests {
 
         let layer = &table4()[7];
         let engines = [EngineConfig::rasa_dm(), EngineConfig::vegeta_s(16).unwrap()];
-        let cells: Vec<GridCell<'_>> = [NmRatio::D4_4, NmRatio::S2_4]
-            .into_iter()
-            .flat_map(|ratio| {
-                engines.iter().map(move |engine| GridCell {
-                    layer,
-                    fidelity: Fidelity::Quick(8),
-                    axis: GridAxis::Pattern(ratio),
-                    cores: None,
-                    scheduler: SchedulerPolicy::default(),
-                    engine,
-                })
-            })
-            .collect();
-        let memos = L1Memos::plan(cells.iter().map(|c| {
-            let GridAxis::Pattern(ratio) = c.axis else {
-                unreachable!()
-            };
-            Some((
-                c.shape(),
-                c.engine.kernel_spec(ratio, KernelOptions::default()),
-            ))
-        }));
+        let shape = Fidelity::Quick(8).shape_of(layer);
+        let memos = L1Memos::plan(
+            [NmRatio::D4_4, NmRatio::S2_4]
+                .into_iter()
+                .flat_map(|ratio| {
+                    engines.iter().map(move |engine| {
+                        Some((shape, engine.kernel_spec(ratio, KernelOptions::default())))
+                    })
+                }),
+        );
         // Cells: dense/DM, dense/S, 2:4/DM (dense trace), 2:4/S.
         assert_eq!(memos.slot_of, vec![Some(0), Some(0), Some(0), Some(1)]);
-        assert_eq!(memos.schedule(&cells), vec![0, 3, 1, 2]);
+        assert_eq!(memos.schedule([shape; 4].into_iter()), vec![0, 3, 1, 2]);
+        // A new shape starts a new block: its first cells run after the
+        // previous block's rest.
+        let other = Fidelity::Quick(4).shape_of(layer);
+        let memos = L1Memos::plan(
+            [shape, shape, other, other]
+                .into_iter()
+                .map(|s| Some((s, KernelSpec::Vector))),
+        );
+        let shapes = [shape, shape, other, other].into_iter();
+        assert_eq!(memos.schedule(shapes), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -2070,21 +1887,14 @@ mod tests {
         // on and off must produce byte-identical reports, single- and
         // multi-core, static and LPT alike.
         let layer = table4()[7];
+        let baseline = Session::new(EngineConfig::vegeta_s(16).unwrap());
+        let single = Cell::layer(&layer, Fidelity::Quick(8), NmRatio::S2_4);
         for enabled in [true, false] {
+            let session = baseline.clone().with_preflight(enabled);
+            assert_eq!(session.run(&single), baseline.run(&single));
             for policy in [SchedulerPolicy::Static, SchedulerPolicy::Lpt] {
-                let session = Session::new(EngineConfig::vegeta_s(16).unwrap())
-                    .with_preflight(enabled)
-                    .with_scheduler(policy);
-                let single = session.run_layer_scaled(&layer, NmRatio::S2_4, 8);
-                let multi =
-                    session.run_layer_cores_at(&layer, NmRatio::S2_4, Fidelity::from_factor(8), 4);
-                let baseline =
-                    Session::new(EngineConfig::vegeta_s(16).unwrap()).with_scheduler(policy);
-                assert_eq!(single, baseline.run_layer_scaled(&layer, NmRatio::S2_4, 8));
-                assert_eq!(
-                    multi,
-                    baseline.run_layer_cores_at(&layer, NmRatio::S2_4, Fidelity::from_factor(8), 4)
-                );
+                let multi = single.cores(4).scheduler(policy);
+                assert_eq!(session.run(&multi), baseline.run(&multi));
             }
         }
     }

@@ -24,9 +24,14 @@ fn prelude_reexports_compile_and_work() {
     let _ = GranularityModel::default();
     let _ = Matrix::<Bf16>::zeros(4, 4);
 
-    // The experiment API: Session/Sweep, kernel polymorphism, reports.
+    // The experiment API: Session/Cell/Sweep, kernel polymorphism, reports.
     let session = Session::new(EngineConfig::stc_like());
-    assert_eq!(session.execution_mode(NmRatio::S1_4), SparseMode::Nm2of4);
+    assert_eq!(
+        session.engine().execution_mode(NmRatio::S1_4),
+        SparseMode::Nm2of4
+    );
+    let cell = Cell::shape("smoke", GemmShape::new(16, 16, 32), NmRatio::S1_4);
+    assert_eq!(session.run(&cell).kernel, "tiled-2of4-u3");
     let spec = KernelSpec::tiled(SparseMode::Dense);
     assert!(!spec.build(GemmShape::new(16, 16, 32)).is_empty());
     let _cache = TraceCache::new();

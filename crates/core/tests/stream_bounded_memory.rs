@@ -1,6 +1,6 @@
 //! Pins the acceptance criterion of the streaming redesign: a
 //! **full-fidelity (unscaled) Table IV layer** replays through
-//! `Session::run_layer_at` on a VEGETA-S engine with peak trace-resident
+//! `Session::run` on a VEGETA-S engine with peak trace-resident
 //! memory bounded by the streaming chunk size — the whole dynamic trace is
 //! never allocated.
 //!
@@ -75,11 +75,11 @@ fn full_fidelity_layer_streams_in_bounded_memory() {
 
     // Warm up once so lazily-initialized state (thread locals, the trace
     // cache's summary map) does not count against the measured replay.
-    let warm = session.run_layer_at(&layer, NmRatio::S2_4, Fidelity::Quick(8));
+    let warm = session.run(&Cell::layer(&layer, Fidelity::Quick(8), NmRatio::S2_4));
     assert!(warm.cycles > 0);
 
     let baseline = reset_peak();
-    let report = session.run_layer_at(&layer, NmRatio::S2_4, Fidelity::Full);
+    let report = session.run(&Cell::layer(&layer, Fidelity::Full, NmRatio::S2_4));
     let peak_live_delta = PEAK.load(Ordering::Relaxed) - baseline;
 
     // The run really was the full layer, streamed end to end.

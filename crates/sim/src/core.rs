@@ -559,20 +559,8 @@ impl CoreSim {
     /// window (ROB, load buffer) is a fixed ring, so memory is bounded by
     /// the stream's chunk size however many instructions flow through.
     pub fn run_stream<S: InstStream>(&mut self, mut stream: S) -> SimResult {
-        self.run_stream_with(&mut stream, None)
-    }
-
-    /// [`CoreSim::run_stream`] with a progress callback, invoked every
-    /// [`PROGRESS_STRIDE`] instructions (and once at completion) with
-    /// `(instructions simulated, total)` — the accounting hook long
-    /// full-fidelity replays surface to their drivers.
-    pub fn run_stream_with<S: InstStream>(
-        &mut self,
-        stream: &mut S,
-        progress: Option<&mut dyn FnMut(u64, u64)>,
-    ) -> SimResult {
         let l1 = L1Path::model(&self.cfg);
-        self.drive(stream, progress, l1).0
+        self.drive(&mut stream, l1).0
     }
 
     /// [`CoreSim::run_stream`] through `memo`, the memory outcome of this
@@ -591,39 +579,19 @@ impl CoreSim {
         memo: &L1Memo,
     ) -> SimResult {
         let config = L1Config::of(&self.cfg);
-        let (result, l1) = self.drive(&mut stream, None, memo.path(config));
+        let (result, l1) = self.drive(&mut stream, memo.path(config));
         memo.finish(l1, config);
         result
     }
 
     /// Runs `stream` to completion on a core whose memory ops take `l1`,
     /// returning the result and the path as the run left it.
-    fn drive<S: InstStream>(
-        &mut self,
-        stream: &mut S,
-        mut progress: Option<&mut dyn FnMut(u64, u64)>,
-        l1: L1Path,
-    ) -> (SimResult, L1Path) {
-        let total = stream.remaining();
+    fn drive<S: InstStream>(&mut self, stream: &mut S, l1: L1Path) -> (SimResult, L1Path) {
         let mut core = Core::with_timer(0, self.cfg.clone(), self.engine.clone());
         core.l1 = l1;
         while let Some(op) = stream.next_op() {
             core.step(op, None);
-            if core.instructions().is_multiple_of(PROGRESS_STRIDE) {
-                if let Some(cb) = progress.as_deref_mut() {
-                    cb(core.instructions(), total);
-                }
-            }
         }
-        // Completion report — unless the stride loop already delivered it
-        // (a trace length that is an exact stride multiple).
-        let instructions = core.instructions();
-        if instructions == 0 || !instructions.is_multiple_of(PROGRESS_STRIDE) {
-            if let Some(cb) = progress {
-                cb(instructions, total);
-            }
-        }
-
         let result = core.result(stream.peak_resident_bytes() as u64);
         // The timer belongs to the simulator across runs (its hazard state
         // deliberately persists for back-to-back replays on one CoreSim).
@@ -631,10 +599,6 @@ impl CoreSim {
         (result, core.l1)
     }
 }
-
-/// Instructions between progress-callback invocations of
-/// [`CoreSim::run_stream_with`].
-pub const PROGRESS_STRIDE: u64 = 1 << 16;
 
 /// Convenience: simulate `trace` on a fresh default core with `engine`.
 pub fn simulate(trace: &Trace, engine: EngineConfig) -> SimResult {
@@ -883,45 +847,6 @@ mod tests {
         assert_eq!(core.instructions(), expected.instructions);
         let got = core.result(expected.peak_resident_bytes);
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn progress_callback_reports_monotonic_counts() {
-        let mut t = Trace::new();
-        for i in 0..500u32 {
-            t.push(TraceOp::Scalar {
-                dst: (i % 8) as u8,
-                src: 0,
-            });
-        }
-        let mut seen: Vec<(u64, u64)> = Vec::new();
-        let mut stream = t.stream();
-        let res = CoreSim::with_engine(EngineConfig::rasa_dm()).run_stream_with(
-            &mut stream,
-            Some(&mut |done: u64, total| seen.push((done, total))),
-        );
-        assert_eq!(res.instructions, 500);
-        assert_eq!(seen.last(), Some(&(500, 500)), "final completion report");
-    }
-
-    #[test]
-    fn progress_completion_fires_once_at_exact_stride_multiples() {
-        let mut t = Trace::new();
-        for i in 0..PROGRESS_STRIDE {
-            t.push(TraceOp::Scalar {
-                dst: (i % 8) as u8,
-                src: 0,
-            });
-        }
-        let mut seen: Vec<u64> = Vec::new();
-        let mut stream = t.stream();
-        CoreSim::with_engine(EngineConfig::rasa_dm())
-            .run_stream_with(&mut stream, Some(&mut |done: u64, _| seen.push(done)));
-        assert_eq!(
-            seen,
-            vec![PROGRESS_STRIDE],
-            "one completion event, not a duplicate"
-        );
     }
 
     #[test]

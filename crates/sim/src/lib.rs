@@ -44,9 +44,7 @@ pub mod event;
 mod memo;
 pub mod multicore;
 
-pub use crate::core::{
-    simulate, simulate_insts, Core, CoreModel, CoreSim, SimConfig, SimResult, PROGRESS_STRIDE,
-};
+pub use crate::core::{simulate, simulate_insts, Core, CoreModel, CoreSim, SimConfig, SimResult};
 pub use cache::{CacheModel, CacheStats, SharedL2, SharedL2Stats, LINE_BYTES};
 pub use event::EventQueue;
 pub use memo::L1Memo;

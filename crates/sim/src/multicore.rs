@@ -79,14 +79,13 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use vegeta_engine::EngineConfig;
 use vegeta_isa::stream::InstStream;
 
 use crate::cache::{CacheStats, SharedL2, SharedL2Stats};
-use crate::core::{Core, CoreModel, SimConfig, SimResult, PROGRESS_STRIDE};
+use crate::core::{Core, CoreModel, SimConfig, SimResult};
 use crate::event::EventQueue;
 
 /// Default shared-L2 capacity in 64 B lines (2 MB, the class of LLC slice
@@ -107,10 +106,6 @@ pub const DEFAULT_BARRIER_LATENCY: u64 = 32;
 /// that keeps the single-thread path honest. Anything but a positive
 /// integer is refused loudly, never guessed at.
 pub const HOST_THREADS_ENV: &str = "VEGETA_HOST_THREADS";
-
-/// Instructions a per-core run retires between hand-offs to the shared
-/// progress counter, which keeps that counter off the per-step path.
-const PROGRESS_BATCH: u64 = 4096;
 
 /// Lines a first-touch summary may hold before it folds into the shared
 /// L2 and starts over, which bounds each host thread's summary at a few
@@ -436,22 +431,7 @@ impl<C: CoreModel> MultiCoreSim<C> {
     where
         C: Send,
     {
-        self.run_sharded_with(streams, None, SchedulerPolicy::Static, None)
-    }
-
-    /// [`MultiCoreSim::run_streams`] with a progress callback, invoked
-    /// every [`PROGRESS_STRIDE`] instructions (summed across cores) and
-    /// once at completion with `(instructions simulated, exact total)` —
-    /// the same contract long single-core replays honour.
-    pub fn run_streams_with<S: InstStream + Send>(
-        &mut self,
-        streams: Vec<S>,
-        progress: Option<&mut dyn FnMut(u64, u64)>,
-    ) -> MultiCoreResult
-    where
-        C: Send,
-    {
-        self.run_sharded_with(streams, None, SchedulerPolicy::Static, progress)
+        self.run_sharded(streams, None, SchedulerPolicy::Static)
     }
 
     /// Runs a sharded workload to completion: `shards` are assigned to
@@ -477,31 +457,13 @@ impl<C: CoreModel> MultiCoreSim<C> {
     where
         C: Send,
     {
-        self.run_sharded_with(shards, reduction, policy, None)
-    }
-
-    /// [`MultiCoreSim::run_sharded`] with a progress callback (the
-    /// [`MultiCoreSim::run_streams_with`] contract; reduction ops count
-    /// toward the total). The callback observes the same `(done, total)`
-    /// sequence in every [`ExecMode`].
-    pub fn run_sharded_with<S: InstStream + Send>(
-        &mut self,
-        shards: Vec<S>,
-        reduction: Option<S>,
-        policy: SchedulerPolicy,
-        progress: Option<&mut dyn FnMut(u64, u64)>,
-    ) -> MultiCoreResult
-    where
-        C: Send,
-    {
-        let mut progress = Progress::new(&shards, reduction.as_ref(), progress);
         let mut lanes = assign_lanes(policy, shards, self.cores.len());
         if self.cfg.prefetched {
-            self.run_per_core(&mut lanes, &mut progress);
+            self.run_per_core(&mut lanes);
         } else {
-            self.run_merged(&mut lanes, MergeLoop::EventDriven, &mut progress);
+            self.run_merged(&mut lanes, MergeLoop::EventDriven);
         }
-        self.finish(lanes, reduction, progress)
+        self.finish(lanes, reduction)
     }
 
     /// [`MultiCoreSim::run_sharded`] driven by the retained linear-scan
@@ -521,18 +483,16 @@ impl<C: CoreModel> MultiCoreSim<C> {
         reduction: Option<S>,
         policy: SchedulerPolicy,
     ) -> MultiCoreResult {
-        let mut progress = Progress::new(&shards, reduction.as_ref(), None);
         let mut lanes = assign_lanes(policy, shards, self.cores.len());
-        self.run_merged(&mut lanes, MergeLoop::SteppedScan, &mut progress);
-        self.finish(lanes, reduction, progress)
+        self.run_merged(&mut lanes, MergeLoop::SteppedScan);
+        self.finish(lanes, reduction)
     }
 
     /// The main phase under the prefetch assumption: every core runs its
     /// lane to completion on its own, against a private first-touch
     /// summary that folds into the real shared L2 whenever it fills up
     /// and when the core finishes. Up to `resolved_host_threads` cores run
-    /// at once; the calling thread is one of them and delivers the
-    /// progress reports.
+    /// at once; the calling thread is one of them.
     ///
     /// *Soundness.* With every lookup at the same latency, the interleave
     /// only decides each line's first toucher: the smallest `(wake time,
@@ -540,11 +500,8 @@ impl<C: CoreModel> MultiCoreSim<C> {
     /// core's clock before that step, and the fold keeps the smallest
     /// claim in any cross-core order. Lines resident before the run are
     /// settled first.
-    fn run_per_core<S: InstStream + Send>(
-        &mut self,
-        lanes: &mut [Lane<S>],
-        progress: &mut Progress<'_>,
-    ) where
+    fn run_per_core<S: InstStream + Send>(&mut self, lanes: &mut [Lane<S>])
+    where
         C: Send,
     {
         let threads = self.cfg.resolved_host_threads();
@@ -552,15 +509,14 @@ impl<C: CoreModel> MultiCoreSim<C> {
         self.shared_l2.settle();
         let jobs = Mutex::new(self.cores.iter_mut().zip(lanes));
         let l2 = Mutex::new(&mut self.shared_l2);
-        let done = AtomicU64::new(0);
         // Runs cores off the job list until it is empty.
-        let work = |report: &mut dyn FnMut(u64)| {
+        let work = || {
             let mut summary = SharedL2::new(1, hit_latency, hit_latency).with_prefetched(true);
             loop {
                 let job = jobs.lock().expect("a simulation worker panicked").next();
                 let Some((core, lane)) = job else { return };
                 loop {
-                    let drained = lane.run_alone(core, &mut summary, report);
+                    let drained = lane.run_alone(core, &mut summary);
                     l2.lock()
                         .expect("a simulation worker panicked")
                         .fold(&mut summary);
@@ -572,25 +528,15 @@ impl<C: CoreModel> MultiCoreSim<C> {
         };
         std::thread::scope(|scope| {
             for _ in 1..threads {
-                scope.spawn(|| {
-                    work(&mut |ops| {
-                        done.fetch_add(ops, Ordering::Relaxed);
-                    });
-                });
+                scope.spawn(work);
             }
-            work(&mut |ops| progress.catch_up(done.fetch_add(ops, Ordering::Relaxed) + ops));
+            work();
         });
-        progress.catch_up(done.into_inner());
     }
 
     /// Interleaves the lanes in core-local time order on this thread,
     /// every core stepping against the real shared L2.
-    fn run_merged<S: InstStream>(
-        &mut self,
-        lanes: &mut [Lane<S>],
-        merge: MergeLoop,
-        progress: &mut Progress<'_>,
-    ) {
+    fn run_merged<S: InstStream>(&mut self, lanes: &mut [Lane<S>], merge: MergeLoop) {
         let (cores, l2) = (&mut self.cores, &mut self.shared_l2);
         match merge {
             MergeLoop::EventDriven => {
@@ -603,7 +549,6 @@ impl<C: CoreModel> MultiCoreSim<C> {
                 }
                 while let Some((_, i)) = wake.pop() {
                     if lanes[i].advance(&mut cores[i], l2) {
-                        progress.advance(1);
                         wake.push(cores[i].cycles(), i);
                     }
                 }
@@ -615,9 +560,7 @@ impl<C: CoreModel> MultiCoreSim<C> {
                     .filter(|&i| live[i])
                     .min_by_key(|&i| (cores[i].cycles(), i))
                 {
-                    if lanes[i].advance(&mut cores[i], l2) {
-                        progress.advance(1);
-                    } else {
+                    if !lanes[i].advance(&mut cores[i], l2) {
                         live[i] = false;
                     }
                 }
@@ -632,7 +575,6 @@ impl<C: CoreModel> MultiCoreSim<C> {
         &mut self,
         mut lanes: Vec<Lane<S>>,
         reduction: Option<S>,
-        mut progress: Progress<'_>,
     ) -> MultiCoreResult {
         let slowest = self.cores.iter().map(CoreModel::cycles).max().unwrap_or(0);
         let mut reduction_cycles = 0;
@@ -641,12 +583,9 @@ impl<C: CoreModel> MultiCoreSim<C> {
             // already knows every line's first toucher.
             let before = self.cores[0].cycles();
             lanes[0].streams.push_back(stream);
-            while lanes[0].advance(&mut self.cores[0], &mut self.shared_l2) {
-                progress.advance(1);
-            }
+            while lanes[0].advance(&mut self.cores[0], &mut self.shared_l2) {}
             reduction_cycles = self.cores[0].cycles() - before;
         }
-        progress.finish();
 
         let per_core: Vec<SimResult> = self
             .cores
@@ -693,79 +632,14 @@ impl<S: InstStream> Lane<S> {
     /// lane drains (`true`) or the summary holds [`SUMMARY_LINES`] lines
     /// (`false`). Each step's accesses are stamped with the core's clock
     /// before the step: the time the core-local time order would wake it.
-    /// Hands `report` the retired-instruction count every
-    /// [`PROGRESS_BATCH`] instructions and on return.
-    fn run_alone<C: CoreModel>(
-        &mut self,
-        core: &mut C,
-        summary: &mut SharedL2,
-        report: &mut dyn FnMut(u64),
-    ) -> bool {
-        let mut pending = 0;
-        let drained = loop {
+    fn run_alone<C: CoreModel>(&mut self, core: &mut C, summary: &mut SharedL2) -> bool {
+        loop {
             if summary.resident_lines() >= SUMMARY_LINES {
-                break false;
+                return false;
             }
             summary.set_now(core.cycles());
             if !self.advance(core, summary) {
-                break true;
-            }
-            pending += 1;
-            if pending == PROGRESS_BATCH {
-                report(pending);
-                pending = 0;
-            }
-        };
-        report(pending);
-        drained
-    }
-}
-
-/// The progress contract of a multi-core run: `(done, total)` at every
-/// [`PROGRESS_STRIDE`] retired instructions, then once at completion unless
-/// the last stride already was it. Reduction ops count toward the total.
-struct Progress<'a> {
-    done: u64,
-    total: u64,
-    callback: Option<&'a mut dyn FnMut(u64, u64)>,
-}
-
-impl<'a> Progress<'a> {
-    fn new<S: InstStream>(
-        shards: &[S],
-        reduction: Option<&S>,
-        callback: Option<&'a mut dyn FnMut(u64, u64)>,
-    ) -> Self {
-        let total = shards.iter().map(InstStream::remaining).sum::<u64>()
-            + reduction.map_or(0, InstStream::remaining);
-        Progress {
-            done: 0,
-            total,
-            callback,
-        }
-    }
-
-    /// Counts `ops` more retired instructions.
-    fn advance(&mut self, ops: u64) {
-        self.catch_up(self.done + ops);
-    }
-
-    /// Counts retired instructions up to `done`, reporting every stride
-    /// passed on the way.
-    fn catch_up(&mut self, done: u64) {
-        if let Some(callback) = self.callback.as_deref_mut() {
-            for stride in self.done / PROGRESS_STRIDE + 1..=done / PROGRESS_STRIDE {
-                callback(stride * PROGRESS_STRIDE, self.total);
-            }
-        }
-        self.done = done;
-    }
-
-    /// Delivers the completion report.
-    fn finish(self) {
-        if self.done == 0 || !self.done.is_multiple_of(PROGRESS_STRIDE) {
-            if let Some(callback) = self.callback {
-                callback(self.done, self.total);
+                return true;
             }
         }
     }
@@ -1284,39 +1158,6 @@ mod tests {
             SchedulerPolicy::Lpt,
         );
         assert!(res.shared_l2.misses > 0, "cold lines miss");
-    }
-
-    #[test]
-    fn progress_sequence_is_identical_across_exec_modes() {
-        // Two ~36k-op shards cross PROGRESS_STRIDE once; the callback must
-        // observe every stride and then the completion, in order, whether
-        // the cores ran inline, on several host threads, or (cold L2)
-        // through the event merge.
-        let shard = mixed_trace(12_000, 64);
-        let engine = EngineConfig::rasa_dm();
-        let collect = |exec: ExecMode, prefetched: bool| {
-            let mut seen: Vec<(u64, u64)> = Vec::new();
-            let mut cb = |d: u64, t: u64| seen.push((d, t));
-            let mut cfg = MultiCoreConfig::new(2).with_exec(exec);
-            cfg.prefetched = prefetched;
-            MultiCoreSim::new(cfg, engine.clone()).run_sharded_with(
-                vec![shard.stream(), shard.stream()],
-                None,
-                SchedulerPolicy::Lpt,
-                Some(&mut cb),
-            );
-            seen
-        };
-        let total = 2 * shard.len() as u64;
-        let expected = vec![(PROGRESS_STRIDE, total), (total, total)];
-        for exec in [ExecMode::Sequential, ExecMode::ParallelHost(2)] {
-            assert_eq!(collect(exec, true), expected, "{exec:?}");
-        }
-        assert_eq!(
-            collect(ExecMode::ParallelHost(2), false),
-            expected,
-            "cold L2"
-        );
     }
 
     #[test]

@@ -35,7 +35,11 @@ fn main() {
         let session = Session::new(engine).with_cache(Arc::clone(&cache));
         let cycles: Vec<u64> = [NmRatio::D4_4, NmRatio::S2_4, NmRatio::S1_4]
             .into_iter()
-            .map(|ratio| session.run_layer_scaled(&layer, ratio, quick).cycles)
+            .map(|ratio| {
+                session
+                    .run(&Cell::layer(&layer, Fidelity::from_factor(quick), ratio))
+                    .cycles
+            })
             .collect();
         println!(
             "{:<16} {:>9.3} {:>9.3} {:>7.2} {:>12} {:>12} {:>12}",

@@ -31,6 +31,7 @@ fn print_suite(result: &NetworkReport, baseline: Option<&NetworkReport>) {
 
 fn main() {
     let quick = quick_factor();
+    let fidelity = Fidelity::from_factor(quick);
     if quick > 1 {
         println!("(quick mode: layer dims / {quick})");
     }
@@ -59,8 +60,8 @@ fn main() {
             macs
         );
         for ratio in figure13_sparsities() {
-            let base = dm.run_network_scaled(&layers, ratio, quick);
-            let ours = vegeta_session.run_network_scaled(&layers, ratio, quick);
+            let base = dm.run_network(&layers, ratio, fidelity);
+            let ours = vegeta_session.run_network(&layers, ratio, fidelity);
             println!(" weights {ratio}:");
             print_suite(&base, None);
             print_suite(&ours, Some(&base));
@@ -68,7 +69,7 @@ fn main() {
     }
     println!("\nper-layer breakdown (ResNet50 at 2:4 on VEGETA-S-16-2+OF):");
     let layers = layers_of(Network::ResNet50);
-    let res = vegeta_session.run_network_scaled(&layers, NmRatio::S2_4, quick);
+    let res = vegeta_session.run_network(&layers, NmRatio::S2_4, fidelity);
     for layer in &res.layers {
         println!(
             "  {:<14} {:>12} cycles  (kernel {})",

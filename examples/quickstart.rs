@@ -1,6 +1,6 @@
-//! Quickstart: the `Session`/`Sweep` experiment API.
+//! Quickstart: the `Session`/`Cell`/`Sweep` experiment API.
 //!
-//! Four steps: (1) ask one engine one question with a `Session`, (2) check
+//! Four steps: (1) ask one engine one question: a `Session` runs a `Cell`, (2) check
 //! the numerics are real with the functional executor, (3) sweep a whole
 //! engine x sparsity grid in parallel with `Sweep` and read the structured
 //! report, (4) replay a **full-fidelity** (unscaled) Table IV layer
@@ -25,8 +25,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let vegeta_engine = EngineConfig::vegeta_s(16)
         .expect("valid alpha")
         .with_output_forwarding(true);
-    let ours = Session::new(vegeta_engine).run_layer_scaled(&layer, NmRatio::S2_4, quick);
-    let base = Session::new(EngineConfig::rasa_dm()).run_layer_scaled(&layer, NmRatio::S2_4, quick);
+    let cell = Cell::layer(&layer, Fidelity::Quick(quick), NmRatio::S2_4);
+    let ours = Session::new(vegeta_engine).run(&cell);
+    let base = Session::new(EngineConfig::rasa_dm()).run(&cell);
     println!(
         "{} at {} sparsity (shape {}x{}x{}, 1/{quick} scale):",
         ours.workload, ours.sparsity, ours.shape.m, ours.shape.n, ours.shape.k
@@ -111,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .find(|l| l.name == "ResNet50-L6")
         .expect("Table IV layer");
     let session = Session::new(EngineConfig::vegeta_s(16).expect("valid alpha"));
-    let full = session.run_layer_at(&full_layer, NmRatio::S2_4, Fidelity::Full);
+    let full = session.run(&Cell::layer(&full_layer, Fidelity::Full, NmRatio::S2_4));
     println!(
         "\nfull fidelity: {} ({}x{}x{}) on {}: {} cycles, {} insts streamed, \
          peak trace residency {} B (materialized would be {} B)",

@@ -2,7 +2,7 @@
 //! cores.
 //!
 //! Four steps: (1) run one Table IV layer sharded across 1–16 cores with
-//! `Session::run_layer_cores` and read the makespan, per-core cycles,
+//! `Session::run` on a `Cell` with `cores(n)` and read the makespan, per-core cycles,
 //! parallel efficiency and shared-L2 reuse off the report (2D shard
 //! plans with LPT packing by default — no stranded cores); (2) duel the
 //! scheduler policies: the legacy static 1D path vs LPT at 16 cores;
@@ -21,9 +21,9 @@ fn main() {
     let quick = if quick_factor() > 1 { 4 } else { 2 };
     let layer = table4()[7]; // BERT-L2: tall enough to shard 16 ways.
 
-    // 1. One layer, one engine, more and more cores. The Session defaults
-    //    to SchedulerPolicy::Lpt: 2D/K-split shard plans, packed onto
-    //    cores by exact stream length.
+    // 1. One layer, one engine, more and more cores. A sharded cell
+    //    defaults to SchedulerPolicy::Lpt: 2D/K-split shard plans, packed
+    //    onto cores by exact stream length.
     let session = Session::new(
         EngineConfig::vegeta_s(16)
             .expect("valid alpha")
@@ -38,9 +38,10 @@ fn main() {
         "{:>6} {:>12} {:>9} {:>11} {:>14} {:>9}",
         "cores", "cycles", "speedup", "efficiency", "L2 shared-hit", "stranded"
     );
-    let base = session.run_layer_cores_at(&layer, NmRatio::S2_4, Fidelity::Quick(quick), 1);
+    let cell = Cell::layer(&layer, Fidelity::Quick(quick), NmRatio::S2_4);
+    let base = session.run(&cell.cores(1));
     for cores in [1usize, 2, 4, 8, 16] {
-        let r = session.run_layer_cores_at(&layer, NmRatio::S2_4, Fidelity::Quick(quick), cores);
+        let r = session.run(&cell.cores(cores));
         println!(
             "{:>6} {:>12} {:>8.2}x {:>11.3} {:>14} {:>9}",
             r.cores,
@@ -57,13 +58,7 @@ fn main() {
     //    11 accumulator groups, so static strands 5+ cores outright.
     println!("\nscheduler duel at 16 cores:");
     for policy in [SchedulerPolicy::Static, SchedulerPolicy::Lpt] {
-        let session = Session::new(
-            EngineConfig::vegeta_s(16)
-                .expect("valid alpha")
-                .with_output_forwarding(true),
-        )
-        .with_scheduler(policy);
-        let r = session.run_layer_cores_at(&layer, NmRatio::S2_4, Fidelity::Quick(quick), 16);
+        let r = session.run(&cell.cores(16).scheduler(policy));
         println!(
             "  {:<8} {:>12} cycles, efficiency {:>5.3}, {} of {} cores stranded",
             r.scheduler,
@@ -103,7 +98,7 @@ fn main() {
 
     // 4. The raw harness: plan the shard set yourself and run it on an
     //    explicitly configured MultiCoreSim (cold shared L2, pricier
-    //    barrier) — the knobs the Session defaults hide.
+    //    barrier) — the knobs a Session keeps at their defaults.
     let spec = KernelSpec::tiled(SparseMode::Nm2of4);
     let shape = layer.scaled_shape(quick);
     let plan = spec.shard_plan(shape, 4);

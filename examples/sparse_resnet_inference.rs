@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut baseline = None;
     for engine in engines {
         let session = Session::new(engine).with_cache(Arc::clone(&cache));
-        let report = session.run_layer(&layer, NmRatio::S2_4);
+        let report = session.run(&Cell::layer(&layer, Fidelity::Full, NmRatio::S2_4));
         let speedup = baseline.map_or(1.0, |b: u64| b as f64 / report.cycles as f64);
         baseline.get_or_insert(report.cycles);
         println!(

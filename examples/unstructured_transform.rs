@@ -64,18 +64,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .expect("valid alpha")
             .with_output_forwarding(true),
     );
-    let rowwise = session.run_spec(
+    let rowwise = session.run(&Cell::shape(
         "unstructured-95",
         shape,
         &KernelSpec::RowWise {
             row_ratios: covers.clone(),
         },
-    );
-    let dense = session.run_spec(
+    ));
+    let dense = session.run(&Cell::shape(
         "unstructured-95",
         shape,
         &KernelSpec::tiled(SparseMode::Dense),
-    );
+    ));
     println!(
         "timing on {}: row-wise {} cycles vs dense {} cycles ({:.2}x)",
         rowwise.engine,

@@ -35,8 +35,8 @@ fn one_core_shard_is_cycle_identical_to_coresim() {
             .with_output_forwarding(true),
     ] {
         let session = Session::new(engine.clone());
-        let classic = session.run_layer_at(&layer, NmRatio::D4_4, fidelity);
-        let sharded = session.run_layer_cores_at(&layer, NmRatio::D4_4, fidelity, 1);
+        let classic = session.run(&Cell::layer(&layer, fidelity, NmRatio::D4_4));
+        let sharded = session.run(&Cell::layer(&layer, fidelity, NmRatio::D4_4).cores(1));
         assert_eq!(
             sharded.cycles,
             classic.cycles,
@@ -58,7 +58,7 @@ fn dense_layer_cycles_are_monotone_from_1_to_8_cores() {
     let session = Session::new(EngineConfig::rasa_dm());
     let mut cycles = Vec::new();
     for cores in [1usize, 2, 4, 8] {
-        let report = session.run_layer_cores_at(&layer, NmRatio::D4_4, fidelity, cores);
+        let report = session.run(&Cell::layer(&layer, fidelity, NmRatio::D4_4).cores(cores));
         assert_eq!(report.cores, cores);
         assert_eq!(report.per_core_cycles.len(), cores);
         let slowest = *report.per_core_cycles.iter().max().unwrap();
@@ -89,9 +89,9 @@ fn sharded_replay_is_functionally_invariant() {
     let (layer, fidelity) = tall_dense_layer();
     let shape = fidelity.shape_of(&layer);
     let session = Session::new(EngineConfig::vegeta_s(4).unwrap());
-    let single = session.run_layer_cores_at(&layer, NmRatio::S2_4, fidelity, 1);
+    let single = session.run(&Cell::layer(&layer, fidelity, NmRatio::S2_4).cores(1));
     for cores in [2usize, 3, 8] {
-        let multi = session.run_layer_cores_at(&layer, NmRatio::S2_4, fidelity, cores);
+        let multi = session.run(&Cell::layer(&layer, fidelity, NmRatio::S2_4).cores(cores));
         assert_eq!(multi.instructions, single.instructions, "{cores} cores");
         assert_eq!(multi.tile_compute, single.tile_compute, "{cores} cores");
         assert_eq!(multi.shape, shape);
@@ -106,7 +106,7 @@ fn sharded_replay_is_functionally_invariant() {
 fn shared_l2_sees_cross_core_reuse_on_shared_b_tiles() {
     let (layer, fidelity) = tall_dense_layer();
     let session = Session::new(EngineConfig::rasa_dm());
-    let report = session.run_layer_cores_at(&layer, NmRatio::D4_4, fidelity, 4);
+    let report = session.run(&Cell::layer(&layer, fidelity, NmRatio::D4_4).cores(4));
     // Every shard reads the same B tiles: three of the four cores re-touch
     // lines the first toucher brought in.
     assert!(
@@ -163,7 +163,7 @@ fn sharded_streams_replay_in_bounded_memory() {
     // residency is one chunk per shard, far below the materialized trace.
     let (layer, _) = tall_dense_layer();
     let session = Session::new(EngineConfig::rasa_dm());
-    let report = session.run_layer_cores_at(&layer, NmRatio::D4_4, Fidelity::Quick(2), 8);
+    let report = session.run(&Cell::layer(&layer, Fidelity::Quick(2), NmRatio::D4_4).cores(8));
     let trace_bytes = report.instructions * vegeta::isa::TRACE_OP_BYTES as u64;
     assert!(
         report.peak_resident_bytes < trace_bytes / 4,

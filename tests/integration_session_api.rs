@@ -60,9 +60,9 @@ fn trace_cache_hits_equal_cold_builds() {
     let engine = EngineConfig::vegeta_s(16).unwrap();
     let warm_session = Session::new(engine.clone()).with_cache(Arc::clone(&cache));
     let cold_session = Session::new(engine); // private, empty cache
-    let first = warm_session.run_shape("BERT-L2", shape, NmRatio::S2_4);
-    let hit = warm_session.run_shape("BERT-L2", shape, NmRatio::S2_4);
-    let cold = cold_session.run_shape("BERT-L2", shape, NmRatio::S2_4);
+    let first = warm_session.run(&Cell::shape("BERT-L2", shape, NmRatio::S2_4));
+    let hit = warm_session.run(&Cell::shape("BERT-L2", shape, NmRatio::S2_4));
+    let cold = cold_session.run(&Cell::shape("BERT-L2", shape, NmRatio::S2_4));
     assert_eq!(first, hit, "a cache hit must not change the result");
     assert_eq!(first, cold, "a cached trace must equal a cold build");
     assert_eq!(cache.misses(), 1);
@@ -114,8 +114,11 @@ fn parallel_sweep_is_deterministic_and_equals_serial() {
 /// Reports must round-trip through their JSON form unchanged.
 #[test]
 fn run_report_json_round_trips() {
-    let report =
-        Session::new(EngineConfig::stc_like()).run_layer_scaled(&table4()[10], NmRatio::S1_4, 8);
+    let report = Session::new(EngineConfig::stc_like()).run(&Cell::layer(
+        &table4()[10],
+        Fidelity::Quick(8),
+        NmRatio::S1_4,
+    ));
     let text = report.to_json();
     let back = RunReport::from_json(&text).expect("valid JSON");
     assert_eq!(back, report);
@@ -148,7 +151,7 @@ fn execution_modes_follow_section6c_through_the_api() {
             "tiled-1of4-u3",
         ),
     ] {
-        let report = Session::new(engine).run_shape("probe", shape, weights);
+        let report = Session::new(engine).run(&Cell::shape("probe", shape, weights));
         assert_eq!(report.kernel, kernel);
     }
 }

@@ -7,7 +7,7 @@ use vegeta::workloads::table4;
 
 fn cycles(engine: &EngineConfig, shape: GemmShape, weights: NmRatio) -> u64 {
     Session::new(engine.clone())
-        .run_shape("trend", shape, weights)
+        .run(&Cell::shape("trend", shape, weights))
         .cycles
 }
 
@@ -136,10 +136,10 @@ fn output_forwarding_helps_dependent_kernels() {
     };
     let base = EngineConfig::vegeta_s(16).unwrap();
     let no_of = Session::new(base.clone())
-        .run_spec("bert-dep", shape, &dep_spec)
+        .run(&Cell::shape("bert-dep", shape, &dep_spec))
         .cycles;
     let with_of = Session::new(base.with_output_forwarding(true))
-        .run_spec("bert-dep", shape, &dep_spec)
+        .run(&Cell::shape("bert-dep", shape, &dep_spec))
         .cycles;
     let reduction = 1.0 - with_of as f64 / no_of as f64;
     assert!(

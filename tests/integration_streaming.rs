@@ -135,21 +135,20 @@ fn streamed_functional_execution_is_result_identical() {
 
 #[test]
 fn sessions_stream_cycle_identically_to_prebuilt_traces() {
-    // `Session::run_spec` streams; `Session::run_trace` replays the
-    // materialized build. Same cycles, different residency accounting.
+    // `Session::run` streams; `CoreSim::run` replays the materialized
+    // build. Same cycles, different residency accounting.
     let layer = &table4()[7];
     let shape = layer.scaled_shape(8);
     let cache = Arc::new(TraceCache::new());
     for spec in specs_for_every_format() {
         let session =
             Session::new(EngineConfig::vegeta_s(16).unwrap()).with_cache(Arc::clone(&cache));
-        let streamed = session.run_spec("cell", shape, &spec);
+        let streamed = session.run(&Cell::shape("cell", shape, &spec));
         let trace = spec.build(shape);
-        let prebuilt = session.run_trace("cell", shape, &trace);
-        assert_eq!(streamed.cycles, prebuilt.cycles, "{}", spec.name());
+        let prebuilt = CoreSim::with_engine(session.engine().clone()).run(&trace);
+        assert_eq!(streamed.cycles, prebuilt.core_cycles, "{}", spec.name());
         assert_eq!(streamed.instructions, prebuilt.instructions);
         assert_eq!(streamed.insts_streamed, streamed.instructions);
-        assert_eq!(prebuilt.insts_streamed, 0);
         assert_eq!(
             prebuilt.peak_resident_bytes,
             trace.len() as u64 * TRACE_OP_BYTES as u64
