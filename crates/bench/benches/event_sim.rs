@@ -1,8 +1,7 @@
-//! Criterion throughput benchmarks for the event-driven simulator
-//! rewrite: the [`EventQueue`] merge primitive on its own, the batched
-//! `TileView` functional compute paths (GEMM and the 2:4/1:4 SPMM
-//! decoders), and the production multi-core path against the retained
-//! stepped scan.
+//! Criterion throughput benchmarks for the simulator's hot paths: the
+//! batched `TileView` functional compute paths (GEMM and the 2:4/1:4 SPMM
+//! decoders), the multi-core path against the stepped reference scan, and
+//! the single-core streamed replay.
 //!
 //! All cycle outputs are asserted equal elsewhere
 //! (`sim/tests/event_vs_stepped.rs`); these benches track the *speed*
@@ -12,37 +11,11 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use vegeta::isa::stream::InstStream;
 use vegeta::kernels::KernelEmitter;
 use vegeta::prelude::*;
-use vegeta::sim::EventQueue;
 
 /// Mid-size 2:4 layer: large enough to exercise every pipeline stage,
 /// small enough for stable iterations.
 fn bench_shape() -> GemmShape {
     GemmShape::new(128, 128, 512)
-}
-
-/// The event queue alone: the per-step cost the merge loop pays. One
-/// iteration is 8 live cores rescheduled 1024 times each — the steady
-/// state of `run_sharded` — so ns/iter ÷ 8192 is the per-event overhead.
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue_reschedule_8x1024", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::with_capacity(8);
-            for core in 0..8usize {
-                q.push(core as u64, core);
-            }
-            let mut live = 8 * 1024u32;
-            let mut checksum = 0u64;
-            while let Some((now, core)) = q.pop() {
-                checksum ^= now.wrapping_mul(core as u64 + 1);
-                live -= 1;
-                if live >= 8 {
-                    // Uneven strides keep the heap honestly reordering.
-                    q.push(now + 3 + (core as u64 * 7) % 11, core);
-                }
-            }
-            checksum
-        });
-    });
 }
 
 /// The batched functional compute paths: one iteration fully executes a
@@ -71,10 +44,10 @@ fn bench_batched_exec(c: &mut Criterion) {
     }
 }
 
-/// The production multi-core path (per-core runs under the default
-/// prefetch assumption; the bench keeps its historical name) against the
-/// stepped linear-scan reference over the same 8-core LPT shard set: it
-/// must beat (and never drift from) the reference.
+/// The multi-core path (each core run on its own, then folded; the bench
+/// keeps its historical name) against the stepped linear-scan reference
+/// over the same 8-core LPT shard set: it must beat (and never drift from)
+/// the reference.
 fn bench_merge_loops(c: &mut Criterion) {
     let shape = bench_shape();
     let spec = KernelSpec::tiled(SparseMode::Nm2of4);
@@ -110,10 +83,5 @@ fn bench_merge_loops(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_event_queue,
-    bench_batched_exec,
-    bench_merge_loops
-);
+criterion_group!(benches, bench_batched_exec, bench_merge_loops);
 criterion_main!(benches);

@@ -924,20 +924,13 @@ impl Sweep {
         self
     }
 
-    /// Adds one scheduler policy to the grid (see
-    /// [`Sweep::with_schedulers`]).
-    pub fn with_scheduler(mut self, scheduler: SchedulerPolicy) -> Self {
-        self.schedulers.push(scheduler);
-        self
-    }
-
     /// Adds scheduler policies to the grid, making shard scheduling a
     /// sweepable axis: every multi-core cell runs once per policy
     /// (`with_schedulers([Static, Lpt])` pins the legacy 1D split against
-    /// load-aware 2D/K-split packing). Only meaningful combined with a
-    /// cores axis — the classic single-core path ignores the policy. When
-    /// no policy is given, multi-core cells run the default
-    /// ([`SchedulerPolicy::Lpt`]).
+    /// load-aware 2D/K-split packing). The axis applies only to cells with
+    /// a core count: the classic single-core path ignores the policy, so
+    /// without a cores axis each grid point runs once. When no policy is
+    /// given, multi-core cells run the default ([`SchedulerPolicy::Lpt`]).
     pub fn with_schedulers(
         mut self,
         schedulers: impl IntoIterator<Item = SchedulerPolicy>,
@@ -946,22 +939,23 @@ impl Sweep {
         self
     }
 
-    /// The grid's cores axis: `None` marks the classic single-core path.
-    fn effective_cores(&self) -> Vec<Option<usize>> {
+    /// The grid's `(cores, scheduler)` points, in report order. `None`
+    /// cores marks the classic single-core path, which ignores the policy
+    /// and so runs once, under the default. Cells with cores run once per
+    /// policy, the default when none was given.
+    fn core_points(&self) -> Vec<(Option<usize>, SchedulerPolicy)> {
         if self.cores.is_empty() {
-            vec![None]
-        } else {
-            self.cores.iter().map(|&c| Some(c)).collect()
+            return vec![(None, SchedulerPolicy::default())];
         }
-    }
-
-    /// The grid's scheduler axis: the default policy when none was given.
-    fn effective_schedulers(&self) -> Vec<SchedulerPolicy> {
-        if self.schedulers.is_empty() {
+        let schedulers = if self.schedulers.is_empty() {
             vec![SchedulerPolicy::default()]
         } else {
             self.schedulers.clone()
-        }
+        };
+        self.cores
+            .iter()
+            .flat_map(|&cores| schedulers.iter().map(move |&p| (Some(cores), p)))
+            .collect()
     }
 
     /// The grid's fidelity axis: explicit entries, else the scale factor.
@@ -1012,8 +1006,7 @@ impl Sweep {
         self.engines.len()
             * self.layers.len()
             * self.effective_fidelities().len()
-            * self.effective_cores().len()
-            * self.effective_schedulers().len()
+            * self.core_points().len()
             * (self.sparsities.len() + self.formats.len())
     }
 
@@ -1055,26 +1048,19 @@ impl Sweep {
             .chain(self.formats.iter().map(|&f| Operand::Format(f)))
             .collect();
         let fidelities = self.effective_fidelities();
-        let cores_axis = self.effective_cores();
-        let scheduler_axis = self.effective_schedulers();
+        let core_points = self.core_points();
         let mut cells: Vec<Cell<'_>> = Vec::with_capacity(
-            self.layers.len()
-                * fidelities.len()
-                * operands.len()
-                * cores_axis.len()
-                * scheduler_axis.len(),
+            self.layers.len() * fidelities.len() * operands.len() * core_points.len(),
         );
         for layer in &self.layers {
             for &fidelity in &fidelities {
                 for &operand in &operands {
-                    for &cores in &cores_axis {
-                        for &scheduler in &scheduler_axis {
-                            cells.push(Cell {
-                                cores,
-                                scheduler,
-                                ..Cell::layer(layer, fidelity, operand)
-                            });
-                        }
+                    for &(cores, scheduler) in &core_points {
+                        cells.push(Cell {
+                            cores,
+                            scheduler,
+                            ..Cell::layer(layer, fidelity, operand)
+                        });
                     }
                 }
             }
@@ -1804,15 +1790,14 @@ mod tests {
         // A cores axis under both policies runs the sharded branch of the
         // same cell runner.
         let policies = [SchedulerPolicy::Static, SchedulerPolicy::Lpt];
-        let report = Sweep::new()
+        let policy_grid = Sweep::new()
             .with_engines(engines.clone())
             .with_layer(layer)
             .with_sparsity(NmRatio::S2_4)
-            .with_cores([1, 4])
             .with_schedulers(policies)
             .with_scale(8)
-            .with_threads(2)
-            .run();
+            .with_threads(2);
+        let sharded = policy_grid.clone().with_cores([1, 4]);
         let mut expected = Vec::new();
         for cores in [1, 4] {
             for policy in policies {
@@ -1824,7 +1809,20 @@ mod tests {
                 }
             }
         }
-        assert_eq!(report.cells, expected);
+        assert_eq!(sharded.cell_count(), expected.len());
+        assert_eq!(sharded.run().cells, expected);
+
+        // Without cores the policy axis adds no cells: unsharded cells
+        // ignore the policy, so each engine runs the grid point once.
+        let expected: Vec<RunReport> = engines
+            .iter()
+            .map(|engine| {
+                let cell = Cell::layer(&layer, Fidelity::Quick(8), NmRatio::S2_4);
+                Session::new(engine.clone()).run(&cell)
+            })
+            .collect();
+        assert_eq!(policy_grid.cell_count(), engines.len());
+        assert_eq!(policy_grid.run().cells, expected);
     }
 
     #[test]

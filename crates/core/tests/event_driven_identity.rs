@@ -1,12 +1,12 @@
-//! Cycle-identity of the event-driven scheduler at the driver level: the
-//! grid of kernel families × §VI engine classes × core counts must report
-//! the same numbers whether the cores are merged by the production event
-//! queue or by the retained stepped scan — and the 1-core sharded path
-//! must stay identical to the classic single-core [`CoreSim`] replay.
+//! Cycle-identity of the multi-core path at the driver level: the grid of
+//! kernel families × §VI engine classes × core counts must report the same
+//! numbers whether each core runs on its own (`run_sharded`) or every core
+//! is interleaved by the stepped reference scan (`run_sharded_stepped`) —
+//! and the 1-core sharded path must stay identical to the classic
+//! single-core [`CoreSim`] replay.
 //!
-//! This is the acceptance contract of the event-driven rewrite: reported
-//! cycles are computed by the per-instruction timing algebra, so the
-//! faster merge loop must not move a single one.
+//! Reported cycles are computed by the per-instruction timing algebra, so
+//! the order cores are advanced in must not move a single one.
 
 use vegeta::prelude::*;
 
@@ -65,10 +65,10 @@ fn event_merge_is_cycle_identical_across_the_kernel_engine_core_grid() {
                         sim.run_sharded(set.shards, set.reduction, SchedulerPolicy::Lpt)
                     }
                 };
-                let event = run(false);
+                let per_core = run(false);
                 let stepped = run(true);
                 assert_eq!(
-                    event,
+                    per_core,
                     stepped,
                     "{}/{} @ {cores} cores",
                     spec.name(),

@@ -9,11 +9,12 @@
 //!   either charges the flat backing-store latency (the single-core setup,
 //!   exactly the paper's assumption) or consults a shared next level.
 //! * [`SharedL2`] — the **shared L2** of a multi-core simulation: one
-//!   residency-tracked, coherence-free level every core's L1 misses flow
-//!   into. A line any core brought in hits for every other core (a *shared
-//!   hit* — no invalidations, the workloads are read-shared weights), and
-//!   under the §VI-B prefetch assumption even cold lines are already
-//!   resident. [`SharedL2Stats`] reports the hit/miss/sharing split.
+//!   coherence-free level every core's L1 misses flow into. Under the
+//!   §VI-B prefetch assumption every line is already resident, so every
+//!   lookup hits; the level only records which core touched each line
+//!   first, so that a hit on a line another core brought in counts as a
+//!   *shared hit* (no invalidations, the workloads are read-shared
+//!   weights). [`SharedL2Stats`] reports the hit/sharing split.
 //!
 //! Per-core [`CacheStats`] merge across cores ([`CacheStats::merge`] /
 //! `+=`) so a multi-core run can report aggregate traffic.
@@ -35,8 +36,8 @@
 //! the line number and compares keys through the slot's address, so no
 //! key is stored twice; an eviction deletes by backward shift, moving
 //! later entries of the probe run into the hole, so no tombstones build
-//! up. The index is allocated on the first insert: a prefetched
-//! [`SharedL2`] never evicts and keeps no table at all.
+//! up. The index is allocated on the first insert. The [`SharedL2`] never
+//! evicts, so it keeps no such table.
 //!
 //! Every access of a Fig. 13 replay goes through the L1's table, and most
 //! of them miss (a ~7% hit ratio), so a miss is three short probes and a
@@ -44,6 +45,7 @@
 //! operations. The equivalence with the stamp scan is pinned by
 //! randomized differential tests against a reference model.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -94,11 +96,11 @@ impl std::ops::AddAssign for CacheStats {
 pub struct SharedL2Stats {
     /// Line lookups arriving from any core's L1 miss.
     pub accesses: u64,
-    /// Lookups that found the line resident (or covered by the prefetch
-    /// assumption).
+    /// Lookups that hit: all of them, under the prefetch assumption.
     pub hits: u64,
-    /// Lookups that had to fetch the line from memory (only possible with
-    /// the prefetch assumption disabled).
+    /// Lookups that had to fetch the line from memory: always 0, since
+    /// every line is prefetched into the L2. Kept so reports keep their
+    /// `misses` key.
     pub misses: u64,
     /// Hits on a line first brought in by a *different* core — the
     /// cross-core reuse a shared cache buys (shared `B` tiles, mostly).
@@ -147,8 +149,10 @@ impl Claim {
 }
 
 /// Hashes the line addresses keying a [`SharedL2`]'s claims on every L1
-/// miss: a multiply, then the high half folded into the low half so that
-/// 64 B-aligned addresses still spread across buckets. The keys are
+/// miss: the line number without the bits that chose its map (see
+/// [`map_of`]) times an odd constant, with the high half folded into the
+/// low half. Consecutive keys of one map then differ in their low bits,
+/// one to one, so nearby lines spread over distinct buckets. The keys are
 /// simulated addresses, so a DoS-resistant hasher would only cost time.
 #[derive(Debug, Clone, Copy, Default)]
 struct LineHasher(u64);
@@ -164,10 +168,26 @@ impl Hasher for LineHasher {
         }
     }
 
-    fn write_u64(&mut self, line: u64) {
-        let h = line.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    fn write_u64(&mut self, line_addr: u64) {
+        let h = (line_addr / (LINE_BYTES * CLAIM_MAPS as u64)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         self.0 = h ^ (h >> 32);
     }
+}
+
+/// Line address → first-touch claim.
+type ClaimMap = HashMap<u64, Claim, BuildHasherDefault<LineHasher>>;
+
+/// Claim maps a [`SharedL2`] spreads its lines over. A map grows by
+/// doubling, with the old and the new table live while it copies; with
+/// one map, the largest multi-core cells' claims went from 3 to 6 MiB at
+/// once, a heap spike of half again the table. Sixteen maps grow one at a
+/// time, so a growth step holds a sixteenth of the claims twice.
+const CLAIM_MAPS: usize = 16;
+
+/// The claim map line `line_addr` lives in: consecutive lines go to
+/// consecutive maps, so every map takes its share of a streamed tile.
+fn map_of(line_addr: u64) -> usize {
+    (line_addr / LINE_BYTES) as usize % CLAIM_MAPS
 }
 
 /// Sentinel for "no slot": an empty index bucket, or the end of the
@@ -317,11 +337,13 @@ impl LruTable {
     }
 
     /// Inserts a non-resident `addr` as most-recently-used. A full table
-    /// first evicts its least-recently-used line and returns its address,
-    /// so at most `capacity_lines` lines are ever resident and the index
-    /// stays at most half full.
-    fn insert(&mut self, addr: u64) -> Option<u64> {
-        let victim = (self.len() >= self.capacity_lines).then(|| self.evict_lru());
+    /// first evicts its least-recently-used line, so at most
+    /// `capacity_lines` lines are ever resident and the index stays at most
+    /// half full.
+    fn insert(&mut self, addr: u64) {
+        if self.len() >= self.capacity_lines {
+            self.evict_lru();
+        }
         if self.buckets.is_empty() {
             let buckets = (2 * self.capacity_lines).next_power_of_two().max(2);
             self.buckets = vec![NO_SLOT; buckets];
@@ -341,20 +363,16 @@ impl LruTable {
         };
         self.buckets[bucket] = slot;
         self.link_tail(slot);
-        victim
     }
 
     /// Evicts the least-recently-used line (the list head — exactly the
-    /// line a min-last-use-stamp scan would pick) of a non-empty table,
-    /// returning its address.
-    fn evict_lru(&mut self) -> u64 {
+    /// line a min-last-use-stamp scan would pick) of a non-empty table.
+    fn evict_lru(&mut self) {
         let victim = self.head;
         self.unlink(victim);
-        let addr = self.addrs[victim as usize];
-        let bucket = self.probe(addr);
+        let bucket = self.probe(self.addrs[victim as usize]);
         self.remove_bucket(bucket);
         self.free.push(victim);
-        addr
     }
 }
 
@@ -363,57 +381,34 @@ impl LruTable {
 ///
 /// *Coherence-free* because the simulated kernels share only read-only
 /// operands (`B` tiles) and write disjoint `C` ranges per shard, so no
-/// invalidation traffic is modelled: a line is resident for every core once
-/// any core has touched it. With `prefetched` set (the §VI-B default) every
-/// lookup is a hit at `hit_latency`, exactly as the single-core model
-/// assumes, and nothing is ever evicted; without it, cold lines cost
-/// `miss_latency` and capacity is enforced with exact O(1) LRU replacement.
+/// invalidation traffic is modelled. Under the §VI-B prefetch assumption
+/// every lookup is a hit at `hit_latency`, exactly as the single-core model
+/// assumes, and nothing is ever evicted: the level only tracks each line's
+/// first toucher, for the sharing attribution.
 ///
-/// A prefetched L2 that only one core accesses doubles as that core's
+/// A shared L2 that only one core accesses doubles as that core's
 /// *first-touch summary* (each line's first stamp and access count),
-/// which a host-parallel [`crate::MultiCoreSim`] folds into the real L2.
+/// which a [`crate::MultiCoreSim`] folds into the real L2.
 #[derive(Debug, Clone)]
 pub struct SharedL2 {
-    capacity_lines: usize,
     hit_latency: u64,
-    miss_latency: u64,
-    /// Recency of the resident lines; `None` under the prefetch
-    /// assumption, which never evicts.
-    recency: Option<LruTable>,
-    /// Every resident line's first-touch claim (sharing attribution).
-    claims: HashMap<u64, Claim, BuildHasherDefault<LineHasher>>,
+    /// Every resident line's first-touch claim (sharing attribution),
+    /// spread over [`CLAIM_MAPS`] maps by line number (see [`map_of`]).
+    claims: [ClaimMap; CLAIM_MAPS],
     stats: SharedL2Stats,
     /// Stamp recorded on lines first touched from now on.
     now: u64,
 }
 
 impl SharedL2 {
-    /// A shared L2 with `capacity_lines` lines, hitting in `hit_latency`
-    /// core cycles and missing to memory in `miss_latency`, with the
-    /// prefetch assumption *off*.
-    pub fn new(capacity_lines: usize, hit_latency: u64, miss_latency: u64) -> Self {
+    /// A shared L2 whose every lookup hits in `hit_latency` core cycles.
+    pub fn new(hit_latency: u64) -> Self {
         SharedL2 {
-            capacity_lines: capacity_lines.max(1),
             hit_latency,
-            miss_latency,
-            recency: Some(LruTable::new(capacity_lines)),
-            claims: HashMap::default(),
+            claims: Default::default(),
             stats: SharedL2Stats::default(),
             now: 0,
         }
-    }
-
-    /// Enables (or disables) the §VI-B prefetch assumption: every lookup
-    /// hits at the hit latency, and residency tracking only attributes
-    /// sharing. Set it before the first access.
-    pub fn with_prefetched(mut self, prefetched: bool) -> Self {
-        self.recency = (!prefetched).then(|| LruTable::new(self.capacity_lines));
-        self
-    }
-
-    /// Whether the prefetch assumption is on.
-    pub fn is_prefetched(&self) -> bool {
-        self.recency.is_none()
     }
 
     /// Statistics so far.
@@ -423,7 +418,7 @@ impl SharedL2 {
 
     /// Resident lines.
     pub(crate) fn resident_lines(&self) -> usize {
-        self.claims.len()
+        self.claims.iter().map(HashMap::len).sum()
     }
 
     /// Sets the clock of the accesses that follow: lines they touch first
@@ -435,48 +430,36 @@ impl SharedL2 {
     /// Settles every resident line: no later [`SharedL2::fold`] may take
     /// it from its owner, since it was touched before the run that folds.
     pub(crate) fn settle(&mut self) {
-        for claim in self.claims.values_mut() {
-            claim.time = 0;
+        for map in &mut self.claims {
+            for claim in map.values_mut() {
+                claim.time = 0;
+            }
         }
     }
 
-    /// Looks up one line on behalf of `core`, updating residency and
-    /// sharing attribution; returns the load-to-use latency.
+    /// Looks up one line on behalf of `core`, updating the sharing
+    /// attribution; returns the load-to-use latency, always the hit
+    /// latency.
     pub fn access_line(&mut self, core: usize, line_addr: u64) -> u64 {
         let core = u32::try_from(core).expect("fewer than 2^32 simulated cores");
         self.stats.accesses += 1;
-        if let Some(claim) = self.claims.get_mut(&line_addr) {
-            if let Some(recency) = &mut self.recency {
-                recency.touch(line_addr);
-            }
-            self.stats.hits += 1;
-            if claim.core == core {
-                claim.add_own(1);
-            } else {
-                self.stats.shared_hits += 1;
-            }
-            return self.hit_latency;
-        }
-        let claim = Claim {
-            time: self.now,
-            core,
-            own: 1,
-        };
-        self.claims.insert(line_addr, claim);
-        let Some(recency) = &mut self.recency else {
+        self.stats.hits += 1;
+        match self.claims[map_of(line_addr)].entry(line_addr) {
+            Entry::Occupied(mut claim) if claim.get().core == core => claim.get_mut().add_own(1),
+            Entry::Occupied(_) => self.stats.shared_hits += 1,
             // The data was preloaded (§VI-B): the first touch is a hit too.
-            self.stats.hits += 1;
-            return self.hit_latency;
-        };
-        // Capacity only matters when misses cost something.
-        if let Some(victim) = recency.insert(line_addr) {
-            self.claims.remove(&victim);
+            Entry::Vacant(slot) => {
+                slot.insert(Claim {
+                    time: self.now,
+                    core,
+                    own: 1,
+                });
+            }
         }
-        self.stats.misses += 1;
-        self.miss_latency
+        self.hit_latency
     }
 
-    /// Drains one core's first-touch `summary` into this prefetched L2, as
+    /// Drains one core's first-touch `summary` into this L2, as
     /// if that core's accesses had been interleaved with every core folded
     /// before it in global `(time, core)` order.
     ///
@@ -488,24 +471,23 @@ impl SharedL2 {
     /// core may fold several summaries, as long as it folds them in the
     /// order it ran them.
     pub(crate) fn fold(&mut self, summary: &mut SharedL2) {
-        debug_assert!(
-            self.is_prefetched() && summary.is_prefetched(),
-            "only a prefetched L2 never evicts"
-        );
-        for (line, theirs) in summary.claims.drain() {
-            self.stats.accesses += u64::from(theirs.own);
-            self.stats.hits += u64::from(theirs.own);
-            let ours = self
-                .claims
-                .entry(line)
-                .or_insert(Claim { own: 0, ..theirs });
-            if ours.core == theirs.core {
-                ours.add_own(theirs.own);
-            } else if (theirs.time, theirs.core) < (ours.time, ours.core) {
-                self.stats.shared_hits += u64::from(ours.own);
-                *ours = theirs;
-            } else {
-                self.stats.shared_hits += u64::from(theirs.own);
+        // Plain nested loops: draining through `flat_map(HashMap::drain)`
+        // made multi-core runs 20-40% slower on a 2-CPU host.
+        for map in &mut summary.claims {
+            for (line, theirs) in map.drain() {
+                self.stats.accesses += u64::from(theirs.own);
+                self.stats.hits += u64::from(theirs.own);
+                let ours = self.claims[map_of(line)]
+                    .entry(line)
+                    .or_insert(Claim { own: 0, ..theirs });
+                if ours.core == theirs.core {
+                    ours.add_own(theirs.own);
+                } else if (theirs.time, theirs.core) < (ours.time, ours.core) {
+                    self.stats.shared_hits += u64::from(ours.own);
+                    *ours = theirs;
+                } else {
+                    self.stats.shared_hits += u64::from(theirs.own);
+                }
             }
         }
     }
@@ -700,8 +682,8 @@ mod tests {
 
     #[test]
     fn shared_l2_attributes_cross_core_hits() {
-        let mut l2 = SharedL2::new(64, 14, 100);
-        assert_eq!(l2.access_line(0, 0), 100, "cold miss goes to memory");
+        let mut l2 = SharedL2::new(14);
+        assert_eq!(l2.access_line(0, 0), 14, "a first touch hits: prefetched");
         assert_eq!(l2.access_line(0, 0), 14, "same-core reuse is a plain hit");
         assert_eq!(
             l2.access_line(1, 0),
@@ -710,8 +692,8 @@ mod tests {
         );
         let stats = l2.stats();
         assert_eq!(stats.accesses, 3);
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.hits, 3);
+        assert_eq!(stats.misses, 0);
         assert_eq!(stats.shared_hits, 1, "only the cross-core hit is shared");
         assert!((stats.shared_fraction() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(SharedL2Stats::default().shared_fraction(), 0.0);
@@ -719,8 +701,7 @@ mod tests {
 
     #[test]
     fn prefetched_shared_l2_always_hits_at_l2_latency() {
-        let mut l2 = SharedL2::new(4, 14, 100).with_prefetched(true);
-        assert!(l2.is_prefetched());
+        let mut l2 = SharedL2::new(14);
         for line in 0..8u64 {
             assert_eq!(l2.access_line(0, line * 64), 14, "prefetched: never a miss");
         }
@@ -730,19 +711,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_l2_capacity_evicts_lru() {
-        let mut l2 = SharedL2::new(2, 14, 100);
-        l2.access_line(0, 0);
-        l2.access_line(0, 64);
-        l2.access_line(0, 0); // refresh line 0
-        l2.access_line(0, 128); // evicts 64
-        assert_eq!(l2.access_line(0, 0), 14, "line 0 stayed resident");
-        assert_eq!(l2.access_line(0, 64), 100, "line 64 was evicted");
-    }
-
-    #[test]
     fn l1_miss_consults_the_shared_next_level() {
-        let mut l2 = SharedL2::new(64, 14, 100).with_prefetched(true);
+        let mut l2 = SharedL2::new(14);
         let mut c0 = CacheModel::new(4, 5, 14);
         let mut c1 = CacheModel::new(4, 5, 14);
         let (lat, lines) = c0.access_range_via(0, 128, false, Some((0, &mut l2)));
@@ -852,53 +822,17 @@ mod tests {
     }
 
     #[test]
-    fn shared_l2_o1_lru_matches_reference_victims() {
-        // Same differential for the shared level with the prefetch
-        // assumption off (the only configuration that evicts).
-        for capacity in DIFF_CAPACITIES {
-            let span = capacity * 4 + 1;
-            for pool in [sequential_addrs(span), colliding_addrs(capacity, span)] {
-                let mut fast = SharedL2::new(capacity, 14, 100);
-                let mut reference = StampScanReference::new(capacity, 14, 100);
-                let mut x = 0xdead_beef_cafe_f00du64 ^ capacity as u64;
-                for step in 0..3000.max(8 * capacity as u64) {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let addr = pool[(x % span as u64) as usize];
-                    assert_eq!(
-                        fast.access_line((step % 3) as usize, addr),
-                        reference.access_line(addr),
-                        "capacity {capacity}, step {step}, addr {addr}"
-                    );
-                }
-                assert_eq!(fast.resident_lines(), reference.lines.len());
-            }
-        }
-    }
-
-    #[test]
     fn lru_index_is_allocated_on_first_insert_only() {
         let mut c = CacheModel::new(768, 5, 14);
         assert_eq!(c.lines.buckets.capacity(), 0, "untouched L1 holds no index");
         c.access_line(0, false);
         assert_eq!(c.lines.buckets.len(), 2048, "2 x 768 rounded up");
         assert_eq!(CacheModel::new(100, 5, 14).lines.buckets.capacity(), 0);
-
-        let mut l2 =
-            SharedL2::new(crate::multicore::DEFAULT_L2_LINES, 14, 100).with_prefetched(true);
-        for line in 0..4096u64 {
-            l2.access_line((line % 4) as usize, line * LINE_BYTES);
-        }
-        assert!(l2.recency.is_none(), "a prefetched L2 keeps no LRU table");
-        let cold = SharedL2::new(crate::multicore::DEFAULT_L2_LINES, 14, 100);
-        let recency = cold.recency.as_ref().expect("a cold L2 tracks recency");
-        assert_eq!(recency.buckets.capacity(), 0, "untouched cold L2: no index");
     }
 
     /// One core's first-touch summary of `(stamp, line)` accesses.
     fn summary(core: usize, accesses: &[(u64, u64)]) -> SharedL2 {
-        let mut l2 = SharedL2::new(1, 14, 14).with_prefetched(true);
+        let mut l2 = SharedL2::new(14);
         for &(now, line) in accesses {
             l2.set_now(now);
             assert_eq!(l2.access_line(core, line), 14);
@@ -919,20 +853,20 @@ mod tests {
             (2, vec![(3, 128), (3, 128), (4, 64)]),
         ];
         // The same accesses on one L2 in global (time, core) order, as the
-        // event merge would deliver them.
+        // stepped scan would deliver them.
         let mut global: Vec<(u64, usize, u64)> = parts
             .iter()
             .flat_map(|(core, a)| a.iter().map(move |&(t, line)| (t, *core, line)))
             .collect();
         global.sort_by_key(|&(t, core, _)| (t, core));
-        let mut merged = SharedL2::new(4, 14, 100).with_prefetched(true);
+        let mut merged = SharedL2::new(14);
         for (_, core, line) in global {
             merged.access_line(core, line);
         }
         let expected = merged.stats();
         assert_eq!((expected.accesses, expected.shared_hits), (10, 6));
         for order in [[0, 1, 2, 3], [3, 2, 0, 1], [2, 0, 3, 1], [0, 3, 1, 2]] {
-            let mut real = SharedL2::new(4, 14, 100).with_prefetched(true);
+            let mut real = SharedL2::new(14);
             for i in order {
                 real.fold(&mut summary(parts[i].0, &parts[i].1));
             }
@@ -944,7 +878,7 @@ mod tests {
     fn folding_keeps_the_owner_of_a_settled_line() {
         // Line 64 was resident before the run (core 3's): a summary
         // stamped earlier still cannot take it over.
-        let mut real = SharedL2::new(4, 14, 100).with_prefetched(true);
+        let mut real = SharedL2::new(14);
         real.set_now(50);
         real.access_line(3, 64);
         real.settle();

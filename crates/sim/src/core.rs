@@ -15,10 +15,9 @@
 //!   via [`vegeta_engine::EngineTimer`], scaled by the clock-domain ratio.
 //!
 //! Since the multi-core refactor the pipeline state lives in [`Core`] — one
-//! composable core unit behind the [`CoreModel`] trait, stepped one
-//! instruction at a time. [`CoreSim`] is the single-core driver (a thin
-//! wrapper over one [`Core`]), and [`crate::MultiCoreSim`] interleaves many
-//! cores over a shared L2.
+//! composable core unit, stepped one instruction at a time. [`CoreSim`] is
+//! the single-core driver (a thin wrapper over one [`Core`]), and
+//! [`crate::MultiCoreSim`] runs many cores over a shared L2.
 
 use vegeta_engine::{EngineConfig, EngineTimer};
 use vegeta_isa::stream::InstStream;
@@ -273,31 +272,6 @@ impl Bandwidth {
     }
 }
 
-/// A pluggable per-core timing model: anything that can consume one dynamic
-/// instruction at a time and report its local clock.
-///
-/// [`Core`] is the reference implementation (the §VI-B out-of-order core);
-/// [`crate::MultiCoreSim`] is generic over this trait so alternative core
-/// models (in-order, perfect, ...) can plug into the same scale-out
-/// harness.
-pub trait CoreModel {
-    /// Advances the core by one instruction. `shared_l2` is the common next
-    /// memory level of a multi-core run; `None` models the single-core
-    /// setup's flat always-hitting L2.
-    fn step(&mut self, op: TraceOp, shared_l2: Option<&mut SharedL2>);
-
-    /// The core's local time so far: the retire timestamp of the last
-    /// instruction (0 before any instruction retires).
-    fn cycles(&self) -> u64;
-
-    /// Dynamic instructions consumed so far.
-    fn instructions(&self) -> u64;
-
-    /// Snapshot of the run so far. `peak_resident_bytes` is supplied by the
-    /// caller, who owns the instruction stream and its byte accounting.
-    fn result(&self, peak_resident_bytes: u64) -> SimResult;
-}
-
 /// One out-of-order core's complete pipeline state: the reusable unit a
 /// [`CoreSim`] wraps once and a [`crate::MultiCoreSim`] instantiates per
 /// core.
@@ -384,10 +358,11 @@ impl Core {
     pub fn config(&self) -> &SimConfig {
         &self.cfg
     }
-}
 
-impl CoreModel for Core {
-    fn step(&mut self, op: TraceOp, mut shared_l2: Option<&mut SharedL2>) {
+    /// Advances the core by one instruction. `shared_l2` is the common next
+    /// memory level of a multi-core run; `None` models the single-core
+    /// setup's flat always-hitting L2.
+    pub fn step(&mut self, op: TraceOp, mut shared_l2: Option<&mut SharedL2>) {
         // --- Dispatch: front-end bandwidth, ROB and LSQ occupancy. ---
         let mut earliest = self.cfg.frontend_stages;
         if self.rob_window.is_full() {
@@ -497,15 +472,20 @@ impl CoreModel for Core {
         self.instructions += 1;
     }
 
-    fn cycles(&self) -> u64 {
+    /// The core's local time so far: the retire timestamp of the last
+    /// instruction (0 before any instruction retires).
+    pub fn cycles(&self) -> u64 {
         self.last_retire
     }
 
-    fn instructions(&self) -> u64 {
+    /// Dynamic instructions consumed so far.
+    pub fn instructions(&self) -> u64 {
         self.instructions
     }
 
-    fn result(&self, peak_resident_bytes: u64) -> SimResult {
+    /// Snapshot of the run so far. `peak_resident_bytes` is supplied by the
+    /// caller, who owns the instruction stream and its byte accounting.
+    pub fn result(&self, peak_resident_bytes: u64) -> SimResult {
         SimResult {
             core_cycles: self.last_retire,
             instructions: self.instructions,

@@ -9,10 +9,10 @@
 //! pipelining and output-forwarding rules of §V-C.
 //!
 //! The timing layer is composable: [`Core`] is one core's complete pipeline
-//! state behind the [`CoreModel`] trait, [`CoreSim`] drives a single core
-//! (the paper's setup), and [`MultiCoreSim`] interleaves many cores —
-//! private L1s, one coherence-free [`SharedL2`] — to answer how a sharded
-//! GEMM scales to 2/4/8/16 matrix-engine-equipped cores. A single core's
+//! state, [`CoreSim`] drives a single core (the paper's setup), and
+//! [`MultiCoreSim`] runs many cores — private L1s, one coherence-free
+//! [`SharedL2`] — to answer how a sharded GEMM scales to 2/4/8/16
+//! matrix-engine-equipped cores. A single core's
 //! L1 outcome depends only on its trace's addresses, so an [`L1Memo`]
 //! records it once and replays it for every other engine that runs the
 //! same trace ([`CoreSim::run_stream_memoized`]).
@@ -40,13 +40,11 @@
 
 pub mod cache;
 mod core;
-pub mod event;
 mod memo;
 pub mod multicore;
 
-pub use crate::core::{simulate, simulate_insts, Core, CoreModel, CoreSim, SimConfig, SimResult};
+pub use crate::core::{simulate, simulate_insts, Core, CoreSim, SimConfig, SimResult};
 pub use cache::{CacheModel, CacheStats, SharedL2, SharedL2Stats, LINE_BYTES};
-pub use event::EventQueue;
 pub use memo::L1Memo;
 pub use multicore::{
     ExecMode, MultiCoreConfig, MultiCoreResult, MultiCoreSim, SchedulerPolicy, HOST_THREADS_ENV,

@@ -8,7 +8,7 @@
 //! the [`SimConfig`]:
 //!
 //! * the core touches the L1 in program order, one op per
-//!   [`CoreModel::step`](crate::CoreModel::step), whatever cycle the op
+//!   [`Core::step`](crate::Core::step), whatever cycle the op
 //!   dispatches in, so the LRU state an op sees is fixed by the ops before
 //!   it;
 //! * under the §VI-B assumption that all data is prefetched to the L2,

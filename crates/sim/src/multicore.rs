@@ -14,22 +14,19 @@
 //! * results are those of interleaving the cores in **core-local time
 //!   order**: the core whose clock is furthest behind steps next, ties by
 //!   core index. [`MultiCoreSim::run_sharded_stepped`] is that order's
-//!   linear-scan reference, and differential tests pin both paths below
-//!   to it;
-//! * under the §VI-B prefetch assumption (the default) every shared-L2
-//!   lookup costs the same hit latency, so no core's timing depends on
-//!   another's: each core runs on its own, up to
+//!   linear-scan reference, and differential tests pin
+//!   [`MultiCoreSim::run_sharded`] to it field for field;
+//! * under the §VI-B prefetch assumption every shared-L2 lookup costs the
+//!   same hit latency, so no core's timing depends on another's:
+//!   [`MultiCoreSim::run_sharded`] runs each core on its own, up to
 //!   [`MultiCoreConfig::resolved_host_threads`] at once, against a private
 //!   first-touch summary that folds into the [`SharedL2`] (each line goes
 //!   to the smallest `(first wake time, core)`, its first toucher in that
 //!   order);
-//! * with a cold L2 the cores really are coupled, and a cross-core event
-//!   merge over an [`crate::EventQueue`] interleaves them in that order;
 //! * the run ends with a sync/barrier: the makespan is the slowest core's
-//!   retire time plus a tree-barrier cost
-//!   ([`MultiCoreConfig::barrier_latency`] per `⌈log₂ cores⌉` level;
-//!   zero for a single core, which keeps `MultiCoreSim` with one core
-//!   cycle-identical to [`crate::CoreSim`]);
+//!   retire time plus a tree-barrier cost ([`BARRIER_LATENCY`] per
+//!   `⌈log₂ cores⌉` level; zero for a single core, which keeps
+//!   `MultiCoreSim` with one core cycle-identical to [`crate::CoreSim`]);
 //! * a K-split shard set carries a **reduction stream** that merges the
 //!   shards' partial `C` images; [`MultiCoreSim::run_sharded`] replays it
 //!   on core 0 *after* the barrier (deterministically — every partial has
@@ -49,7 +46,7 @@
 //! only on the declared lengths, never on host timing.
 //!
 //! The result carries per-core [`SimResult`]s, the merged cache traffic
-//! ([`CacheStats::merge`]) and the shared L2's hit/miss/sharing split;
+//! ([`CacheStats::merge`]) and the shared L2's hit/sharing split;
 //! cores left without work surface as [`MultiCoreResult::stranded_cores`].
 //!
 //! ```
@@ -85,20 +82,11 @@ use vegeta_engine::EngineConfig;
 use vegeta_isa::stream::InstStream;
 
 use crate::cache::{CacheStats, SharedL2, SharedL2Stats};
-use crate::core::{Core, CoreModel, SimConfig, SimResult};
-use crate::event::EventQueue;
+use crate::core::{Core, SimConfig, SimResult};
 
-/// Default shared-L2 capacity in 64 B lines (2 MB, the class of LLC slice
-/// the §VI-B MacSim configuration assumes the data is prefetched into).
-pub const DEFAULT_L2_LINES: usize = 32_768;
-
-/// Default memory latency in core cycles for a shared-L2 miss when the
-/// prefetch assumption is disabled.
-pub const DEFAULT_MEM_LATENCY: u64 = 100;
-
-/// Default per-level tree-barrier cost in core cycles (about two shared-L2
-/// round trips: one line flush, one flag observation).
-pub const DEFAULT_BARRIER_LATENCY: u64 = 32;
+/// Per-level tree-barrier cost in core cycles (about two shared-L2 round
+/// trips: one line flush, one flag observation).
+pub const BARRIER_LATENCY: u64 = 32;
 
 /// Environment variable forcing the host-thread count of every multi-core
 /// run, overriding [`MultiCoreConfig::exec`] (`VEGETA_HOST_THREADS`). A
@@ -124,15 +112,10 @@ fn parse_host_threads(raw: &str) -> Result<usize, String> {
     }
 }
 
-/// How a multi-core run uses *host* threads. Simulated results are the
-/// same in every mode (`sim/tests/parallel_vs_event.rs` pins them all to
-/// the stepped reference).
-///
-/// Host threads only matter under the prefetch assumption
-/// ([`MultiCoreConfig::prefetched`], the default), where the cores are
-/// independent and run up to `n` at once. With a cold L2 the cores are
-/// coupled through residency, and every mode runs the single-threaded
-/// event merge.
+/// How a multi-core run uses *host* threads: the cores are independent
+/// under the prefetch assumption and run up to `n` at once. Simulated
+/// results are the same in every mode (`sim/tests/parallel_vs_event.rs`
+/// pins them all to the stepped reference).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Use up to `std::thread::available_parallelism()` host threads. The
@@ -148,25 +131,15 @@ pub enum ExecMode {
     ParallelHost(usize),
 }
 
-/// Configuration of a multi-core run: per-core parameters plus the shared
-/// memory level and sync costs.
+/// Configuration of a multi-core run: the per-core parameters, the core
+/// count and the host-thread policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiCoreConfig {
     /// Per-core configuration (front end, ROB, ports, private L1, clocks).
+    /// Its `l2_latency` is also the shared L2's hit latency.
     pub core: SimConfig,
     /// Number of cores (≥ 1), each with a private L1 and engine.
     pub cores: usize,
-    /// Shared-L2 capacity in 64 B lines.
-    pub l2_lines: usize,
-    /// §VI-B assumption: all data is prefetched into the shared L2, so it
-    /// never misses. Disable to charge [`MultiCoreConfig::mem_latency`] on
-    /// cold lines.
-    pub prefetched: bool,
-    /// Core cycles a shared-L2 miss costs when `prefetched` is off.
-    pub mem_latency: u64,
-    /// Core cycles per tree-barrier level of the end-of-shard sync
-    /// (`⌈log₂ cores⌉` levels; a single core pays nothing).
-    pub barrier_latency: u64,
     /// Host-thread policy of the run (simulated results are identical in
     /// every mode); see [`ExecMode`].
     pub exec: ExecMode,
@@ -174,7 +147,7 @@ pub struct MultiCoreConfig {
 
 impl MultiCoreConfig {
     /// A multi-core configuration with `cores` copies of the default §VI-B
-    /// core and default shared-L2/barrier parameters.
+    /// core.
     pub fn new(cores: usize) -> Self {
         Self::with_core(SimConfig::default(), cores)
     }
@@ -184,10 +157,6 @@ impl MultiCoreConfig {
         MultiCoreConfig {
             core,
             cores: cores.max(1),
-            l2_lines: DEFAULT_L2_LINES,
-            prefetched: true,
-            mem_latency: DEFAULT_MEM_LATENCY,
-            barrier_latency: DEFAULT_BARRIER_LATENCY,
             exec: ExecMode::Auto,
         }
     }
@@ -224,13 +193,14 @@ impl MultiCoreConfig {
         requested.min(self.cores.max(1)).max(1)
     }
 
-    /// Core cycles the end-of-shard barrier costs at this core count.
+    /// Core cycles the end-of-shard barrier costs at this core count:
+    /// [`BARRIER_LATENCY`] per tree level.
     pub fn barrier_cycles(&self) -> u64 {
         if self.cores <= 1 {
             return 0;
         }
         let levels = usize::BITS - (self.cores - 1).leading_zeros(); // ⌈log₂ cores⌉
-        self.barrier_latency * levels as u64
+        BARRIER_LATENCY * levels as u64
     }
 }
 
@@ -361,8 +331,8 @@ impl MultiCoreResult {
     }
 }
 
-/// A sharded multi-core simulator: `cores` pluggable per-core models (the
-/// default is the §VI-B [`Core`]) over one [`SharedL2`].
+/// A sharded multi-core simulator: `cores` §VI-B [`Core`]s over one
+/// [`SharedL2`].
 ///
 /// # Example
 ///
@@ -383,30 +353,21 @@ impl MultiCoreResult {
 /// assert!(res.scaling_efficiency() > 0.5);
 /// ```
 #[derive(Debug)]
-pub struct MultiCoreSim<C: CoreModel = Core> {
+pub struct MultiCoreSim {
     cfg: MultiCoreConfig,
-    cores: Vec<C>,
+    cores: Vec<Core>,
     shared_l2: SharedL2,
 }
 
-impl MultiCoreSim<Core> {
+impl MultiCoreSim {
     /// A multi-core simulator whose cores all run the same matrix-engine
     /// design point (each core gets its own engine instance).
-    pub fn new(cfg: MultiCoreConfig, engine: EngineConfig) -> Self {
+    pub fn new(mut cfg: MultiCoreConfig, engine: EngineConfig) -> Self {
+        cfg.cores = cfg.cores.max(1);
         let cores = (0..cfg.cores)
             .map(|id| Core::new(id, cfg.core.clone(), engine.clone()))
             .collect();
-        Self::with_cores(cfg, cores)
-    }
-}
-
-impl<C: CoreModel> MultiCoreSim<C> {
-    /// A multi-core simulator over explicit core models (the pluggable
-    /// form; `cores.len()` overrides `cfg.cores`).
-    pub fn with_cores(mut cfg: MultiCoreConfig, cores: Vec<C>) -> Self {
-        cfg.cores = cores.len().max(1);
-        let shared_l2 = SharedL2::new(cfg.l2_lines, cfg.core.l2_latency, cfg.mem_latency)
-            .with_prefetched(cfg.prefetched);
+        let shared_l2 = SharedL2::new(cfg.core.l2_latency);
         MultiCoreSim {
             cfg,
             cores,
@@ -427,10 +388,7 @@ impl<C: CoreModel> MultiCoreSim<C> {
     ///
     /// Panics when more streams than cores are supplied — silently
     /// dropping shards would report a quietly wrong (partial) result.
-    pub fn run_streams<S: InstStream + Send>(&mut self, streams: Vec<S>) -> MultiCoreResult
-    where
-        C: Send,
-    {
+    pub fn run_streams<S: InstStream + Send>(&mut self, streams: Vec<S>) -> MultiCoreResult {
         self.run_sharded(streams, None, SchedulerPolicy::Static)
     }
 
@@ -453,30 +411,23 @@ impl<C: CoreModel> MultiCoreSim<C> {
         shards: Vec<S>,
         reduction: Option<S>,
         policy: SchedulerPolicy,
-    ) -> MultiCoreResult
-    where
-        C: Send,
-    {
+    ) -> MultiCoreResult {
         let mut lanes = assign_lanes(policy, shards, self.cores.len());
-        if self.cfg.prefetched {
-            self.run_per_core(&mut lanes);
-        } else {
-            self.run_merged(&mut lanes, MergeLoop::EventDriven);
-        }
+        self.run_per_core(&mut lanes);
         self.finish(lanes, reduction)
     }
 
-    /// [`MultiCoreSim::run_sharded`] driven by the retained linear-scan
-    /// reference loop, whatever the configuration.
+    /// [`MultiCoreSim::run_sharded`] driven by the linear-scan reference
+    /// loop: the result [`MultiCoreSim::run_sharded`] is checked against.
     ///
-    /// The scan interleaves every core against the real shared L2 and
-    /// re-derives "which live core is furthest behind" from scratch every
-    /// instruction — O(cores) per step. It is the simplest statement of
-    /// the core-local time order; [`MultiCoreSim::run_sharded`] must
-    /// produce identical [`MultiCoreResult`]s down to the last field, and
-    /// this method exists so differential tests (and anyone auditing the
-    /// production paths) can check that claim. Use
-    /// [`MultiCoreSim::run_sharded`] everywhere else.
+    /// The scan interleaves every core on this thread against the real
+    /// shared L2 and re-derives "which live core is furthest behind" from
+    /// scratch every instruction — O(cores) per step. It is the simplest
+    /// statement of the core-local time order; [`MultiCoreSim::run_sharded`]
+    /// must produce identical [`MultiCoreResult`]s down to the last field,
+    /// and this method exists so differential tests (and `vegeta_lint
+    /// --replay`, which audits every verified shard set) can check that
+    /// claim. Use [`MultiCoreSim::run_sharded`] everywhere else.
     pub fn run_sharded_stepped<S: InstStream>(
         &mut self,
         shards: Vec<S>,
@@ -484,15 +435,25 @@ impl<C: CoreModel> MultiCoreSim<C> {
         policy: SchedulerPolicy,
     ) -> MultiCoreResult {
         let mut lanes = assign_lanes(policy, shards, self.cores.len());
-        self.run_merged(&mut lanes, MergeLoop::SteppedScan);
+        let (cores, l2) = (&mut self.cores, &mut self.shared_l2);
+        // The live core furthest behind in local time steps next.
+        let mut live = vec![true; cores.len()];
+        while let Some(i) = (0..cores.len())
+            .filter(|&i| live[i])
+            .min_by_key(|&i| (cores[i].cycles(), i))
+        {
+            if !lanes[i].advance(&mut cores[i], l2) {
+                live[i] = false;
+            }
+        }
         self.finish(lanes, reduction)
     }
 
-    /// The main phase under the prefetch assumption: every core runs its
-    /// lane to completion on its own, against a private first-touch
-    /// summary that folds into the real shared L2 whenever it fills up
-    /// and when the core finishes. Up to `resolved_host_threads` cores run
-    /// at once; the calling thread is one of them.
+    /// The main phase: every core runs its lane to completion on its own,
+    /// against a private first-touch summary that folds into the real
+    /// shared L2 whenever it fills up and when the core finishes. Up to
+    /// `resolved_host_threads` cores run at once; the calling thread is one
+    /// of them.
     ///
     /// *Soundness.* With every lookup at the same latency, the interleave
     /// only decides each line's first toucher: the smallest `(wake time,
@@ -500,10 +461,7 @@ impl<C: CoreModel> MultiCoreSim<C> {
     /// core's clock before that step, and the fold keeps the smallest
     /// claim in any cross-core order. Lines resident before the run are
     /// settled first.
-    fn run_per_core<S: InstStream + Send>(&mut self, lanes: &mut [Lane<S>])
-    where
-        C: Send,
-    {
+    fn run_per_core<S: InstStream + Send>(&mut self, lanes: &mut [Lane<S>]) {
         let threads = self.cfg.resolved_host_threads();
         let hit_latency = self.cfg.core.l2_latency;
         self.shared_l2.settle();
@@ -511,7 +469,7 @@ impl<C: CoreModel> MultiCoreSim<C> {
         let l2 = Mutex::new(&mut self.shared_l2);
         // Runs cores off the job list until it is empty.
         let work = || {
-            let mut summary = SharedL2::new(1, hit_latency, hit_latency).with_prefetched(true);
+            let mut summary = SharedL2::new(hit_latency);
             loop {
                 let job = jobs.lock().expect("a simulation worker panicked").next();
                 let Some((core, lane)) = job else { return };
@@ -534,40 +492,6 @@ impl<C: CoreModel> MultiCoreSim<C> {
         });
     }
 
-    /// Interleaves the lanes in core-local time order on this thread,
-    /// every core stepping against the real shared L2.
-    fn run_merged<S: InstStream>(&mut self, lanes: &mut [Lane<S>], merge: MergeLoop) {
-        let (cores, l2) = (&mut self.cores, &mut self.shared_l2);
-        match merge {
-            MergeLoop::EventDriven => {
-                // One pending wake per live core at its local clock; the
-                // heap's (time, index) order is exactly the scan's
-                // min_by_key below.
-                let mut wake: EventQueue<usize> = EventQueue::with_capacity(cores.len());
-                for (i, core) in cores.iter().enumerate() {
-                    wake.push(core.cycles(), i);
-                }
-                while let Some((_, i)) = wake.pop() {
-                    if lanes[i].advance(&mut cores[i], l2) {
-                        wake.push(cores[i].cycles(), i);
-                    }
-                }
-            }
-            MergeLoop::SteppedScan => {
-                // The live core furthest behind in local time steps next.
-                let mut live = vec![true; cores.len()];
-                while let Some(i) = (0..cores.len())
-                    .filter(|&i| live[i])
-                    .min_by_key(|&i| (cores[i].cycles(), i))
-                {
-                    if !lanes[i].advance(&mut cores[i], l2) {
-                        live[i] = false;
-                    }
-                }
-            }
-        }
-    }
-
     /// Replays the K-split reduction on core 0's lane after the main phase
     /// and assembles the result, with each core's residency peak from its
     /// lane.
@@ -576,7 +500,7 @@ impl<C: CoreModel> MultiCoreSim<C> {
         mut lanes: Vec<Lane<S>>,
         reduction: Option<S>,
     ) -> MultiCoreResult {
-        let slowest = self.cores.iter().map(CoreModel::cycles).max().unwrap_or(0);
+        let slowest = self.cores.iter().map(Core::cycles).max().unwrap_or(0);
         let mut reduction_cycles = 0;
         if let Some(stream) = reduction {
             // Conceptually after the barrier, against a shared L2 that
@@ -616,7 +540,7 @@ impl<S: InstStream> Lane<S> {
     /// Retires `core`'s next instruction against `l2`, moving on to the
     /// next queued shard at the same clock when one drains. Returns
     /// `false` once the lane is empty.
-    fn advance<C: CoreModel>(&mut self, core: &mut C, l2: &mut SharedL2) -> bool {
+    fn advance(&mut self, core: &mut Core, l2: &mut SharedL2) -> bool {
         while let Some(stream) = self.streams.front_mut() {
             if let Some(op) = stream.next_op() {
                 core.step(op, Some(l2));
@@ -632,7 +556,7 @@ impl<S: InstStream> Lane<S> {
     /// lane drains (`true`) or the summary holds [`SUMMARY_LINES`] lines
     /// (`false`). Each step's accesses are stamped with the core's clock
     /// before the step: the time the core-local time order would wake it.
-    fn run_alone<C: CoreModel>(&mut self, core: &mut C, summary: &mut SharedL2) -> bool {
+    fn run_alone(&mut self, core: &mut Core, summary: &mut SharedL2) -> bool {
         loop {
             if summary.resident_lines() >= SUMMARY_LINES {
                 return false;
@@ -643,16 +567,6 @@ impl<S: InstStream> Lane<S> {
             }
         }
     }
-}
-
-/// Which loop interleaves the cores in core-local time order in
-/// [`MultiCoreSim::run_merged`]: the production event merge, or the
-/// retained linear-scan reference it must match instruction for
-/// instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MergeLoop {
-    EventDriven,
-    SteppedScan,
 }
 
 /// Moves each shard onto the lane of the core `policy` assigns it to (see
@@ -803,7 +717,7 @@ mod tests {
     #[test]
     fn barrier_grows_logarithmically_and_is_free_for_one_core() {
         assert_eq!(MultiCoreConfig::new(1).barrier_cycles(), 0);
-        let b = DEFAULT_BARRIER_LATENCY;
+        let b = BARRIER_LATENCY;
         assert_eq!(MultiCoreConfig::new(2).barrier_cycles(), b);
         assert_eq!(MultiCoreConfig::new(4).barrier_cycles(), 2 * b);
         assert_eq!(MultiCoreConfig::new(8).barrier_cycles(), 3 * b);
@@ -920,25 +834,21 @@ mod tests {
 
     #[test]
     fn event_merge_matches_the_stepped_scan_reference() {
-        // Both production paths (per-core runs under prefetch, the event
-        // merge on a cold L2) and the retained linear scan must agree on
-        // every field of the result — policies, reduction and ragged shard
-        // mixes included.
+        // The per-core runs and the linear scan must agree on every field
+        // of the result — policies, reduction and ragged shard mixes
+        // included.
         let shards: Vec<Trace> = (1..=6).map(|i| mixed_trace(12 * i, 64)).collect();
         let reduction = mixed_trace(20, 128);
         let engine = EngineConfig::vegeta_s(16).unwrap();
         for policy in [SchedulerPolicy::Static, SchedulerPolicy::Lpt] {
-            for prefetched in [true, false] {
-                // Static refuses more shards than cores.
-                let take = if policy == SchedulerPolicy::Static {
-                    3
-                } else {
-                    6
-                };
-                let mut cfg = MultiCoreConfig::new(3);
-                cfg.prefetched = prefetched;
-                assert_matches_stepped(&cfg, &engine, &shards[..take], Some(&reduction), policy);
-            }
+            // Static refuses more shards than cores.
+            let take = if policy == SchedulerPolicy::Static {
+                3
+            } else {
+                6
+            };
+            let cfg = MultiCoreConfig::new(3);
+            assert_matches_stepped(&cfg, &engine, &shards[..take], Some(&reduction), policy);
         }
     }
 
@@ -1144,23 +1054,6 @@ mod tests {
     }
 
     #[test]
-    fn ineligible_configs_fall_back_to_the_sequential_path() {
-        // A cold L2 couples the cores, so every host-thread count must run
-        // the single-threaded event merge and still match the reference.
-        let shards: Vec<Trace> = (1..=5).map(|i| mixed_trace(10 * i, 64)).collect();
-        let mut cold = MultiCoreConfig::new(3);
-        cold.prefetched = false;
-        let res = assert_matches_stepped(
-            &cold,
-            &EngineConfig::vegeta_s(16).unwrap(),
-            &shards,
-            None,
-            SchedulerPolicy::Lpt,
-        );
-        assert!(res.shared_l2.misses > 0, "cold lines miss");
-    }
-
-    #[test]
     fn parallel_host_tolerates_empty_and_idle_work() {
         let res = MultiCoreSim::new(
             MultiCoreConfig::new(3).with_exec(ExecMode::ParallelHost(3)),
@@ -1169,32 +1062,5 @@ mod tests {
         .run_streams(vec![Trace::new().stream()]);
         assert_eq!(res.instructions(), 0);
         assert_eq!(res.stranded_cores(), 3);
-    }
-
-    #[test]
-    fn unprefetched_l2_charges_memory_latency() {
-        // A load-dominated stream (an engine-bound one would hide the
-        // memory time behind tile latency).
-        let mut t = Trace::new();
-        for i in 0..512u64 {
-            t.push(TraceOp::VecLoad {
-                dst: (i % 16) as u8,
-                addr: i * 64,
-            });
-        }
-        let mut cold_cfg = MultiCoreConfig::new(1);
-        cold_cfg.prefetched = false;
-        cold_cfg.mem_latency = 200;
-        let cold =
-            MultiCoreSim::new(cold_cfg, EngineConfig::rasa_dm()).run_streams(vec![t.stream()]);
-        let warm = MultiCoreSim::new(MultiCoreConfig::new(1), EngineConfig::rasa_dm())
-            .run_streams(vec![t.stream()]);
-        assert!(cold.shared_l2.misses > 0);
-        assert!(
-            cold.core_cycles > warm.core_cycles,
-            "cold misses must cost cycles: {} vs {}",
-            cold.core_cycles,
-            warm.core_cycles
-        );
     }
 }

@@ -1,17 +1,17 @@
-//! Differential pin for the production multi-core paths: replaying any
-//! shard set through [`MultiCoreSim::run_sharded`] — per-core runs with
-//! folded first-touch summaries under the prefetch assumption, the
-//! event-queue merge loop on a cold L2 — must produce a
+//! Differential pin for the multi-core path: replaying any shard set
+//! through [`MultiCoreSim::run_sharded`] — each core run on its own, its
+//! first-touch summaries folded into the shared L2 — must produce a
 //! [`MultiCoreResult`] identical **down to the last field** to the
-//! retained linear-scan reference ([`MultiCoreSim::run_sharded_stepped`])
-//! — makespan, barrier and reduction cycles, every per-core `SimResult`
-//! (cycles, cache stats, peak resident bytes), and the shared-L2 counters.
+//! linear-scan reference ([`MultiCoreSim::run_sharded_stepped`]), which
+//! interleaves every core in core-local time order: makespan, barrier and
+//! reduction cycles, every per-core `SimResult` (cycles, cache stats, peak
+//! resident bytes), and the shared-L2 counters.
 //!
 //! Timestamps in this simulator are *computed*, never counted, so the
-//! loop only decides the order cores are advanced in; these tests are the
-//! proof that the order genuinely cannot leak into any reported number,
-//! across ragged shapes, every kernel family, both scheduler policies, and
-//! both the prefetched and the cold-L2 path.
+//! interleave only decides the order cores are advanced in; these tests
+//! are the proof that the order genuinely cannot leak into any reported
+//! number, across ragged shapes, every kernel family and both scheduler
+//! policies.
 
 use proptest::prelude::*;
 use vegeta_engine::EngineConfig;
@@ -100,8 +100,8 @@ fn shards_for(
 
 proptest! {
     /// Production == stepped over ragged shapes × kernel families × both
-    /// policies × core counts × cold/prefetched L2, with the full result
-    /// structure compared at once.
+    /// policies × core counts, with the full result structure compared at
+    /// once.
     #[test]
     fn event_driven_replay_is_field_identical_to_the_stepped_scan(
         m in 4usize..=90,
@@ -110,16 +110,14 @@ proptest! {
         fam in family(),
         cores in 1usize..=5,
         pol in policy(),
-        prefetched in any::<bool>(),
     ) {
         let shape = GemmShape::new(m, n, k);
         let spec = fam.spec(shape);
-        let mut cfg = MultiCoreConfig::with_core(SimConfig::default(), cores);
-        cfg.prefetched = prefetched;
+        let cfg = MultiCoreConfig::with_core(SimConfig::default(), cores);
         let engine = EngineConfig::vegeta_s(16).unwrap().with_output_forwarding(true);
 
         let (shards, reduction) = shards_for(&spec, shape, cores, pol);
-        let event = MultiCoreSim::new(cfg.clone(), engine.clone())
+        let per_core = MultiCoreSim::new(cfg.clone(), engine.clone())
             .run_sharded(shards, reduction, pol);
 
         let (shards, reduction) = shards_for(&spec, shape, cores, pol);
@@ -130,13 +128,13 @@ proptest! {
         // reduction cycles, per-core SimResults (instructions, cache
         // hits/misses, engine-busy cycles, peak resident bytes), and the
         // shared-L2 stats. MultiCoreResult derives PartialEq.
-        prop_assert_eq!(event, stepped);
+        prop_assert_eq!(per_core, stepped);
     }
 }
 
-/// The production paths also agree with the scan across engine classes (issue widths and
-/// latencies shift every timestamp, so this catches an ordering
-/// assumption that only holds for one engine's timing).
+/// The per-core runs also agree with the scan across engine classes
+/// (issue widths and latencies shift every timestamp, so this catches an
+/// ordering assumption that only holds for one engine's timing).
 #[test]
 fn merge_loops_agree_across_engine_classes() {
     let shape = GemmShape::new(96, 64, 256);
@@ -155,7 +153,7 @@ fn merge_loops_agree_across_engine_classes() {
         for cores in [2usize, 3, 8] {
             let cfg = MultiCoreConfig::new(cores);
             let (shards, reduction) = shards_for(&spec, shape, cores, SchedulerPolicy::Lpt);
-            let event = MultiCoreSim::new(cfg.clone(), engine.clone()).run_sharded(
+            let per_core = MultiCoreSim::new(cfg.clone(), engine.clone()).run_sharded(
                 shards,
                 reduction,
                 SchedulerPolicy::Lpt,
@@ -166,7 +164,7 @@ fn merge_loops_agree_across_engine_classes() {
                 reduction,
                 SchedulerPolicy::Lpt,
             );
-            assert_eq!(event, stepped, "{} @ {cores} cores", engine.name());
+            assert_eq!(per_core, stepped, "{} @ {cores} cores", engine.name());
         }
     }
 }

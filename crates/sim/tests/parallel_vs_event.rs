@@ -9,9 +9,7 @@
 //! `SimResult` (cycles, cache stats, peak resident bytes), and the
 //! shared-L2 counters including first-toucher `shared_hits`.
 //!
-//! The sweep includes the cold L2 (`prefetched` off), where every mode
-//! must run the single-threaded event merge because the cores are
-//! coupled, and `Auto`, which must never invent a third timing.
+//! The sweep includes `Auto`, which must never invent another timing.
 
 use proptest::prelude::*;
 use vegeta_engine::EngineConfig;
@@ -131,9 +129,8 @@ fn stepped(
 
 proptest! {
     /// ParallelHost == stepped scan over ragged shapes × kernel families ×
-    /// both policies × prefetch on/off × 1/2/4/8 simulated cores × 1..4
-    /// host threads, with the full result structure compared at once.
-    /// Prefetch-off cases exercise the event merge.
+    /// both policies × 1/2/4/8 simulated cores × 1..4 host threads, with
+    /// the full result structure compared at once.
     #[test]
     fn parallel_host_run_is_field_identical_to_the_stepped_scan(
         m in 4usize..=90,
@@ -142,14 +139,12 @@ proptest! {
         fam in family(),
         cores_pow in 0u32..=3,
         pol in policy(),
-        prefetched in any::<bool>(),
         host_threads in 1usize..=4,
     ) {
         let cores = 1usize << cores_pow; // 1, 2, 4, 8
         let shape = GemmShape::new(m, n, k);
         let spec = fam.spec(shape);
-        let mut cfg = MultiCoreConfig::with_core(SimConfig::default(), cores);
-        cfg.prefetched = prefetched;
+        let cfg = MultiCoreConfig::with_core(SimConfig::default(), cores);
         let engine = EngineConfig::vegeta_s(16).unwrap().with_output_forwarding(true);
 
         let parallel = production(
@@ -162,9 +157,8 @@ proptest! {
         prop_assert_eq!(parallel, stepped(&spec, shape, &cfg, &engine, pol));
     }
 
-    /// Auto never invents a third timing: whatever the host's parallelism,
-    /// its result equals the stepped reference, on a prefetched and on a
-    /// cold L2.
+    /// Auto never invents another timing: whatever the host's
+    /// parallelism, its result equals the stepped reference.
     #[test]
     fn auto_mode_matches_sequential_including_fallback_cases(
         m in 8usize..=60,
@@ -172,12 +166,10 @@ proptest! {
         k in 16usize..=128,
         fam in family(),
         cores in 1usize..=5,
-        prefetched in any::<bool>(),
     ) {
         let shape = GemmShape::new(m, n, k);
         let spec = fam.spec(shape);
-        let mut cfg = MultiCoreConfig::with_core(SimConfig::default(), cores);
-        cfg.prefetched = prefetched;
+        let cfg = MultiCoreConfig::with_core(SimConfig::default(), cores);
         let engine = EngineConfig::vegeta_s(16).unwrap();
         let pol = SchedulerPolicy::Lpt;
 

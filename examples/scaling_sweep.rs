@@ -8,8 +8,8 @@
 //! scheduler policies: the legacy static 1D path vs LPT at 16 cores;
 //! (3) make core count a sweep axis with `Sweep::with_cores` and pull
 //! the strong-scaling geomeans; (4) drop to `vegeta_sim::MultiCoreSim`
-//! directly with `KernelSpec::shard_set` for full control over the
-//! plan, scheduler, shared-L2 and barrier parameters.
+//! directly with `KernelSpec::shard_set` to see the shard plan, the
+//! makespan, the barrier and the shared-L2 split of one run.
 //!
 //! Run with: `cargo run --release --example scaling_sweep`
 //! (`VEGETA_QUICK=1` shrinks the layers for a fast smoke run.)
@@ -96,9 +96,9 @@ fn main() {
         }
     }
 
-    // 4. The raw harness: plan the shard set yourself and run it on an
-    //    explicitly configured MultiCoreSim (cold shared L2, pricier
-    //    barrier) — the knobs a Session keeps at their defaults.
+    // 4. The raw harness: plan the shard set yourself and run it on a
+    //    MultiCoreSim in the default configuration, the one a Session
+    //    runs.
     let spec = KernelSpec::tiled(SparseMode::Nm2of4);
     let shape = layer.scaled_shape(quick);
     let plan = spec.shard_plan(shape, 4);
@@ -111,18 +111,14 @@ fn main() {
         set.shards.len(),
         set.shards.iter().map(InstStream::remaining).sum::<u64>()
     );
-    let mut cfg = MultiCoreConfig::new(4);
-    cfg.prefetched = false; // charge memory latency on cold L2 lines
-    cfg.barrier_latency = 128;
-    let mut sim = MultiCoreSim::new(cfg, EngineConfig::vegeta_s(16).expect("valid alpha"));
+    let mut sim = MultiCoreSim::new(
+        MultiCoreConfig::new(4),
+        EngineConfig::vegeta_s(16).expect("valid alpha"),
+    );
     let res = sim.run_sharded(set.shards, set.reduction, SchedulerPolicy::Lpt);
     println!(
-        "cold-L2 makespan {} cycles (barrier {}), shared L2: {} hits / {} misses / {} shared",
-        res.core_cycles,
-        res.barrier_cycles,
-        res.shared_l2.hits,
-        res.shared_l2.misses,
-        res.shared_l2.shared_hits
+        "makespan {} cycles (barrier {}), shared L2: {} hits, {} of them shared",
+        res.core_cycles, res.barrier_cycles, res.shared_l2.hits, res.shared_l2.shared_hits
     );
     assert_eq!(res.cores, 4);
     assert_eq!(res.stranded_cores(), 0);
