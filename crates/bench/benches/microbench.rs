@@ -75,8 +75,8 @@ fn bench_simulator(c: &mut Criterion) {
     });
     c.bench_function("trace_cache_hit_64x64x512_2of4", |b| {
         let cache = TraceCache::new();
-        cache.get_or_build(shape, &spec);
-        b.iter(|| cache.get_or_build(shape, &spec));
+        cache.summary(shape, &spec);
+        b.iter(|| cache.summary(shape, &spec));
     });
 }
 

@@ -3,23 +3,21 @@
 //!
 //! Default mode: shards the pinned perf-gate layer set (one Table IV layer
 //! per source network) at 2:4 weights across 1–32 matrix-engine cores —
-//! one engine per §VI engine class — through the `MultiCoreSim` pipeline,
-//! prints the strong-scaling table (with per-cell host wall-clock next to
-//! the simulated cycles), runs a static-vs-LPT scheduler duel on the
-//! pinned BERT-L2 layer at 16 cores (dense and 2:4), and writes
-//! `BENCH_scaling.json` (per-engine geomean speedups vs 1 core, per-cell
-//! `wall_seconds`/`sim_insts_per_sec`, plus the duel cells) for the CI
-//! artifact upload. Honours `VEGETA_QUICK` like every other figure binary.
+//! one engine per §VI engine class — through the pooled `Sweep` over the
+//! `MultiCoreSim` pipeline, prints the strong-scaling table, and writes
+//! `BENCH_scaling.json` (per-engine geomean speedups vs 1 core plus every
+//! cell) for the CI artifact upload. Host timing of the sharded path lives
+//! in the repository benchmark (`perfbench`'s `multicore_scaling`).
+//! Honours `VEGETA_QUICK` like every other figure binary.
 //!
 //! `--full-scale` (the scheduled full-scale workflow): replays one
 //! full-fidelity Table IV layer sharded across 8 cores per engine class —
 //! the network-scale exercise of the sharded streaming path.
 
-use vegeta::json::JsonValue;
 use vegeta::prelude::*;
 use vegeta_bench::perf_gate::{perf_gate_engines, pinned_layers};
 use vegeta_bench::scaling::{
-    run_timed_scaling_sweep, scaling_core_counts, scaling_report, write_scaling_json,
+    run_scaling_sweep, scaling_core_counts, scaling_report, write_scaling_json,
 };
 
 fn main() {
@@ -37,17 +35,11 @@ fn main() {
 fn gate_mode() {
     let fidelity = Fidelity::from_env();
     println!("## Multi-core scaling: pinned layers x engine classes x {fidelity} fidelity");
-    let (report, walls) = run_timed_scaling_sweep(fidelity);
-    let wall_of: std::collections::HashMap<(&str, &str, usize), f64> = report
-        .cells
-        .iter()
-        .zip(&walls)
-        .map(|(c, &w)| ((c.workload.as_str(), c.engine.as_str(), c.cores), w))
-        .collect();
+    let report = run_scaling_sweep(fidelity);
 
     println!(
-        "{:<14} {:<22} {:>6} {:>12} {:>9} {:>11} {:>12} {:>8}",
-        "layer", "engine", "cores", "cycles", "speedup", "efficiency", "L2 shared", "host s"
+        "{:<14} {:<22} {:>6} {:>12} {:>9} {:>11} {:>12}",
+        "layer", "engine", "cores", "cycles", "speedup", "efficiency", "L2 shared"
     );
     for workload in report.workloads() {
         for engine in report.engines() {
@@ -59,15 +51,14 @@ fn gate_mode() {
                     .get_cores(workload, engine, "2:4", cores)
                     .expect("cell computed");
                 println!(
-                    "{:<14} {:<22} {:>6} {:>12} {:>8.2}x {:>11.3} {:>12} {:>8.3}",
+                    "{:<14} {:<22} {:>6} {:>12} {:>8.2}x {:>11.3} {:>12}",
                     cell.workload,
                     cell.engine,
                     cell.cores,
                     cell.cycles,
                     base.cycles as f64 / cell.cycles as f64,
                     cell.scaling_efficiency,
-                    cell.shared_l2.shared_hits,
-                    wall_of[&(workload, engine, cores)]
+                    cell.shared_l2.shared_hits
                 );
             }
         }
@@ -80,48 +71,8 @@ fn gate_mode() {
             }
         }
     }
-    // Scheduler duel: the pinned BERT-L2 layer at 16 cores, dense and 2:4,
-    // legacy static 1D sharding vs LPT-packed 2D/K-split plans — the
-    // stranded-core story in one table.
-    const DUEL_CORES: usize = 16;
-    let bert = pinned_layers()
-        .into_iter()
-        .find(|l| l.name == "BERT-L2")
-        .expect("pinned set includes BERT-L2");
-    println!("\n## Scheduler duel: {} at {DUEL_CORES} cores", bert.name);
-    let duel = Sweep::new()
-        .with_engines(perf_gate_engines())
-        .with_layer(bert)
-        .with_sparsities([NmRatio::D4_4, NmRatio::S2_4])
-        .with_fidelity(fidelity)
-        .with_core_count(DUEL_CORES)
-        .with_schedulers([SchedulerPolicy::Static, SchedulerPolicy::Lpt])
-        .run();
-    println!(
-        "{:<22} {:>8} {:>9} {:>12} {:>11} {:>9}",
-        "engine", "sparsity", "scheduler", "cycles", "efficiency", "stranded"
-    );
-    for cell in &duel.cells {
-        println!(
-            "{:<22} {:>8} {:>9} {:>12} {:>11.3} {:>9}",
-            cell.engine,
-            cell.sparsity,
-            cell.scheduler,
-            cell.cycles,
-            cell.scaling_efficiency,
-            cell.stranded_cores()
-        );
-    }
-
     report.save_csv("fig_scaling");
-    let mut doc = scaling_report("gate", &report, &walls);
-    if let JsonValue::Object(fields) = &mut doc {
-        fields.push((
-            "scheduler_duel".into(),
-            JsonValue::Array(duel.cells.iter().map(RunReport::to_json_value).collect()),
-        ));
-    }
-    write_scaling_json(&doc);
+    write_scaling_json(&scaling_report("gate", &report));
 }
 
 fn full_scale() {
@@ -167,5 +118,5 @@ fn full_scale() {
             );
         }
     }
-    write_scaling_json(&scaling_report("full-scale", &sweep, &[]));
+    write_scaling_json(&scaling_report("full-scale", &sweep));
 }

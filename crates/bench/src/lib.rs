@@ -430,13 +430,8 @@ pub fn print_fig13() {
     println!();
     println!(
         "(sweep ran on {} threads; {} traces built, {} cache hits; cache: \
-         {} entries, {} resident, {} evictions)",
-        report.threads,
-        report.traces_built,
-        report.trace_cache_hits,
-        report.cache.entries,
-        report.cache.resident,
-        report.cache.evictions
+         {} entries)",
+        report.threads, report.traces_built, report.trace_cache_hits, report.cache.entries
     );
     // Summary speedups vs RASA-DM (the paper's headline comparison).
     let dm = EngineConfig::rasa_dm().name().to_string();

@@ -11,9 +11,8 @@
 //!   [`EngineKernelExt::kernel_spec`] selection the sweep runner uses),
 //!   widens it with the kernel families Fig. 13 does not exercise
 //!   (row-wise §V-E, Listing 1, the vector fallback), and verifies each
-//!   cell unsharded plus across the strong-scaling core counts — both the
-//!   LPT 2D/K-split shard sets and the legacy 1D static split. Any
-//!   diagnostic is a failure.
+//!   cell unsharded plus across the strong-scaling core counts as the
+//!   2D/K-split shard sets LPT packs. Any diagnostic is a failure.
 //! * **Rejection self-test** ([`run_self_test`]) — replays the mutation
 //!   corpus ([`vegeta::lint::run_corpus`]): one seeded defect per
 //!   operator, each of which must be rejected with its expected
@@ -24,7 +23,7 @@
 
 use std::collections::HashSet;
 
-use vegeta::lint::{verify_shard_set, verify_shard_streams, verify_spec, Report};
+use vegeta::lint::{verify_shard_set, verify_spec, Report};
 use vegeta::prelude::*;
 
 /// Core counts the shard-plan sweep verifies (the strong-scaling axis of
@@ -102,8 +101,8 @@ pub fn lint_cells() -> Vec<(String, GemmShape, KernelSpec)> {
 }
 
 /// Verifies every cell of [`lint_cells`] — unsharded, then across
-/// [`LINT_SWEEP_CORES`] as both LPT 2D/K-split sets and static 1D splits.
-/// Returns all cells with their merged reports (clean or not).
+/// [`LINT_SWEEP_CORES`] as 2D/K-split shard sets. Returns all cells with
+/// their merged reports (clean or not).
 pub fn run_lint_sweep() -> Vec<LintCell> {
     lint_cells()
         .into_iter()
@@ -111,7 +110,6 @@ pub fn run_lint_sweep() -> Vec<LintCell> {
             let mut report = verify_spec(&spec, shape);
             for cores in LINT_SWEEP_CORES {
                 report.merge(verify_shard_set(&spec, shape, cores));
-                report.merge(verify_shard_streams(&spec, shape, cores));
             }
             LintCell { label, report }
         })

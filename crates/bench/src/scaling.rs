@@ -99,72 +99,11 @@ pub fn run_scaling_sweep(fidelity: Fidelity) -> SweepReport {
         .run()
 }
 
-/// Runs the same grid as [`run_scaling_sweep`] cell by cell in the sweep's
-/// deterministic order (layer-major, then core count, then engine), timing
-/// each sharded replay on the host clock. Returns the assembled
-/// [`SweepReport`] plus one wall-clock-seconds entry per cell, index-
-/// aligned with `report.cells` — the per-cell host cost `BENCH_scaling.json`
-/// publishes next to the simulated cycles. One shared trace cache
-/// amortizes generation exactly as the pooled sweep does.
-pub fn run_timed_scaling_sweep(fidelity: Fidelity) -> (SweepReport, Vec<f64>) {
-    let cache = TraceCache::shared();
-    let mut cells = Vec::new();
-    let mut walls = Vec::new();
-    for layer in pinned_layers() {
-        for &cores in &scaling_core_counts() {
-            for engine in perf_gate_engines() {
-                let session = Session::new(engine).with_cache(std::sync::Arc::clone(&cache));
-                let start = std::time::Instant::now();
-                cells.push(session.run(&Cell::layer(&layer, fidelity, NmRatio::S2_4).cores(cores)));
-                walls.push(start.elapsed().as_secs_f64());
-            }
-        }
-    }
-    let report = SweepReport {
-        cells,
-        traces_built: cache.misses(),
-        trace_cache_hits: cache.hits(),
-        l1_fresh_replays: 0,
-        cache: cache.stats(),
-        threads: 1,
-    };
-    (report, walls)
-}
-
 /// Wraps a cores-axis sweep into the `BENCH_scaling.json` document:
 /// per-engine geomean speedups vs 1 core (the numbers a perf gate can
 /// watch), mean parallel efficiency and shared-L2 reuse per core count,
 /// plus every raw cell.
-///
-/// `walls` is index-aligned per-cell host wall-clock seconds (from
-/// [`run_timed_scaling_sweep`]); when non-empty it must have one entry
-/// per cell, and each cell row gains `wall_seconds` and
-/// `sim_insts_per_sec` columns next to its simulated cycles. Pass `&[]`
-/// for an untimed (pooled) sweep.
-///
-/// # Panics
-///
-/// If `walls` is non-empty but not index-aligned with `report.cells`.
-pub fn scaling_report(mode: &str, report: &SweepReport, walls: &[f64]) -> JsonValue {
-    assert!(
-        walls.is_empty() || walls.len() == report.cells.len(),
-        "walls must align with cells: {} vs {}",
-        walls.len(),
-        report.cells.len()
-    );
-    let cell_json = |(i, cell): (usize, &RunReport)| {
-        let mut value = cell.to_json_value();
-        if let (JsonValue::Object(fields), Some(&wall)) = (&mut value, walls.get(i)) {
-            fields.push(("wall_seconds".into(), wall.into()));
-            let rate = if wall > 0.0 {
-                cell.instructions as f64 / wall
-            } else {
-                0.0
-            };
-            fields.push(("sim_insts_per_sec".into(), rate.into()));
-        }
-        value
-    };
+pub fn scaling_report(mode: &str, report: &SweepReport) -> JsonValue {
     let sparsity = "2:4";
     let mut per_engine = Vec::new();
     for engine in report.engines() {
@@ -196,7 +135,7 @@ pub fn scaling_report(mode: &str, report: &SweepReport, walls: &[f64]) -> JsonVa
         ),
         (
             "cells".into(),
-            JsonValue::Array(report.cells.iter().enumerate().map(cell_json).collect()),
+            JsonValue::Array(report.cells.iter().map(RunReport::to_json_value).collect()),
         ),
     ])
 }
@@ -231,7 +170,7 @@ mod tests {
             assert!(cell.cycles <= last, "monotone non-increasing cycles");
             last = cell.cycles;
         }
-        let doc = scaling_report("test", &report, &[]);
+        let doc = scaling_report("test", &report);
         let parsed = JsonValue::parse(&doc.to_string()).expect("valid JSON");
         let speedups = parsed
             .get("geomean_speedup_vs_1core")
@@ -246,44 +185,12 @@ mod tests {
             speedups.get("1").and_then(JsonValue::as_f64).unwrap() > 0.999,
             "the baseline's speedup over itself is 1"
         );
-        // Untimed cells have no wall-clock columns.
-        let first = &parsed.get("cells").unwrap().as_array().unwrap()[0];
-        assert!(first.get("wall_seconds").is_none());
-    }
-
-    #[test]
-    fn timed_cells_carry_wall_clock_next_to_cycles() {
-        let report = Sweep::new()
-            .with_engine(EngineConfig::vegeta_s(16).unwrap())
-            .with_layer(table4()[7])
-            .with_sparsity(NmRatio::S2_4)
-            .with_fidelity(Fidelity::Quick(8))
-            .with_cores([1, 2])
-            .run();
-        let walls = vec![0.5; report.cells.len()];
-        let doc = scaling_report("test", &report, &walls);
-        let parsed = JsonValue::parse(&doc.to_string()).expect("valid JSON");
-        for cell in parsed.get("cells").unwrap().as_array().unwrap() {
-            assert_eq!(
-                cell.get("wall_seconds").and_then(JsonValue::as_f64),
-                Some(0.5)
-            );
-            let insts = cell
-                .get("instructions")
-                .and_then(JsonValue::as_f64)
-                .unwrap();
-            let rate = cell
-                .get("sim_insts_per_sec")
-                .and_then(JsonValue::as_f64)
-                .unwrap();
-            assert!((rate - insts / 0.5).abs() < 1e-6, "{rate} vs {insts}/0.5");
-        }
     }
 
     #[test]
     fn timed_sweep_matches_the_pooled_grid_shape() {
-        // The timed runner must enumerate the same grid in the same order
-        // the pooled sweep reports, or walls stop being index-aligned.
+        // The pooled sweep lists the grid layer-major, then core count,
+        // then engine: the order of BENCH_scaling.json's cells.
         let pooled = run_scaling_floor_sweep(Fidelity::Quick(2));
         let labels: Vec<(String, String, usize)> = pooled
             .cells

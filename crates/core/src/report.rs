@@ -132,8 +132,9 @@ pub struct RunReport {
     /// end-of-shard barrier).
     pub cores: usize,
     /// Scheduler that assigned shards to cores: `"-"` for the classic
-    /// single-core path, else a [`vegeta_sim::SchedulerPolicy`] label
-    /// (`"static"` / `"lpt"`).
+    /// single-core path, else `"lpt"` (longest processing time first; see
+    /// [`vegeta_sim::SchedulerPolicy`]). Reports written by older versions
+    /// may also say `"static"`.
     pub scheduler: String,
     /// Per-core cycle counts of a multi-core run, in core order (empty for
     /// single-core runs).
@@ -607,8 +608,6 @@ impl SweepReport {
             ("trace_cache_hits".into(), self.trace_cache_hits.into()),
             ("l1_fresh_replays".into(), self.l1_fresh_replays.into()),
             ("cache_entries".into(), self.cache.entries.into()),
-            ("cache_resident".into(), self.cache.resident.into()),
-            ("cache_evictions".into(), self.cache.evictions.into()),
             ("threads".into(), self.threads.into()),
             (
                 "cells".into(),
@@ -732,11 +731,11 @@ mod tests {
     fn stranded_cores_surface_in_json_and_csv() {
         let mut r = sample("L", "E", "2:4", 1000);
         r.cores = 4;
-        r.scheduler = "static".into();
+        r.scheduler = "lpt".into();
         r.per_core_cycles = vec![0, 900, 0, 950];
         assert_eq!(r.stranded_cores(), 2);
         assert!(r.to_json().contains("\"stranded_cores\":2"));
-        assert!(r.csv_row().contains(",4,static,1000,0;900;0;950,"));
+        assert!(r.csv_row().contains(",4,lpt,1000,0;900;0;950,"));
         // Derived, like utilization: stripping it from the JSON is fine.
         let back = RunReport::from_json(&r.to_json()).unwrap();
         assert_eq!(back.stranded_cores(), 2);

@@ -229,6 +229,10 @@ impl CellOutcome {
     }
 }
 
+/// One memoized preflight cell: `(shape, spec, cores)`, where 0 cores
+/// stands for the unsharded stream.
+type PreflightKey = (GemmShape, KernelSpec, usize);
+
 /// The opt-out static-verification gate in front of every simulated cell.
 ///
 /// Before a cell's stream replays, [`vegeta_lint`] proves it well-formed —
@@ -236,16 +240,10 @@ impl CellOutcome {
 /// accounting — and a diagnostic aborts the run with the full report:
 /// simulating a malformed stream would only launder the defect into
 /// silently wrong cycle counts. Verification is memoized per distinct
-/// `(shape, spec, cores, policy)` cell behind a shared [`Arc`], so a sweep
-/// pays each stream once however many engines replay it, and clones (one
-/// per [`Session`]) share the memo the way they share the trace cache.
+/// `(shape, spec, cores)` cell behind a shared [`Arc`], so a sweep pays
+/// each stream once however many engines replay it, and clones (one per
+/// [`Session`]) share the memo the way they share the trace cache.
 /// Disable with [`Session::with_preflight`] / [`Sweep::with_preflight`].
-/// One memoized preflight cell: `(shape, spec, cores, policy)`.
-type PreflightKey = (GemmShape, KernelSpec, usize, SchedulerPolicy);
-
-/// A memoized static-verification gate over `(shape, spec, cores, policy)`
-/// cells (see the module-level discussion above): each distinct cell is
-/// lint-verified once, and clones share the memo through an [`Arc`].
 ///
 /// [`Session`]/[`Sweep`] use it panicking (a malformed stream inside a
 /// trusted experiment grid is a bug, not an input); request-facing layers
@@ -278,24 +276,19 @@ impl Preflight {
     }
 
     /// Statically verifies one cell — `cores == 0` means the unsharded
-    /// single-core path, `cores >= 1` the sharded decomposition the given
-    /// scheduler policy would execute — memoizing the outcome (failures
-    /// included: lint is deterministic, so a rejected cell stays rejected).
+    /// single-core path, `cores >= 1` the shard set
+    /// [`KernelSpec::shard_set`] cuts for that many cores — memoizing the
+    /// outcome (failures included: lint is deterministic, so a rejected
+    /// cell stays rejected).
     ///
     /// # Errors
     ///
     /// The formatted `vegeta-lint` report when any diagnostic fires.
-    pub fn verify(
-        &self,
-        shape: GemmShape,
-        spec: &KernelSpec,
-        cores: usize,
-        policy: SchedulerPolicy,
-    ) -> Result<(), String> {
+    pub fn verify(&self, shape: GemmShape, spec: &KernelSpec, cores: usize) -> Result<(), String> {
         if self.disabled {
             return Ok(());
         }
-        let key = (shape, spec.clone(), cores, policy);
+        let key = (shape, spec.clone(), cores);
         if let Some(outcome) = self
             .verified
             .lock()
@@ -304,16 +297,15 @@ impl Preflight {
         {
             return outcome.clone();
         }
-        let report = match (cores, policy) {
-            (0, _) => vegeta_lint::verify_spec(spec, shape),
-            (n, SchedulerPolicy::Static) => vegeta_lint::verify_shard_streams(spec, shape, n),
-            (n, SchedulerPolicy::Lpt) => vegeta_lint::verify_shard_set(spec, shape, n),
+        let report = match cores {
+            0 => vegeta_lint::verify_spec(spec, shape),
+            n => vegeta_lint::verify_shard_set(spec, shape, n),
         };
         let outcome = if report.is_clean() {
             Ok(())
         } else {
             Err(format!(
-                "preflight rejected {} at {}x{}x{} ({cores} cores, {policy:?}):\n{report}",
+                "preflight rejected {} at {}x{}x{} ({cores} cores):\n{report}",
                 spec.name(),
                 shape.m,
                 shape.n,
@@ -330,8 +322,8 @@ impl Preflight {
     /// Verifies one cell, panicking with the lint report on any diagnostic
     /// (the [`Session`]/[`Sweep`] contract: simulating a malformed stream
     /// would launder the defect into silently wrong cycle counts).
-    fn check(&self, shape: GemmShape, spec: &KernelSpec, cores: usize, policy: SchedulerPolicy) {
-        if let Err(report) = self.verify(shape, spec, cores, policy) {
+    fn check(&self, shape: GemmShape, spec: &KernelSpec, cores: usize) {
+        if let Err(report) = self.verify(shape, spec, cores) {
             panic!("{report}");
         }
     }
@@ -451,11 +443,11 @@ enum Workload<'a> {
 /// * A cell without cores runs unsharded on one [`CoreSim`]: the paper's
 ///   single-core setup, the path Fig. 13 and `BENCH_fig13.json` run on.
 ///   Its report has no per-core cycles and scheduler `"-"`. [`Cell::cores`]
-///   shards the kernel across that many cores of a [`MultiCoreSim`] under
-///   the cell's [`SchedulerPolicy`] ([`Cell::scheduler`]; LPT unless set).
-///   `cores(1)` is that harness with a single shard: the same cycles,
-///   instructions and tile work as the unsharded cell, but a report with
-///   one per-core entry and the policy label, a `peak_resident_bytes`
+///   shards the kernel across that many cores of a [`MultiCoreSim`]: the
+///   shard set [`KernelSpec::shard_set`] cuts, packed longest first (the
+///   report's scheduler `"lpt"`). `cores(1)` is that harness with a single
+///   shard: the same cycles, instructions and tile work as the unsharded
+///   cell, but a report with one per-core entry, a `peak_resident_bytes`
 ///   that counts the shard emitter's state, and a preflight that verifies
 ///   the shard set rather than the unsharded stream.
 ///
@@ -474,7 +466,6 @@ pub struct Cell<'a> {
     workload: Workload<'a>,
     operand: Operand<'a>,
     cores: Option<usize>,
-    scheduler: SchedulerPolicy,
 }
 
 impl<'a> Cell<'a> {
@@ -493,7 +484,6 @@ impl<'a> Cell<'a> {
             workload,
             operand,
             cores: None,
-            scheduler: SchedulerPolicy::default(),
         }
     }
 
@@ -501,15 +491,6 @@ impl<'a> Cell<'a> {
     /// docs for how `cores(1)` differs from an unsharded cell).
     pub fn cores(mut self, cores: usize) -> Self {
         self.cores = Some(cores.max(1));
-        self
-    }
-
-    /// The policy a sharded cell assigns shards to cores by: the default
-    /// [`SchedulerPolicy::Lpt`] also unlocks 2D/K-split shard plans,
-    /// [`SchedulerPolicy::Static`] is the one-M-row-shard-per-core path.
-    /// An unsharded cell has no shards to assign and ignores it.
-    pub fn scheduler(mut self, policy: SchedulerPolicy) -> Self {
-        self.scheduler = policy;
         self
     }
 
@@ -575,10 +556,9 @@ impl Harness {
     /// shard set) it replays.
     ///
     /// An unsharded cell replays on one [`CoreSim`], through `memo` when
-    /// given. A sharded cell splits the kernel per its policy: 1D by M-tile
-    /// rows under [`SchedulerPolicy::Static`], a 2D/K-split shard set
-    /// LPT-packed onto the cores under [`SchedulerPolicy::Lpt`], with any
-    /// K-split reduction replayed after the barrier. Its shards stream
+    /// given. A sharded cell cuts the kernel into its 2D/K-split shard set,
+    /// LPT-packed onto the cores, with any K-split reduction replayed after
+    /// the barrier. Its shards stream
     /// through private L1s over one coherence-free shared L2 on `exec`
     /// host threads, and `cycles` is the makespan.
     fn run(
@@ -592,8 +572,7 @@ impl Harness {
         let shape = cell.gemm_shape();
         let outcome = match cell.cores {
             None => {
-                self.preflight
-                    .check(shape, spec, 0, SchedulerPolicy::Static);
+                self.preflight.check(shape, spec, 0);
                 let stream = self.cache.stream(shape, spec);
                 let mut core = CoreSim::new(self.sim.clone(), engine.clone());
                 CellOutcome::from(match memo {
@@ -602,23 +581,17 @@ impl Harness {
                 })
             }
             Some(cores) => {
-                let policy = cell.scheduler;
-                self.preflight.check(shape, spec, cores, policy);
+                self.preflight.check(shape, spec, cores);
                 // Memoize the unsharded generator summary so sweeps account
                 // trace construction identically whichever axis ran first.
                 self.cache.summary(shape, spec);
-                let (shards, reduction) = match policy {
-                    SchedulerPolicy::Static => (spec.shard_streams(shape, cores), None),
-                    SchedulerPolicy::Lpt => {
-                        let set = spec.shard_set(shape, cores);
-                        (set.shards, set.reduction)
-                    }
-                };
+                let set = spec.shard_set(shape, cores);
+                let policy = SchedulerPolicy::Lpt;
                 let res = MultiCoreSim::new(
                     MultiCoreConfig::with_core(self.sim.clone(), cores).with_exec(exec),
                     engine.clone(),
                 )
-                .run_sharded(shards, reduction, policy);
+                .run_sharded(set.shards, set.reduction, policy);
                 CellOutcome::sharded(res, policy)
             }
         };
@@ -763,7 +736,7 @@ impl Session {
 }
 
 /// A grid runner over engine × workload × {sparsity pattern | storage
-/// format} × core-count × scheduler-policy combinations.
+/// format} × core-count combinations.
 ///
 /// The middle axis mixes two kinds of entries: weight-sparsity patterns
 /// ([`Sweep::with_sparsities`], the Fig. 13 axis — the engine chooses how
@@ -784,7 +757,6 @@ pub struct Sweep {
     formats: Vec<FormatSpec>,
     fidelities: Vec<Fidelity>,
     cores: Vec<usize>,
-    schedulers: Vec<SchedulerPolicy>,
     scale: usize,
     threads: usize,
     harness: Harness,
@@ -799,7 +771,6 @@ impl Default for Sweep {
             formats: Vec::new(),
             fidelities: Vec::new(),
             cores: Vec::new(),
-            schedulers: Vec::new(),
             scale: 1,
             threads: 0,
             harness: Harness::default(),
@@ -907,12 +878,6 @@ impl Sweep {
         self
     }
 
-    /// Adds one core count to the grid (see [`Sweep::with_cores`]).
-    pub fn with_core_count(mut self, cores: usize) -> Self {
-        self.cores.push(cores.max(1));
-        self
-    }
-
     /// Adds core counts to the grid, making multi-core scale-out a
     /// first-class experiment axis: every cell runs sharded across each
     /// requested core count through [`vegeta_sim::MultiCoreSim`]
@@ -924,38 +889,13 @@ impl Sweep {
         self
     }
 
-    /// Adds scheduler policies to the grid, making shard scheduling a
-    /// sweepable axis: every multi-core cell runs once per policy
-    /// (`with_schedulers([Static, Lpt])` pins the legacy 1D split against
-    /// load-aware 2D/K-split packing). The axis applies only to cells with
-    /// a core count: the classic single-core path ignores the policy, so
-    /// without a cores axis each grid point runs once. When no policy is
-    /// given, multi-core cells run the default ([`SchedulerPolicy::Lpt`]).
-    pub fn with_schedulers(
-        mut self,
-        schedulers: impl IntoIterator<Item = SchedulerPolicy>,
-    ) -> Self {
-        self.schedulers.extend(schedulers);
-        self
-    }
-
-    /// The grid's `(cores, scheduler)` points, in report order. `None`
-    /// cores marks the classic single-core path, which ignores the policy
-    /// and so runs once, under the default. Cells with cores run once per
-    /// policy, the default when none was given.
-    fn core_points(&self) -> Vec<(Option<usize>, SchedulerPolicy)> {
+    /// The grid's core-count axis, in report order. `None` marks the
+    /// classic single-core path, which runs when no core count was given.
+    fn core_points(&self) -> Vec<Option<usize>> {
         if self.cores.is_empty() {
-            return vec![(None, SchedulerPolicy::default())];
+            return vec![None];
         }
-        let schedulers = if self.schedulers.is_empty() {
-            vec![SchedulerPolicy::default()]
-        } else {
-            self.schedulers.clone()
-        };
-        self.cores
-            .iter()
-            .flat_map(|&cores| schedulers.iter().map(move |&p| (Some(cores), p)))
-            .collect()
+        self.cores.iter().copied().map(Some).collect()
     }
 
     /// The grid's fidelity axis: explicit entries, else the scale factor.
@@ -1021,8 +961,7 @@ impl Sweep {
 
     /// Runs the grid and returns the report; cells appear workload-major,
     /// then fidelity, then axis entry (sparsities before formats), then
-    /// core count, then scheduler policy, then engine, whatever the thread
-    /// count.
+    /// core count, then engine, whatever the thread count.
     ///
     /// Single-core cells that replay the same `(shape, kernel)` trace share
     /// one [`L1Memo`]: the first of them to run records its L1 outcome and
@@ -1055,10 +994,9 @@ impl Sweep {
         for layer in &self.layers {
             for &fidelity in &fidelities {
                 for &operand in &operands {
-                    for &(cores, scheduler) in &core_points {
+                    for &cores in &core_points {
                         cells.push(Cell {
                             cores,
-                            scheduler,
                             ..Cell::layer(layer, fidelity, operand)
                         });
                     }
@@ -1568,10 +1506,6 @@ mod tests {
         );
         assert_eq!(report.traces_built, 2);
         assert_eq!(report.cache.entries, 2);
-        assert_eq!(
-            report.cache.resident, 0,
-            "sweeps stream; nothing materializes"
-        );
     }
 
     #[test]
@@ -1787,42 +1721,23 @@ mod tests {
             }
         }
 
-        // A cores axis under both policies runs the sharded branch of the
-        // same cell runner.
-        let policies = [SchedulerPolicy::Static, SchedulerPolicy::Lpt];
-        let policy_grid = Sweep::new()
+        // A cores axis runs the sharded branch of the same cell runner.
+        let sharded = Sweep::new()
             .with_engines(engines.clone())
             .with_layer(layer)
             .with_sparsity(NmRatio::S2_4)
-            .with_schedulers(policies)
+            .with_cores([1, 4])
             .with_scale(8)
             .with_threads(2);
-        let sharded = policy_grid.clone().with_cores([1, 4]);
         let mut expected = Vec::new();
         for cores in [1, 4] {
-            for policy in policies {
-                for engine in &engines {
-                    let cell = Cell::layer(&layer, Fidelity::Quick(8), NmRatio::S2_4)
-                        .cores(cores)
-                        .scheduler(policy);
-                    expected.push(Session::new(engine.clone()).run(&cell));
-                }
+            for engine in &engines {
+                let cell = Cell::layer(&layer, Fidelity::Quick(8), NmRatio::S2_4).cores(cores);
+                expected.push(Session::new(engine.clone()).run(&cell));
             }
         }
         assert_eq!(sharded.cell_count(), expected.len());
         assert_eq!(sharded.run().cells, expected);
-
-        // Without cores the policy axis adds no cells: unsharded cells
-        // ignore the policy, so each engine runs the grid point once.
-        let expected: Vec<RunReport> = engines
-            .iter()
-            .map(|engine| {
-                let cell = Cell::layer(&layer, Fidelity::Quick(8), NmRatio::S2_4);
-                Session::new(engine.clone()).run(&cell)
-            })
-            .collect();
-        assert_eq!(policy_grid.cell_count(), engines.len());
-        assert_eq!(policy_grid.run().cells, expected);
     }
 
     #[test]
@@ -1883,17 +1798,15 @@ mod tests {
         // The static-verification gate runs before the simulator and is
         // memoized out of repeat cells: identical runs with the preflight
         // on and off must produce byte-identical reports, single- and
-        // multi-core, static and LPT alike.
+        // multi-core alike.
         let layer = table4()[7];
         let baseline = Session::new(EngineConfig::vegeta_s(16).unwrap());
         let single = Cell::layer(&layer, Fidelity::Quick(8), NmRatio::S2_4);
         for enabled in [true, false] {
             let session = baseline.clone().with_preflight(enabled);
             assert_eq!(session.run(&single), baseline.run(&single));
-            for policy in [SchedulerPolicy::Static, SchedulerPolicy::Lpt] {
-                let multi = single.cores(4).scheduler(policy);
-                assert_eq!(session.run(&multi), baseline.run(&multi));
-            }
+            let multi = single.cores(4);
+            assert_eq!(session.run(&multi), baseline.run(&multi));
         }
     }
 }

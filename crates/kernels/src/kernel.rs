@@ -13,10 +13,8 @@
 //!   `(GemmShape, FormatSpec, KernelSpec)`: per-key [`TraceSummary`] stats
 //!   plus fresh lazy [`KernelStream`]s via [`TraceCache::stream`], so a
 //!   sweep over many engines derives each distinct trace's accounting once
-//!   and never holds a full instruction vector. The legacy materializing
-//!   path ([`TraceCache::get_or_build`]) keeps a bounded, evicting set of
-//!   resident traces. It is `Sync` and cheap to share across worker
-//!   threads.
+//!   and never holds a full instruction vector. It is `Sync` and cheap to
+//!   share across worker threads.
 //!
 //! [`KernelStream`]: crate::stream::KernelStream
 //! * [`EngineKernelExt`] puts `execution_mode` on [`EngineConfig`]: the
@@ -24,9 +22,9 @@
 //!
 //! [`Trace`]: vegeta_isa::trace::Trace
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use vegeta_engine::EngineConfig;
 use vegeta_isa::stream::InstStream;
@@ -164,29 +162,6 @@ impl KernelSpec {
         KernelEmitter::for_spec(self, shape).stream()
     }
 
-    /// Shards this kernel's trace into `n` independent streams by M-tile
-    /// rows (see [`KernelEmitter::shard`]): each shard is an exact-length,
-    /// byte-accounted stream over a contiguous range of the tile-loop
-    /// nest, and the shards concatenated in order replay exactly
-    /// [`KernelSpec::stream`]. The unit of work each core of a multi-core
-    /// simulation consumes.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use vegeta_isa::stream::InstStream;
-    /// use vegeta_kernels::{GemmShape, KernelSpec, SparseMode};
-    ///
-    /// let spec = KernelSpec::tiled(SparseMode::Nm2of4);
-    /// let shape = GemmShape::new(128, 64, 256);
-    /// let shards = spec.shard_streams(shape, 4);
-    /// let total: u64 = shards.iter().map(|s| s.remaining()).sum();
-    /// assert_eq!(total, spec.stream(shape).remaining());
-    /// ```
-    pub fn shard_streams(&self, shape: GemmShape, n: usize) -> Vec<crate::stream::ShardStream> {
-        KernelEmitter::for_spec(self, shape).shard(n)
-    }
-
     /// Picks the 2D/K-split [`crate::ShardPlan`] for `cores` (see
     /// [`KernelEmitter::plan_for_cores`]): M first, then N with ~2×
     /// over-decomposition for LPT slack, then K as the last resort.
@@ -307,21 +282,11 @@ impl TraceSummary {
 pub struct TraceCacheStats {
     /// Lookups that found a memoized entry.
     pub hits: u64,
-    /// Lookups that had to build a generator summary or a trace.
+    /// Lookups that had to derive a generator summary.
     pub misses: u64,
     /// Distinct `(shape, format, spec)` keys with a memoized summary.
     pub entries: usize,
-    /// Materialized traces currently resident (bounded by the eviction
-    /// capacity).
-    pub resident: usize,
-    /// Materialized traces evicted to keep residency bounded.
-    pub evictions: u64,
 }
-
-/// Materialized traces a cache may keep resident by default; older entries
-/// are evicted beyond this (streaming replays never materialize, so the
-/// bound only governs the legacy [`TraceCache::get_or_build`] path).
-pub const DEFAULT_RESIDENT_TRACES: usize = 32;
 
 /// A memoizing, thread-safe trace cache keyed on
 /// `(GemmShape, FormatSpec, KernelSpec)`.
@@ -335,11 +300,8 @@ pub const DEFAULT_RESIDENT_TRACES: usize = 32;
 /// generators**, not instruction vectors: a key's entry is its
 /// [`TraceSummary`] (exact length + chunk bound, derived from the kernel's
 /// block decomposition), and [`TraceCache::stream`] hands out a fresh
-/// lazy [`KernelStream`] per call. The legacy [`TraceCache::get_or_build`]
-/// still materializes (each key's trace built exactly once, even under
-/// concurrent lookups — per-key [`OnceLock`] cells serialize the first
-/// build), but resident traces are bounded: beyond the eviction capacity
-/// the least-recently-used materialized entry is dropped.
+/// lazy [`KernelStream`] per call. Each key's summary is stored once and
+/// counted as one miss, even under concurrent lookups.
 ///
 /// # Example
 ///
@@ -354,48 +316,26 @@ pub const DEFAULT_RESIDENT_TRACES: usize = 32;
 /// let again = cache.stream(shape, &spec);
 /// assert_eq!(first.remaining(), again.remaining());
 /// assert_eq!((cache.misses(), cache.hits()), (1, 1));
-/// let a = cache.get_or_build(shape, &spec);
-/// assert_eq!(a.len() as u64, first.remaining());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TraceCache {
     summaries: Mutex<HashMap<CacheKey, TraceSummary>>,
-    resident: Mutex<ResidentTraces>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
-    max_resident: usize,
-}
-
-impl Default for TraceCache {
-    fn default() -> Self {
-        TraceCache::new()
-    }
 }
 
 type CacheKey = (GemmShape, FormatSpec, KernelSpec);
 
-/// A lazily-initialized, shareable cache slot for one built trace.
-type TraceCell = Arc<OnceLock<Arc<Trace>>>;
-
-/// The bounded materialized-trace side of the cache: cells plus a
-/// recency queue (front = coldest).
-#[derive(Debug, Default)]
-struct ResidentTraces {
-    cells: HashMap<CacheKey, TraceCell>,
-    order: VecDeque<CacheKey>,
-}
-
 impl TraceCache {
-    /// Creates an empty cache with the default materialized-residency bound.
+    /// Creates an empty cache.
     pub fn new() -> Self {
-        TraceCache::with_max_resident(DEFAULT_RESIDENT_TRACES)
+        TraceCache::default()
     }
 
     /// Creates an empty cache already wrapped for cross-worker sharing:
     /// the `Arc` clones cheaply into every worker/session that should
-    /// resolve against the same memo (the per-key [`OnceLock`] build-once
-    /// guarantee holds across however many threads hold a clone).
+    /// resolve against the same memo (each key's summary is still stored
+    /// once, however many threads hold a clone).
     ///
     /// # Example
     ///
@@ -408,20 +348,6 @@ impl TraceCache {
     /// ```
     pub fn shared() -> Arc<Self> {
         Arc::new(TraceCache::new())
-    }
-
-    /// Creates an empty cache evicting materialized traces beyond
-    /// `max_resident` entries (minimum 1; summaries are never evicted —
-    /// they are a few dozen bytes each).
-    pub fn with_max_resident(max_resident: usize) -> Self {
-        TraceCache {
-            summaries: Mutex::new(HashMap::new()),
-            resident: Mutex::new(ResidentTraces::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            max_resident: max_resident.max(1),
-        }
     }
 
     /// Records a summary lookup for `key`, deriving it from `stream` on the
@@ -466,78 +392,19 @@ impl TraceCache {
         TraceSummary::of(&stream)
     }
 
-    /// Returns the memoized materialized trace for `(shape, spec)`,
-    /// building it on first use. Concurrent callers for the same key block
-    /// on the single build; materialized residency is bounded (older
-    /// entries are evicted, though outstanding `Arc`s keep them alive for
-    /// their holders).
-    pub fn get_or_build(&self, shape: GemmShape, spec: &KernelSpec) -> Arc<Trace> {
-        let key = (shape, spec.format(), spec.clone());
-        let cell = {
-            let mut resident = self.resident.lock().expect("trace cache poisoned");
-            match resident.cells.get(&key) {
-                Some(cell) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    let cell = Arc::clone(cell);
-                    // Refresh recency: move the key to the back.
-                    if let Some(i) = resident.order.iter().position(|k| k == &key) {
-                        resident.order.remove(i);
-                        resident.order.push_back(key);
-                    }
-                    cell
-                }
-                None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    // Register the summary too, so `entries` covers keys
-                    // that only ever materialized.
-                    let mut summaries = self.summaries.lock().expect("trace cache poisoned");
-                    summaries
-                        .entry(key.clone())
-                        .or_insert_with(|| TraceSummary::of(&spec.stream(shape)));
-                    drop(summaries);
-                    let cell = Arc::new(OnceLock::new());
-                    resident.cells.insert(key.clone(), Arc::clone(&cell));
-                    resident.order.push_back(key);
-                    while resident.order.len() > self.max_resident {
-                        let coldest = resident.order.pop_front().expect("non-empty queue");
-                        resident.cells.remove(&coldest);
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    cell
-                }
-            }
-        };
-        // Build outside the map lock so other keys proceed concurrently.
-        Arc::clone(cell.get_or_init(|| Arc::new(spec.build(shape))))
-    }
-
     /// Cache lookups that found an existing entry.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Cache lookups that had to build a summary or trace.
+    /// Cache lookups that had to derive a summary.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Materialized traces evicted to keep residency bounded.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
     }
 
     /// Distinct keys with a memoized summary.
     pub fn len(&self) -> usize {
         self.summaries.lock().expect("trace cache poisoned").len()
-    }
-
-    /// Materialized traces currently resident.
-    pub fn resident_len(&self) -> usize {
-        self.resident
-            .lock()
-            .expect("trace cache poisoned")
-            .cells
-            .len()
     }
 
     /// `true` if nothing has been cached yet.
@@ -551,20 +418,14 @@ impl TraceCache {
             hits: self.hits(),
             misses: self.misses(),
             entries: self.len(),
-            resident: self.resident_len(),
-            evictions: self.evictions(),
         }
     }
 
     /// Drops every cached entry and resets the counters.
     pub fn clear(&self) {
         self.summaries.lock().expect("trace cache poisoned").clear();
-        let mut resident = self.resident.lock().expect("trace cache poisoned");
-        resident.cells.clear();
-        resident.order.clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
     }
 }
 
@@ -601,15 +462,19 @@ mod tests {
         let shape = GemmShape::new(32, 32, 64);
         let dense = KernelSpec::tiled(SparseMode::Dense);
         let sparse = KernelSpec::tiled(SparseMode::Nm2of4);
-        let a = cache.get_or_build(shape, &dense);
-        let b = cache.get_or_build(shape, &dense);
-        let c = cache.get_or_build(shape, &sparse);
-        assert!(Arc::ptr_eq(&a, &b), "same key shares one trace");
-        assert!(!Arc::ptr_eq(&a, &c), "distinct specs get distinct traces");
+        let a = cache.summary(shape, &dense);
+        let b = cache.summary(shape, &dense);
+        let c = cache.summary(shape, &sparse);
+        assert_eq!(a, b, "same key shares one summary");
+        assert_ne!(a, c, "distinct specs get distinct summaries");
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.len(), 2);
-        assert_eq!(*a, dense.build(shape), "cached trace equals a cold build");
+        assert_eq!(
+            a.ops,
+            dense.build(shape).len() as u64,
+            "cached summary equals a cold build"
+        );
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
@@ -620,16 +485,17 @@ mod tests {
         let cache = TraceCache::new();
         let shape = GemmShape::new(64, 64, 256);
         let spec = KernelSpec::tiled(SparseMode::Nm2of4);
-        let traces: Vec<Arc<Trace>> = std::thread::scope(|s| {
+        let summaries: Vec<TraceSummary> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
-                .map(|_| s.spawn(|| cache.get_or_build(shape, &spec)))
+                .map(|_| s.spawn(|| cache.summary(shape, &spec)))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        for t in &traces[1..] {
-            assert!(Arc::ptr_eq(&traces[0], t), "all threads share one build");
+        for t in &summaries[1..] {
+            assert_eq!(summaries[0], *t, "all threads see one summary");
         }
         assert_eq!(cache.len(), 1);
+        assert_eq!(cache.misses(), 1, "one derivation is memoized");
         assert_eq!(cache.hits() + cache.misses(), 8);
     }
 
@@ -637,14 +503,14 @@ mod tests {
     fn shared_cache_contention_builds_each_key_exactly_once() {
         // The cross-worker guarantee the serving layer leans on: M workers
         // holding Arc clones of one cache and racing on the *same* key get
-        // one trace build (per-key OnceLock) and one generator-summary
-        // derivation — a barrier maximizes the contention window.
+        // one memoized generator summary — a barrier maximizes the
+        // contention window.
         const WORKERS: usize = 8;
         let cache = TraceCache::shared();
         let shape = GemmShape::new(64, 64, 256);
         let spec = KernelSpec::tiled(SparseMode::Nm1of4);
         let barrier = std::sync::Barrier::new(WORKERS);
-        let traces: Vec<Arc<Trace>> = std::thread::scope(|s| {
+        let summaries: Vec<TraceSummary> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..WORKERS)
                 .map(|_| {
                     let cache = Arc::clone(&cache);
@@ -652,25 +518,24 @@ mod tests {
                     let barrier = &barrier;
                     s.spawn(move || {
                         barrier.wait();
-                        // Streaming lookup and materializing lookup race.
+                        // Streaming lookup and summary lookup race.
                         let stream = cache.stream(shape, &spec);
-                        let trace = cache.get_or_build(shape, &spec);
-                        assert_eq!(stream.remaining(), trace.len() as u64);
-                        trace
+                        let summary = cache.summary(shape, &spec);
+                        assert_eq!(stream.remaining(), summary.ops);
+                        summary
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        for t in &traces[1..] {
-            assert!(Arc::ptr_eq(&traces[0], t), "every worker shares one build");
+        for t in &summaries[1..] {
+            assert_eq!(summaries[0], *t, "every worker sees one summary");
         }
         assert_eq!(cache.len(), 1, "one distinct key");
-        assert_eq!(cache.resident_len(), 1, "one materialized trace");
-        // 2 lookups per worker; exactly 2 misses total (the first stream
-        // summary + the first materialization), every other lookup hits.
-        assert_eq!(cache.misses(), 2, "first summary + first build only");
-        assert_eq!(cache.hits(), 2 * WORKERS as u64 - 2);
+        // 2 lookups per worker; exactly 1 miss total (the first summary
+        // derivation), every other lookup hits.
+        assert_eq!(cache.misses(), 1, "first summary only");
+        assert_eq!(cache.hits(), 2 * WORKERS as u64 - 1);
     }
 
     #[test]
@@ -685,47 +550,6 @@ mod tests {
         assert_eq!(s.collect_trace(), spec.build(shape));
         assert_eq!(cache.misses(), 1, "one summary derivation");
         assert_eq!(cache.hits(), 1, "summary() hit the memoized entry");
-        assert_eq!(cache.resident_len(), 0, "streaming materializes nothing");
-    }
-
-    #[test]
-    fn materialized_residency_is_bounded_by_eviction() {
-        let cache = TraceCache::with_max_resident(2);
-        let specs: Vec<KernelSpec> = [SparseMode::Dense, SparseMode::Nm2of4, SparseMode::Nm1of4]
-            .into_iter()
-            .map(KernelSpec::tiled)
-            .collect();
-        let shape = GemmShape::new(32, 32, 128);
-        for spec in &specs {
-            cache.get_or_build(shape, spec);
-        }
-        assert_eq!(cache.resident_len(), 2, "third build evicts the coldest");
-        assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.len(), 3, "summaries survive eviction");
-        // The evicted (dense) key rebuilds: a fresh miss, not a hit.
-        let misses = cache.misses();
-        cache.get_or_build(shape, &specs[0]);
-        assert_eq!(cache.misses(), misses + 1);
-        let stats = cache.stats();
-        assert_eq!(stats.resident, 2);
-        assert_eq!(stats.evictions, 2);
-        assert_eq!(stats.entries, 3);
-    }
-
-    #[test]
-    fn get_or_build_refreshes_recency() {
-        let cache = TraceCache::with_max_resident(2);
-        let shape = GemmShape::new(32, 32, 128);
-        let dense = KernelSpec::tiled(SparseMode::Dense);
-        let s24 = KernelSpec::tiled(SparseMode::Nm2of4);
-        let s14 = KernelSpec::tiled(SparseMode::Nm1of4);
-        cache.get_or_build(shape, &dense);
-        cache.get_or_build(shape, &s24);
-        cache.get_or_build(shape, &dense); // dense is now the hottest
-        cache.get_or_build(shape, &s14); // evicts 2:4, not dense
-        let hits = cache.hits();
-        cache.get_or_build(shape, &dense);
-        assert_eq!(cache.hits(), hits + 1, "dense stayed resident");
     }
 
     #[test]

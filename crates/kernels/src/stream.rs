@@ -255,28 +255,6 @@ impl KernelEmitter {
         }
     }
 
-    /// Splits the kernel's trace into `n` independent, exact-length shard
-    /// streams by partitioning the outer M-row units of
-    /// [`KernelEmitter::shard_layout`] into near-even contiguous ranges —
-    /// a range split over the affine address plan, with no trace
-    /// materialization. Shards replayed in order concatenate to exactly
-    /// the unsharded stream; when `n` exceeds the outer unit count some
-    /// shards are empty.
-    ///
-    /// This is the legacy 1D split the static (round-robin) scheduler
-    /// runs; [`KernelEmitter::shard_with`] is the 2D/K-split generalization.
-    pub fn shard(self, n: usize) -> Vec<ShardStream> {
-        let (outer, inner) = self.shard_layout();
-        even_ranges(outer, n)
-            .into_iter()
-            .map(|r| {
-                ChunkedStream::new(ShardEmitter {
-                    repr: Repr::Grid(GridSlice::new(self.clone(), inner, r, 0..inner)),
-                })
-            })
-            .collect()
-    }
-
     /// The number of units the `k_splits` axis of a [`ShardPlan`] can
     /// partition: the `k`-tile count for the tiled family, 1 for families
     /// without a splittable depth loop.
@@ -410,7 +388,7 @@ pub enum ShardKind {
 /// a K-slice of one (accumulating into a shard-private partial `C`
 /// image), or the post-barrier reduction pass that merges those partials.
 ///
-/// Produced by [`KernelEmitter::shard`] / [`KernelEmitter::shard_with`];
+/// Produced by [`KernelEmitter::shard_with`];
 /// consumed as a [`ShardStream`].
 #[derive(Debug, Clone)]
 pub struct ShardEmitter {
@@ -694,7 +672,7 @@ mod tests {
         let shape = GemmShape::new(96, 48, 512);
         let emitter = KernelEmitter::tiled(shape, SparseMode::Nm2of4, KernelOptions::default());
         let (_, inner) = emitter.shard_layout();
-        for shard in emitter.shard(3) {
+        for shard in emitter.shard_with(ShardPlan::new(3, 1, 1)).shards {
             assert_eq!(
                 shard.emitter().first_block() % inner,
                 0,

@@ -1,12 +1,12 @@
-//! Shard-invariance properties of `KernelSpec::shard_streams` and
+//! Shard-invariance properties of `KernelEmitter::shard_with` and
 //! `KernelSpec::shard_set`.
 //!
-//! Sharding partitions a kernel's tile-loop nest for multi-core replay:
-//! the legacy 1D split cuts M-tile rows, and `ShardPlan` generalizes to
-//! M×N rectangles of the block grid plus K-depth slices. The invariants
-//! that make a sharded run trustworthy:
+//! Sharding partitions a kernel's tile-loop nest for multi-core replay: a
+//! `ShardPlan` cuts M-tile rows, N column tiles into M×N rectangles of the
+//! block grid, and K-depth slices. The invariants that make a sharded run
+//! trustworthy:
 //!
-//! 1. **Functional invariance** — 1D shards, replayed in order,
+//! 1. **Functional invariance** — M-only shards, replayed in order,
 //!    concatenate op-for-op to the unsharded stream; 2D (M×N) shards are
 //!    a pure *permutation* of it (every op exactly once, order free);
 //!    K-split shards preserve the tile-compute ops and every `A`/`B`
@@ -27,7 +27,8 @@ use proptest::prelude::*;
 use vegeta_isa::stream::InstStream;
 use vegeta_isa::trace::{Trace, TraceOp};
 use vegeta_kernels::{
-    GemmShape, Kernel, KernelEmitter, KernelOptions, KernelSpec, ShardPlan, ShardSet, SparseMode,
+    GemmShape, Kernel, KernelEmitter, KernelOptions, KernelSpec, ShardPlan, ShardSet, ShardStream,
+    SparseMode,
 };
 use vegeta_sparse::NmRatio;
 
@@ -56,10 +57,18 @@ fn all_family_specs() -> Vec<KernelSpec> {
     specs
 }
 
+/// The M-only plan's shards: `n` near-even M-row ranges, clamped to the
+/// kernel's outer unit count.
+fn m_row_shards(spec: &KernelSpec, shape: GemmShape, n: usize) -> Vec<ShardStream> {
+    KernelEmitter::for_spec(spec, shape)
+        .shard_with(ShardPlan::new(n, 1, 1))
+        .shards
+}
+
 fn concat_shards(spec: &KernelSpec, shape: GemmShape, n: usize) -> (Trace, u64) {
     let mut rejoined = Trace::new();
     let mut declared = 0u64;
-    for mut shard in spec.shard_streams(shape, n) {
+    for mut shard in m_row_shards(spec, shape, n) {
         declared += shard.remaining();
         let part = shard.collect_trace();
         for op in part.ops() {
@@ -155,9 +164,10 @@ fn check_set_against(whole: &Trace, set: ShardSet, ctx: &KernelSpec) {
 }
 
 proptest! {
-    /// Concatenated shards replay functionally identical to the unsharded
-    /// stream, and the summed exact lengths agree, for every kernel family
-    /// and shard count — including shard counts exceeding the row count.
+    /// Concatenated M-only shards replay functionally identical to the
+    /// unsharded stream, and the summed exact lengths agree, for every
+    /// kernel family and shard count — including shard counts exceeding
+    /// the row count, which clamp.
     #[test]
     fn shards_concatenate_to_the_unsharded_stream(
         mt in 1usize..7,
@@ -288,7 +298,7 @@ proptest! {
 fn shard_count_one_is_the_identity() {
     let shape = GemmShape::new(96, 48, 256);
     for spec in all_family_specs() {
-        let shards = spec.shard_streams(shape, 1);
+        let shards = m_row_shards(&spec, shape, 1);
         assert_eq!(shards.len(), 1);
         let (rejoined, _) = concat_shards(&spec, shape, 1);
         assert_eq!(rejoined, spec.build(shape));
@@ -302,7 +312,7 @@ fn shards_bound_residency_like_the_unsharded_stream() {
     let shape = GemmShape::new(256, 64, 512);
     let spec = KernelSpec::tiled(SparseMode::Dense);
     let whole_chunk = spec.stream(shape).max_block_ops();
-    for mut shard in spec.shard_streams(shape, 4) {
+    for mut shard in m_row_shards(&spec, shape, 4) {
         let bytes = shard.remaining() as usize * vegeta_isa::TRACE_OP_BYTES;
         assert!(bytes > 0, "a 16-row-tile kernel fills all four shards");
         while shard.next_op().is_some() {}
@@ -314,19 +324,4 @@ fn shards_bound_residency_like_the_unsharded_stream() {
             bytes
         );
     }
-}
-
-#[test]
-fn excess_cores_get_empty_shards_not_errors() {
-    // A 2-row-tile kernel sharded 8 ways: trailing shards are empty but
-    // well-formed (exact length 0, immediate drain).
-    let shape = GemmShape::new(32, 32, 128);
-    let spec = KernelSpec::tiled(SparseMode::Dense);
-    let shards = spec.shard_streams(shape, 8);
-    assert_eq!(shards.len(), 8);
-    let non_empty = shards.iter().filter(|s| s.remaining() > 0).count();
-    assert!(non_empty <= 2, "at most one shard per accumulator group");
-    let (rejoined, declared) = concat_shards(&spec, shape, 8);
-    assert_eq!(declared, spec.build(shape).len() as u64);
-    assert_eq!(rejoined, spec.build(shape));
 }

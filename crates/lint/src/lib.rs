@@ -29,9 +29,9 @@
 //!    op counts (which LPT scheduling trusts for load balancing) must match
 //!    the statically recomputed emission lengths. Codes `V-LN01..02`.
 //!
-//! The top-level entry points are [`verify_spec`] (one kernel stream),
-//! [`verify_shard_streams`] (the legacy 1D split), and [`verify_shard_set`]
-//! / [`verify_shard_set_with`] (2D/K-split plans with reduction). The
+//! The top-level entry points are [`verify_spec`] (one kernel stream) and
+//! [`verify_shard_set`] / [`verify_shard_set_with`] (`ShardPlan` shard
+//! sets, with the reduction when K splits). The
 //! [`mutation`] module is the harness that proves the verifier *rejects*:
 //! it seeds one defect per operator into real generated artifacts and
 //! checks the expected diagnostic fires.
@@ -66,6 +66,6 @@ pub use dataflow::{check_dataflow, DataflowConfig, DataflowPass, REDUCTION_ONES_
 pub use diag::{DiagCode, Diagnostic, Report};
 pub use mutation::{run_corpus, Mutation, OpsEmitter};
 pub use verify::{
-    check_set, verify_blocks, verify_ops, verify_shard_set, verify_shard_set_with,
-    verify_shard_streams, verify_spec, LintConfig, MAX_DIAGS_PER_STREAM,
+    check_set, verify_blocks, verify_ops, verify_shard_set, verify_shard_set_with, verify_spec,
+    LintConfig, MAX_DIAGS_PER_STREAM,
 };

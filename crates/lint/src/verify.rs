@@ -6,7 +6,7 @@ use std::ops::Range;
 use vegeta_isa::footprint::Footprint;
 use vegeta_isa::stream::{BlockEmitter, InstStream};
 use vegeta_isa::trace::TraceOp;
-use vegeta_kernels::{GemmShape, KernelEmitter, KernelSpec, ShardKind, ShardPlan, ShardStream};
+use vegeta_kernels::{GemmShape, KernelEmitter, KernelSpec, ShardKind, ShardPlan, ShardSet};
 
 use crate::bounds::{check_bounds, normalize_runs, AccessSummary, BoundsPass};
 use crate::coverage::{check_coverage, CoverBox};
@@ -228,15 +228,6 @@ pub fn verify_spec(spec: &KernelSpec, shape: GemmShape) -> Report {
     }
 }
 
-/// Verifies the legacy 1D M-row split of `spec` into `n` shard streams
-/// (the static scheduler's sharding), including coverage and write-set
-/// disjointness across the shards.
-pub fn verify_shard_streams(spec: &KernelSpec, shape: GemmShape, n: usize) -> Report {
-    let emitter = KernelEmitter::for_spec(spec, shape);
-    let shards = spec.shard_streams(shape, n);
-    verify_shards_of(&emitter, &shards, None)
-}
-
 /// Verifies the 2D/K-split [`ShardPlan`] `spec.shard_plan(shape, cores)`
 /// picks — the set LPT scheduling runs (see
 /// [`vegeta_kernels::KernelSpec::shard_set`]).
@@ -249,17 +240,7 @@ pub fn verify_shard_set(spec: &KernelSpec, shape: GemmShape, cores: usize) -> Re
 /// disjointness, and the K-split/reduction contract.
 pub fn verify_shard_set_with(spec: &KernelSpec, shape: GemmShape, plan: ShardPlan) -> Report {
     let emitter = KernelEmitter::for_spec(spec, shape);
-    let set = KernelEmitter::for_spec(spec, shape).shard_with(plan);
-    verify_shards_of(&emitter, &set.shards, set.reduction.as_ref())
-}
-
-/// Shared driver for both sharding flavors: verifies each stream, then the
-/// set-level contracts.
-fn verify_shards_of(
-    emitter: &KernelEmitter,
-    shards: &[ShardStream],
-    reduction: Option<&ShardStream>,
-) -> Report {
+    let ShardSet { shards, reduction } = emitter.clone().shard_with(plan);
     let cfg = LintConfig::default();
     let (m_units, n_units) = emitter.shard_layout();
     let k_units = emitter.k_units();

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use vegeta_kernels::{GemmShape, Kernel, KernelOptions, KernelSpec, ShardPlan, SparseMode};
-use vegeta_lint::{run_corpus, verify_shard_set_with, verify_shard_streams, verify_spec};
+use vegeta_lint::{run_corpus, verify_shard_set_with, verify_spec};
 use vegeta_sparse::NmRatio;
 
 /// One spec per kernel family/mode, including a no-overhead low-unroll
@@ -66,12 +66,6 @@ fn shard_plan_sweep_verifies_clean_for_every_family() {
                 "{} @ {cores} cores: {report}",
                 spec.name()
             );
-            let report = verify_shard_streams(&spec, shape, cores);
-            assert!(
-                report.is_clean(),
-                "{} @ {cores} 1D shards: {report}",
-                spec.name()
-            );
         }
     }
 }
@@ -120,21 +114,6 @@ proptest! {
         let spec = &all_family_specs()[spec_idx];
         let shape = GemmShape::new(m, n, k);
         let report = verify_shard_set_with(spec, shape, ShardPlan::new(ms, ns, ks));
-        prop_assert!(report.is_clean(), "{}: {report}", spec.name());
-    }
-
-    /// The legacy 1D M-row split verifies clean for any shard count,
-    /// including counts that leave some shards empty.
-    #[test]
-    fn prop_1d_shards_verify_clean(
-        spec_idx in 0usize..8,
-        m in 1usize..120,
-        n in 1usize..90,
-        k in 1usize..220,
-        shards in 1usize..24,
-    ) {
-        let spec = &all_family_specs()[spec_idx];
-        let report = verify_shard_streams(spec, GemmShape::new(m, n, k), shards);
         prop_assert!(report.is_clean(), "{}: {report}", spec.name());
     }
 }

@@ -22,7 +22,8 @@ pub fn percentile_us(sorted: &[u64], pct: f64) -> u64 {
 pub struct ServeReport {
     /// Engine the workers run.
     pub engine: String,
-    /// Scheduler policy label.
+    /// Scheduler policy label: always `"lpt"` (longest processing time
+    /// first), kept so report bytes and digests stay stable.
     pub scheduler: String,
     /// Fleet size (virtual workers).
     pub workers: usize,

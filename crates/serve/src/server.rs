@@ -25,10 +25,9 @@ pub struct ServeConfig {
     pub sim: SimConfig,
     /// Fleet size: virtual workers serving batches.
     pub workers: usize,
-    /// Simulator cores per worker (1 = unsharded [`CoreSim`] worker).
+    /// Simulator cores per worker (1 = unsharded [`CoreSim`] worker;
+    /// more shard each kernel and pack the shards longest first).
     pub cores_per_worker: usize,
-    /// How multi-core workers shard a kernel.
-    pub scheduler: SchedulerPolicy,
     /// Admission bound: requests admitted but not yet dispatched beyond
     /// this are shed.
     pub queue_depth: usize,
@@ -47,7 +46,7 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: 4 single-core workers, LPT scheduling, a 64-deep queue,
+    /// Defaults: 4 single-core workers, a 64-deep queue,
     /// the default batching window, full fidelity, preflight on.
     pub fn new(engine: EngineConfig) -> Self {
         ServeConfig {
@@ -55,7 +54,6 @@ impl ServeConfig {
             sim: SimConfig::default(),
             workers: 4,
             cores_per_worker: 1,
-            scheduler: SchedulerPolicy::Lpt,
             queue_depth: 64,
             batcher: BatcherConfig::default(),
             fidelity: Fidelity::Full,
@@ -74,12 +72,6 @@ impl ServeConfig {
     /// Sets simulator cores per worker (at least 1).
     pub fn with_cores_per_worker(mut self, cores: usize) -> Self {
         self.cores_per_worker = cores.max(1);
-        self
-    }
-
-    /// Sets the scheduler policy for multi-core workers.
-    pub fn with_scheduler(mut self, scheduler: SchedulerPolicy) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -164,7 +156,6 @@ pub struct Frontend {
     opts: KernelOptions,
     fidelity: Fidelity,
     cores: usize,
-    scheduler: SchedulerPolicy,
     preflight: Preflight,
 }
 
@@ -176,7 +167,6 @@ impl Frontend {
             opts: cfg.opts,
             fidelity: cfg.fidelity,
             cores: cfg.preflight_cores(),
-            scheduler: cfg.scheduler,
             preflight: preflight.with_enabled(cfg.preflight),
         }
     }
@@ -188,7 +178,7 @@ impl Frontend {
             .work
             .resolve(&self.engine, self.opts, self.fidelity)?;
         self.preflight
-            .verify(key.shape, &key.spec, self.cores, self.scheduler)
+            .verify(key.shape, &key.spec, self.cores)
             .map_err(RequestError::Preflight)?;
         Ok(key)
     }
@@ -234,7 +224,7 @@ pub struct Server {
 
 /// A shareable memo of per-key simulation outcomes, for reusing service
 /// times across servers whose workers are identical (same engine, sim
-/// config, cores per worker and scheduler — the caller's contract; the
+/// config and cores per worker — the caller's contract; the
 /// memo itself cannot check it).
 pub type ServiceMemo = Arc<Mutex<HashMap<BatchKey, SimOutcome>>>;
 
@@ -287,7 +277,6 @@ impl Server {
             self.cfg.engine.clone(),
             self.cfg.sim.clone(),
             self.cfg.cores_per_worker,
-            self.cfg.scheduler,
             self.cfg.host_threads(),
             Arc::clone(&self.cache),
         )
@@ -486,7 +475,7 @@ impl Server {
         };
         let report = ServeReport {
             engine: cfg.engine.name().to_string(),
-            scheduler: cfg.scheduler.label().to_string(),
+            scheduler: SchedulerPolicy::Lpt.label().to_string(),
             workers: cfg.workers,
             cores_per_worker: cfg.cores_per_worker,
             clock_ghz: cfg.sim.core_ghz,

@@ -57,7 +57,7 @@ pub struct SimOutcome {
 /// A pool of simulated multi-core workers.
 ///
 /// Each worker models one fleet machine: `cores` simulator cores behind a
-/// shared L2, fed by the scheduler policy the config names. The pool
+/// shared L2, fed longest shard first. The pool
 /// simulates each *distinct* [`BatchKey`] exactly once — a batch's service
 /// time does not depend on how many requests ride in it, which is the
 /// entire economics of batching — and memoizes the outcome.
@@ -72,19 +72,17 @@ pub struct WorkerPool {
     engine: EngineConfig,
     sim: SimConfig,
     cores: usize,
-    scheduler: SchedulerPolicy,
     threads: usize,
     cache: Arc<TraceCache>,
 }
 
 impl WorkerPool {
-    /// A pool whose workers run `engine` on `cores` simulator cores under
-    /// `scheduler`, driven by `threads` host threads, sharing `cache`.
+    /// A pool whose workers run `engine` on `cores` simulator cores,
+    /// driven by `threads` host threads, sharing `cache`.
     pub fn new(
         engine: EngineConfig,
         sim: SimConfig,
         cores: usize,
-        scheduler: SchedulerPolicy,
         threads: usize,
         cache: Arc<TraceCache>,
     ) -> Self {
@@ -92,7 +90,6 @@ impl WorkerPool {
             engine,
             sim,
             cores: cores.max(1),
-            scheduler,
             threads: threads.max(1),
             cache,
         }
@@ -111,7 +108,7 @@ impl WorkerPool {
 
     /// Simulates one batch key on one worker: unsharded on a single
     /// [`CoreSim`] when the worker has one core, sharded through
-    /// [`MultiCoreSim`] under the pool's scheduler otherwise.
+    /// [`MultiCoreSim`] (its shard set packed longest first) otherwise.
     pub fn simulate(&self, key: &BatchKey) -> SimOutcome {
         let (cycles, instructions) = if self.cores <= 1 {
             let mut stream = self.cache.stream(key.shape, &key.spec);
@@ -121,13 +118,7 @@ impl WorkerPool {
         } else {
             // Account the generator summary exactly as Session sweeps do.
             self.cache.summary(key.shape, &key.spec);
-            let (shards, reduction) = match self.scheduler {
-                SchedulerPolicy::Static => (key.spec.shard_streams(key.shape, self.cores), None),
-                SchedulerPolicy::Lpt => {
-                    let set = key.spec.shard_set(key.shape, self.cores);
-                    (set.shards, set.reduction)
-                }
-            };
+            let set = key.spec.shard_set(key.shape, self.cores);
             // Each worker's share of the host: phase-1 fan-out already
             // occupies `threads` host threads, so the per-key multi-core
             // replay gets the leftover budget (at least one). Results are
@@ -140,7 +131,7 @@ impl WorkerPool {
                     .with_exec(ExecMode::ParallelHost(host_budget)),
                 self.engine.clone(),
             );
-            let res = mc.run_sharded(shards, reduction, self.scheduler);
+            let res = mc.run_sharded(set.shards, set.reduction, SchedulerPolicy::Lpt);
             (res.core_cycles, res.instructions())
         };
         SimOutcome {
@@ -226,7 +217,6 @@ mod tests {
             EngineConfig::rasa_dm(),
             SimConfig::default(),
             1,
-            SchedulerPolicy::Static,
             threads,
             TraceCache::shared(),
         )
@@ -257,7 +247,6 @@ mod tests {
             EngineConfig::rasa_dm(),
             SimConfig::default(),
             4,
-            SchedulerPolicy::Lpt,
             1,
             TraceCache::shared(),
         )

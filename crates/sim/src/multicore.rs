@@ -8,9 +8,9 @@
 //! engine timers) over one coherence-free [`SharedL2`]:
 //!
 //! * every core consumes shard streams (rectangles of a kernel's tile-loop
-//!   nest, typically produced by `KernelSpec::shard_set` /
-//!   `KernelSpec::shard_streams` in `vegeta-kernels`), assigned by a
-//!   [`SchedulerPolicy`];
+//!   nest, typically produced by `KernelSpec::shard_set` in
+//!   `vegeta-kernels`), packed onto the cores by longest processing time
+//!   first;
 //! * results are those of interleaving the cores in **core-local time
 //!   order**: the core whose clock is furthest behind steps next, ties by
 //!   core index. [`MultiCoreSim::run_sharded_stepped`] is that order's
@@ -33,17 +33,16 @@
 //!   been stored by then) and reports its cost separately
 //!   ([`MultiCoreResult::reduction_cycles`]).
 //!
-//! # Scheduler policies
+//! # Scheduling
 //!
-//! [`SchedulerPolicy::Static`] is the legacy contract: stream `i` runs on
-//! core `i`, one stream per core (more streams than cores is refused).
-//! [`SchedulerPolicy::Lpt`] is longest-processing-time packing: shards are
-//! sorted by their **exact** op counts (shard streams declare exact
-//! lengths — no cost model needed) and greedily assigned to the
-//! least-loaded core, ties broken by index, so any over-decomposed shard
-//! set balances even when accumulator groups are uneven. Cores drain their
-//! queues back to back. Every policy is deterministic: assignment depends
-//! only on the declared lengths, never on host timing.
+//! Shards are packed longest processing time first: sorted by their
+//! **exact** op counts (shard streams declare exact lengths — no cost
+//! model needed) and greedily assigned to the least-loaded core, ties
+//! broken by index, so any over-decomposed shard set balances even when
+//! accumulator groups are uneven, and equal-length streams keep stream
+//! `i` on core `i`. Cores drain their queues back to back. Assignment is
+//! deterministic: it depends only on the declared lengths, never on host
+//! timing.
 //!
 //! The result carries per-core [`SimResult`]s, the merged cache traffic
 //! ([`CacheStats::merge`]) and the shared L2's hit/sharing split;
@@ -204,17 +203,15 @@ impl MultiCoreConfig {
     }
 }
 
-/// How shard streams are assigned to cores in a multi-core run.
+/// How shard streams are assigned to cores in a multi-core run: always
+/// [`SchedulerPolicy::Lpt`].
 ///
-/// Both policies are deterministic: assignment depends only on the shards'
-/// declared lengths (exact op counts, not estimates) and their order, never
-/// on host timing.
+/// The type has one variant. It is kept, with the `policy` parameter of
+/// [`MultiCoreSim::run_sharded`] and [`MultiCoreSim::run_sharded_stepped`],
+/// only because the repository benchmark (`perfbench/src/multicore.rs`)
+/// passes `SchedulerPolicy::Lpt` to `run_sharded`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerPolicy {
-    /// Stream `i` runs on core `i`, at most one stream per core. This is
-    /// the legacy 1D contract: supplying more streams than cores panics
-    /// rather than silently dropping work.
-    Static,
     /// Longest-processing-time packing: shards are sorted by descending
     /// declared length and each is assigned to the currently least-loaded
     /// core (ties broken by lowest index). Any number of shards is
@@ -227,22 +224,10 @@ pub enum SchedulerPolicy {
 }
 
 impl SchedulerPolicy {
-    /// The short lowercase label used in reports and sweep axes
-    /// (`"static"` / `"lpt"`).
+    /// The short lowercase label used in reports (`"lpt"`).
     pub fn label(&self) -> &'static str {
         match self {
-            SchedulerPolicy::Static => "static",
             SchedulerPolicy::Lpt => "lpt",
-        }
-    }
-
-    /// Parses a report/CLI label (the inverse of
-    /// [`SchedulerPolicy::label`]).
-    pub fn from_label(label: &str) -> Option<SchedulerPolicy> {
-        match label {
-            "static" => Some(SchedulerPolicy::Static),
-            "lpt" => Some(SchedulerPolicy::Lpt),
-            _ => None,
         }
     }
 }
@@ -256,7 +241,7 @@ impl std::fmt::Display for SchedulerPolicy {
 /// The result of one sharded multi-core run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiCoreResult {
-    /// Cores that participated (== number of shards).
+    /// Simulated cores, idle ones included.
     pub cores: usize,
     /// Makespan in core cycles: the slowest core's retire time plus the
     /// end-of-shard barrier.
@@ -339,7 +324,7 @@ impl MultiCoreResult {
 /// ```
 /// use vegeta_engine::EngineConfig;
 /// use vegeta_isa::trace::{Trace, TraceOp};
-/// use vegeta_sim::{MultiCoreConfig, MultiCoreSim};
+/// use vegeta_sim::{MultiCoreConfig, MultiCoreSim, SchedulerPolicy};
 ///
 /// // Two cores each replaying half of a scalar stream.
 /// let mut shard = Trace::new();
@@ -347,7 +332,11 @@ impl MultiCoreResult {
 ///     shard.push(TraceOp::Scalar { dst: (i % 8) as u8, src: 0 });
 /// }
 /// let mut sim = MultiCoreSim::new(MultiCoreConfig::new(2), EngineConfig::rasa_dm());
-/// let res = sim.run_streams(vec![shard.stream(), shard.stream()]);
+/// let res = sim.run_sharded(
+///     vec![shard.stream(), shard.stream()],
+///     None,
+///     SchedulerPolicy::Lpt,
+/// );
 /// assert_eq!(res.cores, 2);
 /// assert_eq!(res.instructions(), 128);
 /// assert!(res.scaling_efficiency() > 0.5);
@@ -380,32 +369,18 @@ impl MultiCoreSim {
         &self.cfg
     }
 
-    /// Runs one instruction stream per core to completion (missing streams
-    /// leave their cores idle) — [`MultiCoreSim::run_sharded`] under the
-    /// legacy [`SchedulerPolicy::Static`] contract, with no reduction.
-    ///
-    /// # Panics
-    ///
-    /// Panics when more streams than cores are supplied — silently
-    /// dropping shards would report a quietly wrong (partial) result.
-    pub fn run_streams<S: InstStream + Send>(&mut self, streams: Vec<S>) -> MultiCoreResult {
-        self.run_sharded(streams, None, SchedulerPolicy::Static)
-    }
-
-    /// Runs a sharded workload to completion: `shards` are assigned to
-    /// cores by `policy`, and the optional K-split `reduction` stream is
-    /// replayed on core 0 after the barrier (every partial `C` image is
-    /// globally visible by then, so the merge order is deterministic).
+    /// Runs a sharded workload to completion: `shards` are packed onto
+    /// cores longest first (see the module docs; `policy` has the one
+    /// value [`SchedulerPolicy::Lpt`]), and the optional K-split
+    /// `reduction` stream is replayed on core 0 after the barrier (every
+    /// partial `C` image is globally visible by then, so the merge order
+    /// is deterministic).
     /// A core with several queued shards runs them back to back on its own
     /// clock. The result is that of the core-local time order (see the
     /// module docs) whatever the host-thread count.
     ///
     /// The makespan is `slowest main-phase core + barrier + reduction`.
-    ///
-    /// # Panics
-    ///
-    /// Under [`SchedulerPolicy::Static`], panics when more shards than
-    /// cores are supplied (see [`MultiCoreSim::run_streams`]).
+    /// Any number of shards is accepted; cores left without one idle.
     pub fn run_sharded<S: InstStream + Send>(
         &mut self,
         shards: Vec<S>,
@@ -570,25 +545,11 @@ impl<S: InstStream> Lane<S> {
 }
 
 /// Moves each shard onto the lane of the core `policy` assigns it to (see
-/// [`SchedulerPolicy`]); panics under [`SchedulerPolicy::Static`] when
-/// shards outnumber cores.
+/// [`SchedulerPolicy`]).
 fn assign_lanes<S: InstStream>(policy: SchedulerPolicy, shards: Vec<S>, n: usize) -> Vec<Lane<S>> {
-    let queues = match policy {
-        SchedulerPolicy::Static => {
-            assert!(
-                shards.len() <= n,
-                "{} shard streams for {n} cores: excess shards would be silently dropped",
-                shards.len()
-            );
-            let mut queues: Vec<Vec<usize>> = (0..shards.len()).map(|i| vec![i]).collect();
-            queues.resize(n, Vec::new());
-            queues
-        }
-        SchedulerPolicy::Lpt => {
-            let lengths: Vec<u64> = shards.iter().map(InstStream::remaining).collect();
-            lpt_queues(&lengths, n)
-        }
-    };
+    let SchedulerPolicy::Lpt = policy;
+    let lengths: Vec<u64> = shards.iter().map(InstStream::remaining).collect();
+    let queues = lpt_queues(&lengths, n);
     let mut slots: Vec<Option<S>> = shards.into_iter().map(Some).collect();
     queues
         .into_iter()
@@ -653,7 +614,7 @@ mod tests {
         let engine = EngineConfig::vegeta_s(16).unwrap();
         let expected = CoreSim::with_engine(engine.clone()).run(&trace);
         let mut sim = MultiCoreSim::new(MultiCoreConfig::new(1), engine);
-        let got = sim.run_streams(vec![trace.stream()]);
+        let got = sim.run_sharded(vec![trace.stream()], None, SchedulerPolicy::Lpt);
         assert_eq!(got.barrier_cycles, 0);
         assert_eq!(got.core_cycles, expected.core_cycles);
         assert_eq!(got.per_core.len(), 1);
@@ -680,10 +641,16 @@ mod tests {
             half_b.push(shifted);
         }
         let engine = EngineConfig::vegeta_s(16).unwrap();
-        let one = MultiCoreSim::new(MultiCoreConfig::new(1), engine.clone())
-            .run_streams(vec![whole.stream()]);
-        let two = MultiCoreSim::new(MultiCoreConfig::new(2), engine)
-            .run_streams(vec![half_a.stream(), half_b.stream()]);
+        let one = MultiCoreSim::new(MultiCoreConfig::new(1), engine.clone()).run_sharded(
+            vec![whole.stream()],
+            None,
+            SchedulerPolicy::Lpt,
+        );
+        let two = MultiCoreSim::new(MultiCoreConfig::new(2), engine).run_sharded(
+            vec![half_a.stream(), half_b.stream()],
+            None,
+            SchedulerPolicy::Lpt,
+        );
         assert_eq!(two.instructions(), one.instructions());
         assert!(
             two.core_cycles < one.core_cycles * 3 / 4,
@@ -701,7 +668,7 @@ mod tests {
         // first core's is a shared hit.
         let t = mixed_trace(64, 64);
         let mut sim = MultiCoreSim::new(MultiCoreConfig::new(2), EngineConfig::rasa_dm());
-        let res = sim.run_streams(vec![t.stream(), t.stream()]);
+        let res = sim.run_sharded(vec![t.stream(), t.stream()], None, SchedulerPolicy::Lpt);
         assert!(res.shared_l2.shared_hits > 0, "cross-core reuse observed");
         assert_eq!(res.shared_l2.misses, 0, "prefetched L2 never misses");
         let merged = res.merged_cache();
@@ -728,7 +695,11 @@ mod tests {
     #[test]
     fn empty_run_guards_scaling_efficiency() {
         let mut sim = MultiCoreSim::new(MultiCoreConfig::new(2), EngineConfig::rasa_dm());
-        let res = sim.run_streams(vec![Trace::new().stream(), Trace::new().stream()]);
+        let res = sim.run_sharded(
+            vec![Trace::new().stream(), Trace::new().stream()],
+            None,
+            SchedulerPolicy::Lpt,
+        );
         // Two idle cores: the barrier still costs, but no division blows up.
         assert_eq!(res.instructions(), 0);
         assert_eq!(res.scaling_efficiency(), 0.0);
@@ -745,7 +716,7 @@ mod tests {
 
     #[test]
     fn lpt_accepts_more_shards_than_cores_and_strands_none() {
-        // 7 uneven shards on 3 cores: static would panic; LPT packs them.
+        // 7 uneven shards on 3 cores: LPT packs them.
         let shards: Vec<Trace> = (1..=7).map(|i| mixed_trace(8 * i, 64)).collect();
         let total_ops: u64 = shards.iter().map(|t| t.len() as u64).sum();
         let mut sim = MultiCoreSim::new(MultiCoreConfig::new(3), EngineConfig::rasa_dm());
@@ -772,7 +743,8 @@ mod tests {
             None,
             SchedulerPolicy::Lpt,
         );
-        // In-order static pairing: both long shards land on core 0.
+        // In-order pairing: both long shards land on core 0, as two
+        // concatenated streams.
         let mut naive_a = Trace::new();
         for op in long.ops().iter().chain(long.ops()) {
             naive_a.push(*op);
@@ -781,8 +753,11 @@ mod tests {
         for op in short.ops().iter().chain(short.ops()) {
             naive_b.push(*op);
         }
-        let naive = MultiCoreSim::new(MultiCoreConfig::new(2), engine)
-            .run_streams(vec![naive_a.stream(), naive_b.stream()]);
+        let naive = MultiCoreSim::new(MultiCoreConfig::new(2), engine).run_sharded(
+            vec![naive_a.stream(), naive_b.stream()],
+            None,
+            SchedulerPolicy::Lpt,
+        );
         assert_eq!(lpt.instructions(), naive.instructions());
         assert!(
             lpt.core_cycles < naive.core_cycles,
@@ -835,44 +810,25 @@ mod tests {
     #[test]
     fn event_merge_matches_the_stepped_scan_reference() {
         // The per-core runs and the linear scan must agree on every field
-        // of the result — policies, reduction and ragged shard mixes
-        // included.
+        // of the result — reduction and ragged shard mixes included.
         let shards: Vec<Trace> = (1..=6).map(|i| mixed_trace(12 * i, 64)).collect();
         let reduction = mixed_trace(20, 128);
         let engine = EngineConfig::vegeta_s(16).unwrap();
-        for policy in [SchedulerPolicy::Static, SchedulerPolicy::Lpt] {
-            // Static refuses more shards than cores.
-            let take = if policy == SchedulerPolicy::Static {
-                3
-            } else {
-                6
-            };
-            let cfg = MultiCoreConfig::new(3);
-            assert_matches_stepped(&cfg, &engine, &shards[..take], Some(&reduction), policy);
+        let cfg = MultiCoreConfig::new(3);
+        for take in [3, 6] {
+            assert_matches_stepped(
+                &cfg,
+                &engine,
+                &shards[..take],
+                Some(&reduction),
+                SchedulerPolicy::Lpt,
+            );
         }
-    }
-
-    #[test]
-    fn static_policy_via_run_sharded_matches_run_streams() {
-        let a = mixed_trace(50, 64);
-        let b = mixed_trace(30, 64);
-        let engine = EngineConfig::vegeta_s(16).unwrap();
-        let legacy = MultiCoreSim::new(MultiCoreConfig::new(2), engine.clone())
-            .run_streams(vec![a.stream(), b.stream()]);
-        let sharded = MultiCoreSim::new(MultiCoreConfig::new(2), engine).run_sharded(
-            vec![a.stream(), b.stream()],
-            None,
-            SchedulerPolicy::Static,
-        );
-        assert_eq!(legacy, sharded);
     }
 
     #[test]
     fn scheduler_labels_round_trip() {
-        for p in [SchedulerPolicy::Static, SchedulerPolicy::Lpt] {
-            assert_eq!(SchedulerPolicy::from_label(p.label()), Some(p));
-        }
-        assert_eq!(SchedulerPolicy::from_label("fifo"), None);
+        assert_eq!(SchedulerPolicy::Lpt.label(), "lpt");
         assert_eq!(SchedulerPolicy::default(), SchedulerPolicy::Lpt);
         assert_eq!(SchedulerPolicy::Lpt.to_string(), "lpt");
     }
@@ -882,19 +838,11 @@ mod tests {
         let t = mixed_trace(32, 64);
         // 4 cores, 2 streams: cores 2/3 idle.
         let mut sim = MultiCoreSim::new(MultiCoreConfig::new(4), EngineConfig::rasa_dm());
-        let res = sim.run_streams(vec![t.stream(), t.stream()]);
+        let res = sim.run_sharded(vec![t.stream(), t.stream()], None, SchedulerPolicy::Lpt);
         assert_eq!(res.cores, 4);
         assert_eq!(res.per_core[2].instructions, 0);
         assert_eq!(res.per_core[3].core_cycles, 0);
         assert!(res.instructions() > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "excess shards")]
-    fn excess_streams_are_refused_not_dropped() {
-        let t = mixed_trace(8, 64);
-        let mut sim = MultiCoreSim::new(MultiCoreConfig::new(2), EngineConfig::rasa_dm());
-        sim.run_streams(vec![t.stream(), t.stream(), t.stream()]);
     }
 
     /// The host-thread count [`HOST_THREADS_ENV`] forces in this process,
@@ -1018,7 +966,7 @@ mod tests {
             &EngineConfig::rasa_dm(),
             &[t.clone(), t.clone(), t],
             None,
-            SchedulerPolicy::Static,
+            SchedulerPolicy::Lpt,
         );
         assert!(res.shared_l2.shared_hits > 0, "cross-core reuse observed");
         assert_eq!(res.stranded_cores(), 2);
@@ -1047,7 +995,7 @@ mod tests {
             &EngineConfig::rasa_dm(),
             &[up, down],
             None,
-            SchedulerPolicy::Static,
+            SchedulerPolicy::Lpt,
         );
         assert_eq!(res.shared_l2.accesses, 4 * lines);
         assert!(res.shared_l2.shared_hits > lines, "both cores own lines");
@@ -1059,7 +1007,7 @@ mod tests {
             MultiCoreConfig::new(3).with_exec(ExecMode::ParallelHost(3)),
             EngineConfig::rasa_dm(),
         )
-        .run_streams(vec![Trace::new().stream()]);
+        .run_sharded(vec![Trace::new().stream()], None, SchedulerPolicy::Lpt);
         assert_eq!(res.instructions(), 0);
         assert_eq!(res.stranded_cores(), 3);
     }

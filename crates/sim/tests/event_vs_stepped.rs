@@ -10,8 +10,7 @@
 //! Timestamps in this simulator are *computed*, never counted, so the
 //! interleave only decides the order cores are advanced in; these tests
 //! are the proof that the order genuinely cannot leak into any reported
-//! number, across ragged shapes, every kernel family and both scheduler
-//! policies.
+//! number, across ragged shapes and every kernel family.
 
 use proptest::prelude::*;
 use vegeta_engine::EngineConfig;
@@ -74,34 +73,23 @@ fn family() -> impl Strategy<Value = Family> {
     ]
 }
 
-fn policy() -> impl Strategy<Value = SchedulerPolicy> {
-    prop_oneof![Just(SchedulerPolicy::Static), Just(SchedulerPolicy::Lpt)]
-}
-
-/// Cuts `spec` at `shape` into the shard streams `policy` runs (the same
-/// selection `Session` and `vegeta-serve` make).
+/// Cuts `spec` at `shape` into the shard set `Session` and `vegeta-serve`
+/// run on `cores` cores.
 fn shards_for(
     spec: &KernelSpec,
     shape: GemmShape,
     cores: usize,
-    policy: SchedulerPolicy,
 ) -> (
     Vec<vegeta_kernels::ShardStream>,
     Option<vegeta_kernels::ShardStream>,
 ) {
-    match policy {
-        SchedulerPolicy::Static => (spec.shard_streams(shape, cores), None),
-        SchedulerPolicy::Lpt => {
-            let set = spec.shard_set(shape, cores);
-            (set.shards, set.reduction)
-        }
-    }
+    let set = spec.shard_set(shape, cores);
+    (set.shards, set.reduction)
 }
 
 proptest! {
-    /// Production == stepped over ragged shapes × kernel families × both
-    /// policies × core counts, with the full result structure compared at
-    /// once.
+    /// Production == stepped over ragged shapes × kernel families × core
+    /// counts, with the full result structure compared at once.
     #[test]
     fn event_driven_replay_is_field_identical_to_the_stepped_scan(
         m in 4usize..=90,
@@ -109,20 +97,19 @@ proptest! {
         k in 8usize..=200,
         fam in family(),
         cores in 1usize..=5,
-        pol in policy(),
     ) {
         let shape = GemmShape::new(m, n, k);
         let spec = fam.spec(shape);
         let cfg = MultiCoreConfig::with_core(SimConfig::default(), cores);
         let engine = EngineConfig::vegeta_s(16).unwrap().with_output_forwarding(true);
 
-        let (shards, reduction) = shards_for(&spec, shape, cores, pol);
+        let (shards, reduction) = shards_for(&spec, shape, cores);
         let per_core = MultiCoreSim::new(cfg.clone(), engine.clone())
-            .run_sharded(shards, reduction, pol);
+            .run_sharded(shards, reduction, SchedulerPolicy::Lpt);
 
-        let (shards, reduction) = shards_for(&spec, shape, cores, pol);
+        let (shards, reduction) = shards_for(&spec, shape, cores);
         let stepped = MultiCoreSim::new(cfg, engine)
-            .run_sharded_stepped(shards, reduction, pol);
+            .run_sharded_stepped(shards, reduction, SchedulerPolicy::Lpt);
 
         // One structural assert covers every field: makespan, barrier and
         // reduction cycles, per-core SimResults (instructions, cache
@@ -152,13 +139,13 @@ fn merge_loops_agree_across_engine_classes() {
     for engine in engines {
         for cores in [2usize, 3, 8] {
             let cfg = MultiCoreConfig::new(cores);
-            let (shards, reduction) = shards_for(&spec, shape, cores, SchedulerPolicy::Lpt);
+            let (shards, reduction) = shards_for(&spec, shape, cores);
             let per_core = MultiCoreSim::new(cfg.clone(), engine.clone()).run_sharded(
                 shards,
                 reduction,
                 SchedulerPolicy::Lpt,
             );
-            let (shards, reduction) = shards_for(&spec, shape, cores, SchedulerPolicy::Lpt);
+            let (shards, reduction) = shards_for(&spec, shape, cores);
             let stepped = MultiCoreSim::new(cfg, engine.clone()).run_sharded_stepped(
                 shards,
                 reduction,

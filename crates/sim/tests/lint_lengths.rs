@@ -65,26 +65,3 @@ fn verifier_op_counts_match_simulated_instructions() {
         }
     }
 }
-
-/// Same contract for the legacy static 1D split (no reduction stream).
-#[test]
-fn verifier_op_counts_match_static_split() {
-    let shape = GemmShape::new(96, 64, 256);
-    for spec in specs() {
-        for cores in [1, 2, 4] {
-            let report = vegeta_lint::verify_shard_streams(&spec, shape, cores);
-            assert!(report.is_clean(), "{report}");
-
-            let shards = spec.shard_streams(shape, cores);
-            let declared: u64 = shards.iter().map(InstStream::remaining).sum();
-            assert_eq!(report.ops_checked, declared);
-
-            let mut sim = MultiCoreSim::new(
-                MultiCoreConfig::with_core(SimConfig::default(), cores),
-                vegeta_engine::EngineConfig::vegeta_s(16).unwrap(),
-            );
-            let res = sim.run_sharded(shards, None, SchedulerPolicy::Static);
-            assert_eq!(res.instructions(), declared);
-        }
-    }
-}

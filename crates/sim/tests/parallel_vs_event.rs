@@ -76,28 +76,18 @@ fn family() -> impl Strategy<Value = Family> {
     ]
 }
 
-fn policy() -> impl Strategy<Value = SchedulerPolicy> {
-    prop_oneof![Just(SchedulerPolicy::Static), Just(SchedulerPolicy::Lpt)]
-}
-
-/// Cuts `spec` at `shape` into the shard streams `policy` runs (the same
-/// selection `Session` and `vegeta-serve` make).
+/// Cuts `spec` at `shape` into the shard set `Session` and `vegeta-serve`
+/// run on `cores` cores.
 fn shards_for(
     spec: &KernelSpec,
     shape: GemmShape,
     cores: usize,
-    policy: SchedulerPolicy,
 ) -> (
     Vec<vegeta_kernels::ShardStream>,
     Option<vegeta_kernels::ShardStream>,
 ) {
-    match policy {
-        SchedulerPolicy::Static => (spec.shard_streams(shape, cores), None),
-        SchedulerPolicy::Lpt => {
-            let set = spec.shard_set(shape, cores);
-            (set.shards, set.reduction)
-        }
-    }
+    let set = spec.shard_set(shape, cores);
+    (set.shards, set.reduction)
 }
 
 /// Replays `spec` at `shape` on `cfg`'s cores under `exec`, through the
@@ -107,12 +97,14 @@ fn production(
     shape: GemmShape,
     cfg: &MultiCoreConfig,
     engine: &EngineConfig,
-    pol: SchedulerPolicy,
     exec: ExecMode,
 ) -> MultiCoreResult {
-    let (shards, reduction) = shards_for(spec, shape, cfg.cores, pol);
-    MultiCoreSim::new(cfg.clone().with_exec(exec), engine.clone())
-        .run_sharded(shards, reduction, pol)
+    let (shards, reduction) = shards_for(spec, shape, cfg.cores);
+    MultiCoreSim::new(cfg.clone().with_exec(exec), engine.clone()).run_sharded(
+        shards,
+        reduction,
+        SchedulerPolicy::Lpt,
+    )
 }
 
 /// The same replay through the stepped reference scan.
@@ -121,16 +113,19 @@ fn stepped(
     shape: GemmShape,
     cfg: &MultiCoreConfig,
     engine: &EngineConfig,
-    pol: SchedulerPolicy,
 ) -> MultiCoreResult {
-    let (shards, reduction) = shards_for(spec, shape, cfg.cores, pol);
-    MultiCoreSim::new(cfg.clone(), engine.clone()).run_sharded_stepped(shards, reduction, pol)
+    let (shards, reduction) = shards_for(spec, shape, cfg.cores);
+    MultiCoreSim::new(cfg.clone(), engine.clone()).run_sharded_stepped(
+        shards,
+        reduction,
+        SchedulerPolicy::Lpt,
+    )
 }
 
 proptest! {
     /// ParallelHost == stepped scan over ragged shapes × kernel families ×
-    /// both policies × 1/2/4/8 simulated cores × 1..4 host threads, with
-    /// the full result structure compared at once.
+    /// 1/2/4/8 simulated cores × 1..4 host threads, with the full result
+    /// structure compared at once.
     #[test]
     fn parallel_host_run_is_field_identical_to_the_stepped_scan(
         m in 4usize..=90,
@@ -138,7 +133,6 @@ proptest! {
         k in 8usize..=200,
         fam in family(),
         cores_pow in 0u32..=3,
-        pol in policy(),
         host_threads in 1usize..=4,
     ) {
         let cores = 1usize << cores_pow; // 1, 2, 4, 8
@@ -148,13 +142,13 @@ proptest! {
         let engine = EngineConfig::vegeta_s(16).unwrap().with_output_forwarding(true);
 
         let parallel = production(
-            &spec, shape, &cfg, &engine, pol, ExecMode::ParallelHost(host_threads),
+            &spec, shape, &cfg, &engine, ExecMode::ParallelHost(host_threads),
         );
         // One structural assert covers every field: makespan, barrier and
         // reduction cycles, per-core SimResults (instructions, cache
         // hits/misses, engine-busy cycles, peak resident bytes), and the
         // shared-L2 stats. MultiCoreResult derives PartialEq.
-        prop_assert_eq!(parallel, stepped(&spec, shape, &cfg, &engine, pol));
+        prop_assert_eq!(parallel, stepped(&spec, shape, &cfg, &engine));
     }
 
     /// Auto never invents another timing: whatever the host's
@@ -171,10 +165,9 @@ proptest! {
         let spec = fam.spec(shape);
         let cfg = MultiCoreConfig::with_core(SimConfig::default(), cores);
         let engine = EngineConfig::vegeta_s(16).unwrap();
-        let pol = SchedulerPolicy::Lpt;
 
-        let auto = production(&spec, shape, &cfg, &engine, pol, ExecMode::Auto);
-        prop_assert_eq!(auto, stepped(&spec, shape, &cfg, &engine, pol));
+        let auto = production(&spec, shape, &cfg, &engine, ExecMode::Auto);
+        prop_assert_eq!(auto, stepped(&spec, shape, &cfg, &engine));
     }
 }
 
@@ -195,18 +188,16 @@ fn parallel_host_agrees_across_engine_classes() {
         mode: SparseMode::Nm2of4,
         opts: KernelOptions::default(),
     };
-    let pol = SchedulerPolicy::Lpt;
     for engine in engines {
         for cores in [2usize, 3, 8] {
             let cfg = MultiCoreConfig::new(cores);
-            let reference = stepped(&spec, shape, &cfg, &engine, pol);
+            let reference = stepped(&spec, shape, &cfg, &engine);
             for host_threads in 1usize..=4 {
                 let parallel = production(
                     &spec,
                     shape,
                     &cfg,
                     &engine,
-                    pol,
                     ExecMode::ParallelHost(host_threads),
                 );
                 assert_eq!(
@@ -220,16 +211,17 @@ fn parallel_host_agrees_across_engine_classes() {
     }
 }
 
-/// Runs hand-built `shards` (shard `i` on core `i`) plus an optional
-/// reduction on `cores` cores at 1..=4 host threads, asserting each run
-/// equals the stepped scan; returns the reference result.
+/// Runs hand-built `shards` plus an optional reduction on `cores` cores
+/// at 1..=4 host threads, asserting each run equals the stepped scan;
+/// returns the reference result. Shards are packed longest first, so
+/// equal-length shards keep shard `i` on core `i`.
 fn trace_case(cores: usize, shards: &[Trace], reduction: Option<&Trace>) -> MultiCoreResult {
     let engine = EngineConfig::vegeta_s(16).unwrap();
     let run = |exec: Option<ExecMode>| {
         let cfg = MultiCoreConfig::new(cores);
         let streams = shards.iter().map(Trace::stream).collect();
         let reduction = reduction.map(Trace::stream);
-        let policy = SchedulerPolicy::Static;
+        let policy = SchedulerPolicy::Lpt;
         match exec {
             Some(exec) => MultiCoreSim::new(cfg.with_exec(exec), engine.clone())
                 .run_sharded(streams, reduction, policy),
@@ -276,7 +268,8 @@ fn reduction_reuses_lines_first_touched_by_other_cores() {
 /// pushed its clock far ahead; core 1 reaches L after a run of cheap
 /// scalar ops, earlier in time though later in steps. Core 1 also re-reads
 /// L once its L1 has lost it, so the owner decides the count: only core
-/// 0's touch may be shared.
+/// 0's touch may be shared. Core 0 is padded with trailing scalar ops to
+/// core 1's length, so the equal-length tie keeps it on core 0.
 #[test]
 fn first_touch_goes_to_the_earlier_wake_not_the_earlier_step() {
     let mut slow = Trace::new();
@@ -291,13 +284,17 @@ fn first_touch_goes_to_the_earlier_wake_not_the_earlier_step() {
         quick.push(TraceOp::Scalar { dst: 0, src: 0 });
     }
     quick.extend(&loads([L].into_iter().chain(0..1000).chain([L])));
+    while slow.len() < quick.len() {
+        slow.push(TraceOp::Scalar { dst: 0, src: 0 });
+    }
     assert_eq!(trace_case(2, &[slow, quick], None).shared_l2.shared_hits, 1);
 }
 
 /// Run 1: core 0 touches line L late, twice (its L1 loses L in between);
 /// core 1 idles. Run 2: core 1, whose clock is still 0, touches L first
-/// thing. L stays core 0's, as in one continued interleave, so only core
-/// 1's touch is shared.
+/// thing, while core 0 runs one scalar op (the equal-length tie keeps the
+/// load on core 1). L stays core 0's, as in one continued interleave, so
+/// only core 1's touch is shared.
 #[test]
 fn a_second_run_keeps_the_first_runs_line_owners() {
     let late = loads((0..2000).chain([L]).chain(2000..4000).chain([L]));
@@ -305,10 +302,12 @@ fn a_second_run_keeps_the_first_runs_line_owners() {
     let mut production = MultiCoreSim::new(MultiCoreConfig::new(2), engine.clone());
     let mut stepped = MultiCoreSim::new(MultiCoreConfig::new(2), engine);
     let mut last = None;
-    for shards in [[late, Trace::new()], [Trace::new(), loads([L])]] {
+    let mut scalar = Trace::new();
+    scalar.push(TraceOp::Scalar { dst: 0, src: 0 });
+    for shards in [[late, Trace::new()], [scalar, loads([L])]] {
         let streams = || shards.iter().map(Trace::stream).collect();
-        let want = stepped.run_sharded_stepped(streams(), None, SchedulerPolicy::Static);
-        let got = production.run_sharded(streams(), None, SchedulerPolicy::Static);
+        let want = stepped.run_sharded_stepped(streams(), None, SchedulerPolicy::Lpt);
+        let got = production.run_sharded(streams(), None, SchedulerPolicy::Lpt);
         assert_eq!(got, want);
         last = Some(got);
     }

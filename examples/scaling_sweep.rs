@@ -1,13 +1,12 @@
 //! Multi-core scaling quickstart: shard one GEMM across matrix-engine
 //! cores.
 //!
-//! Four steps: (1) run one Table IV layer sharded across 1–16 cores with
-//! `Session::run` on a `Cell` with `cores(n)` and read the makespan, per-core cycles,
-//! parallel efficiency and shared-L2 reuse off the report (2D shard
-//! plans with LPT packing by default — no stranded cores); (2) duel the
-//! scheduler policies: the legacy static 1D path vs LPT at 16 cores;
-//! (3) make core count a sweep axis with `Sweep::with_cores` and pull
-//! the strong-scaling geomeans; (4) drop to `vegeta_sim::MultiCoreSim`
+//! Three steps: (1) run one Table IV layer sharded across 1–16 cores with
+//! `Session::run` on a `Cell` with `cores(n)` and read the makespan,
+//! per-core cycles, parallel efficiency and shared-L2 reuse off the report
+//! (2D shard plans with LPT packing — no stranded cores); (2) make core
+//! count a sweep axis with `Sweep::with_cores` and pull the
+//! strong-scaling geomeans; (3) drop to `vegeta_sim::MultiCoreSim`
 //! directly with `KernelSpec::shard_set` to see the shard plan, the
 //! makespan, the barrier and the shared-L2 split of one run.
 //!
@@ -21,9 +20,9 @@ fn main() {
     let quick = if quick_factor() > 1 { 4 } else { 2 };
     let layer = table4()[7]; // BERT-L2: tall enough to shard 16 ways.
 
-    // 1. One layer, one engine, more and more cores. A sharded cell
-    //    defaults to SchedulerPolicy::Lpt: 2D/K-split shard plans, packed
-    //    onto cores by exact stream length.
+    // 1. One layer, one engine, more and more cores. A sharded cell runs
+    //    a 2D/K-split shard plan, packed onto cores by exact stream length
+    //    (longest processing time first).
     let session = Session::new(
         EngineConfig::vegeta_s(16)
             .expect("valid alpha")
@@ -53,23 +52,7 @@ fn main() {
         );
     }
 
-    // 2. The scheduler duel: the legacy static path (one M-row shard per
-    //    core, no N/K splits) against LPT at 16 cores. BERT-L2 has only
-    //    11 accumulator groups, so static strands 5+ cores outright.
-    println!("\nscheduler duel at 16 cores:");
-    for policy in [SchedulerPolicy::Static, SchedulerPolicy::Lpt] {
-        let r = session.run(&cell.cores(16).scheduler(policy));
-        println!(
-            "  {:<8} {:>12} cycles, efficiency {:>5.3}, {} of {} cores stranded",
-            r.scheduler,
-            r.cycles,
-            r.scaling_efficiency,
-            r.stranded_cores(),
-            r.cores
-        );
-    }
-
-    // 3. Core count as a grid axis: engines x cores in one sweep.
+    // 2. Core count as a grid axis: engines x cores in one sweep.
     let grid = Sweep::new()
         .with_engines([
             EngineConfig::rasa_dm(),
@@ -96,7 +79,7 @@ fn main() {
         }
     }
 
-    // 4. The raw harness: plan the shard set yourself and run it on a
+    // 3. The raw harness: plan the shard set yourself and run it on a
     //    MultiCoreSim in the default configuration, the one a Session
     //    runs.
     let spec = KernelSpec::tiled(SparseMode::Nm2of4);

@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use vegeta::isa::stream::InstStream;
 use vegeta::kernels::{
     build_listing1_trace, build_rowwise_trace, build_trace, build_vector_gemm_trace,
 };
@@ -67,10 +68,10 @@ fn trace_cache_hits_equal_cold_builds() {
     assert_eq!(first, cold, "a cached trace must equal a cold build");
     assert_eq!(cache.misses(), 1);
     assert_eq!(cache.hits(), 1);
-    // And the cached trace object itself equals a direct build.
+    // And the cached stream itself equals a direct build.
     let spec = engine_spec(&warm_session, NmRatio::S2_4);
-    let cached = cache.get_or_build(shape, &spec);
-    assert_eq!(*cached, spec.build(shape));
+    let mut cached = cache.stream(shape, &spec);
+    assert_eq!(cached.collect_trace(), spec.build(shape));
 }
 
 fn engine_spec(session: &Session, weights: NmRatio) -> KernelSpec {
@@ -224,14 +225,14 @@ fn trace_cache_distinguishes_formats() {
     let dense = KernelSpec::tiled(SparseMode::Dense);
     let vector = KernelSpec::Vector;
     // Both "dense" formats, but different kernels — still distinct keys.
-    let a = cache.get_or_build(shape, &dense);
-    let b = cache.get_or_build(shape, &vector);
-    assert!(!Arc::ptr_eq(&a, &b));
+    let a = cache.summary(shape, &dense);
+    let b = cache.summary(shape, &vector);
+    assert_ne!(a, b);
     assert_eq!(cache.misses(), 2);
     assert_eq!(dense.format(), FormatSpec::Dense);
     assert_eq!(vector.format(), FormatSpec::Dense);
     // Same spec again: hit.
-    cache.get_or_build(shape, &dense);
+    cache.summary(shape, &dense);
     assert_eq!(cache.hits(), 1);
 }
 
