@@ -460,9 +460,11 @@ pub struct SweepReport {
     /// One report per engine × workload × sparsity cell, in grid order
     /// (workload-major, then sparsity, then engine).
     pub cells: Vec<RunReport>,
-    /// Distinct traces built during the sweep (cache misses).
+    /// Trace-cache entries the sweep created (cache misses): one per
+    /// `(shape, kernel)` the cache had not seen. Traces stream, so no
+    /// trace is built.
     pub traces_built: u64,
-    /// Trace-cache hits during the sweep.
+    /// Trace-cache lookups during the sweep that found an existing entry.
     pub trace_cache_hits: u64,
     /// Single-core cells whose L1 model replayed fresh; every other
     /// single-core cell replayed a memoized L1 outcome

@@ -229,79 +229,42 @@ impl CellOutcome {
     }
 }
 
-/// One memoized preflight cell: `(shape, spec, cores)`, where 0 cores
-/// stands for the unsharded stream.
-type PreflightKey = (GemmShape, KernelSpec, usize);
-
-/// The opt-out static-verification gate in front of every simulated cell.
+/// The static-verification gate in front of every simulated cell and
+/// every admitted serving request, on unless switched off
+/// ([`Session::with_preflight`], [`Sweep::with_preflight`], or
+/// `ServeConfig::preflight` in `vegeta-serve`).
 ///
-/// Before a cell's stream replays, [`vegeta_lint`] proves it well-formed —
-/// register dataflow, footprint bounds, shard coverage, and declared-length
-/// accounting — and a diagnostic aborts the run with the full report:
-/// simulating a malformed stream would only launder the defect into
-/// silently wrong cycle counts. Verification is memoized per distinct
-/// `(shape, spec, cores)` cell behind a shared [`Arc`], so a sweep pays
-/// each stream once however many engines replay it, and clones (one per
-/// [`Session`]) share the memo the way they share the trace cache.
-/// Disable with [`Session::with_preflight`] / [`Sweep::with_preflight`].
+/// [`vegeta_lint`] proves the stream a cell replays well-formed — register
+/// dataflow, footprint bounds, shard coverage, and declared-length
+/// accounting — for `cores` 0 (the unsharded stream) or n ≥ 1 (the shard
+/// set [`KernelSpec::shard_set`] cuts for n cores). The verdict, failures
+/// included (lint is deterministic), is memoized in the `(shape, spec)`
+/// entry of `cache` ([`TraceCache::verdict`]): any [`Session`], [`Sweep`]
+/// or server that shares the cache shares verification, and each
+/// `(shape, spec, cores)` is linted once however many engines replay it.
+/// With `enabled` false it only records the cell's cache lookup.
 ///
-/// [`Session`]/[`Sweep`] use it panicking (a malformed stream inside a
-/// trusted experiment grid is a bug, not an input); request-facing layers
-/// such as `vegeta-serve` use the non-panicking [`Preflight::verify`] to
-/// turn the same diagnostics into structured request errors. Both paths
-/// share one keying, so a spec verified at admission is never re-verified
-/// by the session that simulates it.
-#[derive(Clone, Debug, Default)]
-pub struct Preflight {
-    disabled: bool,
-    verified: Arc<Mutex<HashMap<PreflightKey, Result<(), String>>>>,
-}
-
-impl Preflight {
-    /// An enabled gate with an empty memo.
-    pub fn new() -> Self {
-        Preflight::default()
-    }
-
-    /// Enables or disables the gate (disabled gates verify nothing and
-    /// always succeed); the memo is kept either way.
-    pub fn with_enabled(mut self, enabled: bool) -> Self {
-        self.disabled = !enabled;
-        self
-    }
-
-    /// `true` when the gate actually verifies (the default).
-    pub fn is_enabled(&self) -> bool {
-        !self.disabled
-    }
-
-    /// Statically verifies one cell — `cores == 0` means the unsharded
-    /// single-core path, `cores >= 1` the shard set
-    /// [`KernelSpec::shard_set`] cuts for that many cores — memoizing the
-    /// outcome (failures included: lint is deterministic, so a rejected
-    /// cell stays rejected).
-    ///
-    /// # Errors
-    ///
-    /// The formatted `vegeta-lint` report when any diagnostic fires.
-    pub fn verify(&self, shape: GemmShape, spec: &KernelSpec, cores: usize) -> Result<(), String> {
-        if self.disabled {
-            return Ok(());
-        }
-        let key = (shape, spec.clone(), cores);
-        if let Some(outcome) = self
-            .verified
-            .lock()
-            .expect("preflight memo poisoned")
-            .get(&key)
-        {
-            return outcome.clone();
-        }
+/// [`Session`]/[`Sweep`] panic on a rejection (a malformed stream inside a
+/// trusted experiment grid is a bug, not an input; simulating it would
+/// launder the defect into silently wrong cycle counts); `vegeta-serve`
+/// turns it into a structured request error.
+///
+/// # Errors
+///
+/// The formatted `vegeta-lint` report when any diagnostic fires.
+pub fn preflight(
+    cache: &TraceCache,
+    shape: GemmShape,
+    spec: &KernelSpec,
+    cores: usize,
+    enabled: bool,
+) -> Result<(), String> {
+    let lint = || {
         let report = match cores {
             0 => vegeta_lint::verify_spec(spec, shape),
             n => vegeta_lint::verify_shard_set(spec, shape, n),
         };
-        let outcome = if report.is_clean() {
+        if report.is_clean() {
             Ok(())
         } else {
             Err(format!(
@@ -311,21 +274,22 @@ impl Preflight {
                 shape.n,
                 shape.k,
             ))
-        };
-        self.verified
-            .lock()
-            .expect("preflight memo poisoned")
-            .insert(key, outcome.clone());
-        outcome
-    }
-
-    /// Verifies one cell, panicking with the lint report on any diagnostic
-    /// (the [`Session`]/[`Sweep`] contract: simulating a malformed stream
-    /// would launder the defect into silently wrong cycle counts).
-    fn check(&self, shape: GemmShape, spec: &KernelSpec, cores: usize) {
-        if let Err(report) = self.verify(shape, spec, cores) {
-            panic!("{report}");
         }
+    };
+    cache.verdict(shape, spec, cores, enabled.then_some(lint))
+}
+
+/// Kept only because the perfbench serving harness names
+/// `Preflight::new()` (for `vegeta-serve`'s `Server::with_preflight_memo`).
+/// It holds nothing: verdicts live in the [`TraceCache`] (see
+/// [`preflight`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Preflight;
+
+impl Preflight {
+    /// The empty placeholder.
+    pub fn new() -> Self {
+        Preflight
     }
 }
 
@@ -504,15 +468,15 @@ impl<'a> Cell<'a> {
 }
 
 /// Everything a cell runs against besides its engine: the simulator
-/// configuration, kernel options, trace cache and preflight a [`Session`]
-/// and a [`Sweep`] both hold.
+/// configuration, kernel options, trace cache and preflight switch a
+/// [`Session`] and a [`Sweep`] both hold.
 #[derive(Debug, Clone)]
 struct Harness {
     sim: SimConfig,
     opts: KernelOptions,
     unstructured_degree: f64,
     cache: Arc<TraceCache>,
-    preflight: Preflight,
+    preflight: bool,
 }
 
 impl Default for Harness {
@@ -522,7 +486,7 @@ impl Default for Harness {
             opts: KernelOptions::default(),
             unstructured_degree: DEFAULT_UNSTRUCTURED_DEGREE,
             cache: Arc::new(TraceCache::new()),
-            preflight: Preflight::default(),
+            preflight: true,
         }
     }
 }
@@ -552,8 +516,9 @@ impl Harness {
 
     /// Simulates `cell` on `engine` with kernel `spec` through the
     /// streaming pipeline — the trace is generated lazily and never
-    /// materialized — after the preflight has verified the stream (or
-    /// shard set) it replays.
+    /// materialized — after the [`preflight`] has verified the stream (or
+    /// shard set) it replays. The preflight is the cell's one trace-cache
+    /// lookup, on or off.
     ///
     /// An unsharded cell replays on one [`CoreSim`], through `memo` when
     /// given. A sharded cell cuts the kernel into its 2D/K-split shard set,
@@ -570,10 +535,18 @@ impl Harness {
         memo: Option<&L1Memo>,
     ) -> RunReport {
         let shape = cell.gemm_shape();
+        if let Err(report) = preflight(
+            &self.cache,
+            shape,
+            spec,
+            cell.cores.unwrap_or(0),
+            self.preflight,
+        ) {
+            panic!("{report}");
+        }
         let outcome = match cell.cores {
             None => {
-                self.preflight.check(shape, spec, 0);
-                let stream = self.cache.stream(shape, spec);
+                let stream = spec.stream(shape);
                 let mut core = CoreSim::new(self.sim.clone(), engine.clone());
                 CellOutcome::from(match memo {
                     Some(memo) => core.run_stream_memoized(stream, memo),
@@ -581,10 +554,6 @@ impl Harness {
                 })
             }
             Some(cores) => {
-                self.preflight.check(shape, spec, cores);
-                // Memoize the unsharded generator summary so sweeps account
-                // trace construction identically whichever axis ran first.
-                self.cache.summary(shape, spec);
                 let set = spec.shard_set(shape, cores);
                 let policy = SchedulerPolicy::Lpt;
                 let res = MultiCoreSim::new(
@@ -681,13 +650,14 @@ impl Session {
         self
     }
 
-    /// Enables or disables the static-verification preflight (on by
+    /// Enables or disables the static-verification [`preflight`] (on by
     /// default): every distinct `(shape, kernel, sharding)` cell is proven
     /// well-formed by `vegeta-lint` before it simulates, and a diagnostic
-    /// aborts the run with the lint report. Verification is memoized, so
-    /// repeated cells (and clones sharing this session's memo) pay once.
+    /// aborts the run with the lint report. Verdicts are memoized in the
+    /// trace cache, so repeated cells, and every session, sweep or server
+    /// sharing the cache, pay once.
     pub fn with_preflight(mut self, enabled: bool) -> Self {
-        self.harness.preflight.disabled = !enabled;
+        self.harness.preflight = enabled;
         self
     }
 
@@ -935,9 +905,9 @@ impl Sweep {
     /// Enables or disables the static-verification preflight (on by
     /// default; see [`Session::with_preflight`]). Memoization means each
     /// distinct `(shape, kernel, sharding)` cell is verified once per
-    /// sweep, not once per engine replaying it.
+    /// cache, not once per engine replaying it.
     pub fn with_preflight(mut self, enabled: bool) -> Self {
-        self.harness.preflight.disabled = !enabled;
+        self.harness.preflight = enabled;
         self
     }
 
@@ -1791,6 +1761,50 @@ mod tests {
         );
         let shapes = [shape, shape, other, other].into_iter();
         assert_eq!(memos.schedule(shapes), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn every_sweep_cell_is_one_cache_lookup_with_preflight_on_or_off() {
+        // The preflight verdict lookup is each cell's one trace-cache
+        // lookup, so switching it off changes no count.
+        let sweep = |cores: &[usize], enabled| {
+            Sweep::new()
+                .with_engines([EngineConfig::rasa_dm(), EngineConfig::vegeta_s(16).unwrap()])
+                .with_layer(table4()[7])
+                .with_sparsities([NmRatio::D4_4, NmRatio::S2_4])
+                .with_cores(cores.iter().copied())
+                .with_scale(8)
+                .with_preflight(enabled)
+        };
+        for cores in [&[][..], &[1, 4]] {
+            let on = sweep(cores, true).run();
+            let off = sweep(cores, false).run();
+            assert_eq!(on.traces_built + on.trace_cache_hits, on.cells.len() as u64);
+            assert_eq!(
+                (on.traces_built, on.trace_cache_hits),
+                (off.traces_built, off.trace_cache_hits)
+            );
+            assert_eq!(on.cells, off.cells);
+        }
+    }
+
+    #[test]
+    fn preflight_fills_the_slot_of_its_core_count() {
+        // A real lint fills slot 0 for the unsharded stream and slot n for
+        // n cores, and no other; a slot it filled never runs `unlinted`.
+        let cache = TraceCache::new();
+        let spec = KernelSpec::tiled(SparseMode::Nm2of4);
+        let unlinted = || Err("unlinted".to_string());
+        for (i, (cores, other)) in [(0, 4), (4, 0)].into_iter().enumerate() {
+            let shape = GemmShape::new(64 << i, 64, 256);
+            assert_eq!(preflight(&cache, shape, &spec, cores, true), Ok(()));
+            assert_eq!(cache.verdict(shape, &spec, cores, Some(unlinted)), Ok(()));
+            assert!(cache.verdict(shape, &spec, other, Some(unlinted)).is_err());
+        }
+        // Switched off, it fills nothing.
+        let shape = GemmShape::new(32, 64, 256);
+        assert_eq!(preflight(&cache, shape, &spec, 0, false), Ok(()));
+        assert!(cache.verdict(shape, &spec, 0, Some(unlinted)).is_err());
     }
 
     #[test]

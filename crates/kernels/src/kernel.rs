@@ -9,12 +9,13 @@
 //! * [`KernelSpec`] is the closed, hashable enumeration of this crate's
 //!   builders; it is the value the experiment drivers pass around, and the
 //!   cache key the sweep infrastructure memoizes on.
-//! * [`TraceCache`] memoizes compact trace *generators* keyed on
-//!   `(GemmShape, FormatSpec, KernelSpec)`: per-key [`TraceSummary`] stats
-//!   plus fresh lazy [`KernelStream`]s via [`TraceCache::stream`], so a
-//!   sweep over many engines derives each distinct trace's accounting once
-//!   and never holds a full instruction vector. It is `Sync` and cheap to
-//!   share across worker threads.
+//! * [`TraceCache`] memoizes what is known about each `(GemmShape,
+//!   KernelSpec)` trace: its [`TraceSummary`] and its static-verification
+//!   verdicts, handing out fresh lazy [`KernelStream`]s via
+//!   [`TraceCache::stream`], so a sweep over many engines derives each
+//!   distinct trace's accounting and verdict once and never holds a full
+//!   instruction vector. It is `Sync` and cheap to share across worker
+//!   threads.
 //!
 //! [`KernelStream`]: crate::stream::KernelStream
 //! * [`EngineKernelExt`] puts `execution_mode` on [`EngineConfig`]: the
@@ -24,7 +25,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use vegeta_engine::EngineConfig;
 use vegeta_isa::stream::InstStream;
@@ -280,28 +281,36 @@ impl TraceSummary {
 /// A point-in-time snapshot of a [`TraceCache`]'s counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceCacheStats {
-    /// Lookups that found a memoized entry.
+    /// Lookups that found an existing entry.
     pub hits: u64,
-    /// Lookups that had to derive a generator summary.
+    /// Lookups that created an entry.
     pub misses: u64,
-    /// Distinct `(shape, format, spec)` keys with a memoized summary.
+    /// Distinct `(shape, spec)` keys with an entry.
     pub entries: usize,
 }
 
-/// A memoizing, thread-safe trace cache keyed on
-/// `(GemmShape, FormatSpec, KernelSpec)`.
+/// What the cache knows about one `(shape, spec)` trace, each part filled
+/// on first use.
+#[derive(Debug, Default)]
+struct Entry {
+    summary: Option<TraceSummary>,
+    /// Static-verification verdicts by core count (0 = the unsharded
+    /// stream, n ≥ 1 = the shard set for n cores).
+    verdicts: HashMap<usize, Arc<OnceLock<Result<(), String>>>>,
+}
+
+/// A memoizing, thread-safe trace cache keyed on `(GemmShape, KernelSpec)`.
 ///
-/// The operand storage format is part of the key (derived via
-/// [`KernelSpec::format`]), so sweeps that grid over storage formats — and
-/// future kernels that execute the same instruction mix over different
-/// operand encodings — never alias cache entries.
+/// The spec decides its operand storage format ([`KernelSpec::format`]),
+/// so distinct formats never alias an entry.
 ///
-/// Since the streaming redesign the cache memoizes **compact trace
-/// generators**, not instruction vectors: a key's entry is its
-/// [`TraceSummary`] (exact length + chunk bound, derived from the kernel's
-/// block decomposition), and [`TraceCache::stream`] hands out a fresh
-/// lazy [`KernelStream`] per call. Each key's summary is stored once and
-/// counted as one miss, even under concurrent lookups.
+/// Traces stream rather than materialize, so an entry holds no
+/// instructions: it holds the key's [`TraceSummary`] (exact length + chunk
+/// bound, derived from the kernel's block decomposition) and its
+/// static-verification verdicts ([`TraceCache::verdict`]), and
+/// [`TraceCache::stream`] hands out a fresh lazy [`KernelStream`] per call.
+/// Every lookup counts as one hit or one miss, and each key's entry is
+/// created once, even under concurrent lookups.
 ///
 /// # Example
 ///
@@ -319,12 +328,10 @@ pub struct TraceCacheStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct TraceCache {
-    summaries: Mutex<HashMap<CacheKey, TraceSummary>>,
+    entries: Mutex<HashMap<(GemmShape, KernelSpec), Entry>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
-
-type CacheKey = (GemmShape, FormatSpec, KernelSpec);
 
 impl TraceCache {
     /// Creates an empty cache.
@@ -334,7 +341,7 @@ impl TraceCache {
 
     /// Creates an empty cache already wrapped for cross-worker sharing:
     /// the `Arc` clones cheaply into every worker/session that should
-    /// resolve against the same memo (each key's summary is still stored
+    /// resolve against the same memo (each key's entry is still created
     /// once, however many threads hold a clone).
     ///
     /// # Example
@@ -350,46 +357,71 @@ impl TraceCache {
         Arc::new(TraceCache::new())
     }
 
-    /// Records a summary lookup for `key`, deriving it from `stream` on the
-    /// first miss.
-    fn memoize_summary(&self, key: CacheKey, stream: &KernelStream) {
-        let mut map = self.summaries.lock().expect("trace cache poisoned");
-        match map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(_) => {
+    /// Records one lookup of `(shape, spec)`, creating its entry on a
+    /// miss, and applies `f` to the entry under the cache lock.
+    fn lookup<R>(&self, shape: GemmShape, spec: &KernelSpec, f: impl FnOnce(&mut Entry) -> R) -> R {
+        let mut map = self.entries.lock().expect("trace cache poisoned");
+        let entry = match map.entry((shape, spec.clone())) {
+            std::collections::hash_map::Entry::Occupied(e) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
+                e.into_mut()
             }
             std::collections::hash_map::Entry::Vacant(e) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                e.insert(TraceSummary::of(stream));
+                e.insert(Entry::default())
             }
-        }
+        };
+        f(entry)
     }
 
     /// A fresh lazy stream of the `(shape, spec)` trace, memoizing the
-    /// key's [`TraceSummary`] on first use. Nothing is materialized; a
-    /// "hit" means the generator's summary was already known.
+    /// key's [`TraceSummary`] on first use. Nothing is materialized.
     pub fn stream(&self, shape: GemmShape, spec: &KernelSpec) -> KernelStream {
         let stream = spec.stream(shape);
-        self.memoize_summary((shape, spec.format(), spec.clone()), &stream);
+        self.lookup(shape, spec, |e| {
+            e.summary.get_or_insert_with(|| TraceSummary::of(&stream));
+        });
         stream
     }
 
     /// The memoized summary for `(shape, spec)`, derived (without building
     /// the trace) on first use.
     pub fn summary(&self, shape: GemmShape, spec: &KernelSpec) -> TraceSummary {
-        let key = (shape, spec.format(), spec.clone());
-        if let Some(&s) = self
-            .summaries
-            .lock()
-            .expect("trace cache poisoned")
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return s;
-        }
-        let stream = spec.stream(shape);
-        self.memoize_summary(key, &stream);
-        TraceSummary::of(&stream)
+        self.lookup(shape, spec, |e| {
+            *e.summary
+                .get_or_insert_with(|| TraceSummary::of(&spec.stream(shape)))
+        })
+    }
+
+    /// Records one lookup of `(shape, spec)` and returns the memoized
+    /// static-verification verdict of its `cores` slot (0 = the unsharded
+    /// stream, n ≥ 1 = the shard set for n cores).
+    ///
+    /// The first caller of a slot computes the verdict with `verify`,
+    /// outside the cache lock; concurrent callers of the same slot wait
+    /// for it, so each slot is verified once and failures stay memoized.
+    /// With `verify` `None` (verification switched off) only the lookup is
+    /// recorded: the verdict is `Ok` and the slot is left untouched.
+    ///
+    /// # Errors
+    ///
+    /// The memoized verdict's error.
+    pub fn verdict(
+        &self,
+        shape: GemmShape,
+        spec: &KernelSpec,
+        cores: usize,
+        verify: Option<impl FnOnce() -> Result<(), String>>,
+    ) -> Result<(), String> {
+        let Some(verify) = verify else {
+            self.lookup(shape, spec, |_| ());
+            return Ok(());
+        };
+        self.lookup(shape, spec, |e| {
+            Arc::clone(e.verdicts.entry(cores).or_default())
+        })
+        .get_or_init(verify)
+        .clone()
     }
 
     /// Cache lookups that found an existing entry.
@@ -397,14 +429,14 @@ impl TraceCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Cache lookups that had to derive a summary.
+    /// Cache lookups that created an entry.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Distinct keys with a memoized summary.
+    /// Distinct keys with an entry.
     pub fn len(&self) -> usize {
-        self.summaries.lock().expect("trace cache poisoned").len()
+        self.entries.lock().expect("trace cache poisoned").len()
     }
 
     /// `true` if nothing has been cached yet.
@@ -423,7 +455,7 @@ impl TraceCache {
 
     /// Drops every cached entry and resets the counters.
     pub fn clear(&self) {
-        self.summaries.lock().expect("trace cache poisoned").clear();
+        self.entries.lock().expect("trace cache poisoned").clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
@@ -495,7 +527,7 @@ mod tests {
             assert_eq!(summaries[0], *t, "all threads see one summary");
         }
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.misses(), 1, "one derivation is memoized");
+        assert_eq!(cache.misses(), 1, "one entry is created");
         assert_eq!(cache.hits() + cache.misses(), 8);
     }
 
@@ -532,9 +564,9 @@ mod tests {
             assert_eq!(summaries[0], *t, "every worker sees one summary");
         }
         assert_eq!(cache.len(), 1, "one distinct key");
-        // 2 lookups per worker; exactly 1 miss total (the first summary
-        // derivation), every other lookup hits.
-        assert_eq!(cache.misses(), 1, "first summary only");
+        // 2 lookups per worker; exactly 1 miss total (the lookup that
+        // created the entry), every other lookup hits.
+        assert_eq!(cache.misses(), 1, "first lookup only");
         assert_eq!(cache.hits(), 2 * WORKERS as u64 - 1);
     }
 
@@ -548,8 +580,68 @@ mod tests {
         assert_eq!(summary.ops, s.remaining());
         assert!(summary.chunk_bytes > 0);
         assert_eq!(s.collect_trace(), spec.build(shape));
-        assert_eq!(cache.misses(), 1, "one summary derivation");
+        assert_eq!(cache.misses(), 1, "one entry created");
         assert_eq!(cache.hits(), 1, "summary() hit the memoized entry");
+    }
+
+    #[test]
+    fn verdicts_are_memoized_per_core_slot_in_one_entry() {
+        let cache = TraceCache::new();
+        let shape = GemmShape::new(48, 32, 256);
+        let spec = KernelSpec::tiled(SparseMode::Nm2of4);
+        let runs = AtomicU64::new(0);
+        let verify = |verdict: Result<(), String>| {
+            Some(|| {
+                runs.fetch_add(1, Ordering::Relaxed);
+                verdict
+            })
+        };
+        // A lookup with verification off leaves the slot untouched.
+        let off = None::<fn() -> Result<(), String>>;
+        assert_eq!(cache.verdict(shape, &spec, 0, off), Ok(()));
+        assert_eq!(cache.verdict(shape, &spec, 0, verify(Ok(()))), Ok(()));
+        assert_eq!(
+            cache.verdict(shape, &spec, 0, verify(Err("late".into()))),
+            Ok(())
+        );
+        // Another core count is another slot; its failure is memoized too.
+        let rejected = Err("rejected".to_string());
+        assert_eq!(
+            cache.verdict(shape, &spec, 4, verify(rejected.clone())),
+            rejected
+        );
+        assert_eq!(cache.verdict(shape, &spec, 4, verify(Ok(()))), rejected);
+        assert_eq!(runs.load(Ordering::Relaxed), 2, "one verification per slot");
+        // Verdict lookups share the entry the summary lives in.
+        cache.summary(shape, &spec);
+        assert_eq!((cache.misses(), cache.hits(), cache.len()), (1, 5, 1));
+    }
+
+    #[test]
+    fn a_slot_verifies_once_outside_the_cache_lock() {
+        // Racing callers of one slot run one verification between them,
+        // and that verification can use the cache: it runs unlocked.
+        const WORKERS: usize = 8;
+        let cache = TraceCache::shared();
+        let shape = GemmShape::new(64, 64, 256);
+        let spec = KernelSpec::tiled(SparseMode::Nm1of4);
+        let runs = AtomicU64::new(0);
+        let barrier = std::sync::Barrier::new(WORKERS);
+        std::thread::scope(|s| {
+            for _ in 0..WORKERS {
+                s.spawn(|| {
+                    barrier.wait();
+                    let verify = || {
+                        runs.fetch_add(1, Ordering::Relaxed);
+                        cache.summary(shape, &KernelSpec::Vector);
+                        Ok(())
+                    };
+                    assert_eq!(cache.verdict(shape, &spec, 2, Some(verify)), Ok(()));
+                });
+            }
+        });
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+        assert_eq!((cache.misses(), cache.len()), (2, 2));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use vegeta::prelude::*;
-use vegeta::session::Preflight;
+use vegeta::session::{preflight, Preflight};
 
 use crate::batch::{Admit, Batcher, BatcherConfig};
 use crate::loadgen::LoadGen;
@@ -40,8 +40,9 @@ pub struct ServeConfig {
     /// Host threads simulating distinct batch keys (`0` = one per
     /// worker). Never affects results, only how fast they are computed.
     pub threads: usize,
-    /// Whether admission runs the `vegeta-lint` preflight on spec
-    /// requests.
+    /// Whether admission runs the `vegeta-lint` preflight on every
+    /// request, layer and spec work alike (verdicts are memoized in the
+    /// server's trace cache).
     pub preflight: bool,
 }
 
@@ -146,28 +147,32 @@ impl ServeConfig {
 }
 
 /// The admission frontend: resolves each request to its batch key,
-/// structurally validates it, and (for spec requests) runs the memoized
-/// `vegeta-lint` preflight — so a malformed or unverifiable spec becomes a
-/// structured [`RequestError`] at the door instead of a panic inside a
-/// worker.
+/// structurally validates it, and runs the `vegeta-lint`
+/// [`preflight`] on it (layer and spec work alike, unless
+/// [`ServeConfig::preflight`] is off) — so a malformed or unverifiable
+/// spec becomes a structured [`RequestError`] at the door instead of a
+/// panic inside a worker. Verdicts are memoized in the trace cache, so
+/// every server and session sharing it verifies each key once.
 #[derive(Debug, Clone)]
 pub struct Frontend {
     engine: EngineConfig,
     opts: KernelOptions,
     fidelity: Fidelity,
     cores: usize,
-    preflight: Preflight,
+    preflight: bool,
+    cache: Arc<TraceCache>,
 }
 
 impl Frontend {
-    /// The frontend for `cfg`, sharing `preflight`'s verification memo.
-    pub fn new(cfg: &ServeConfig, preflight: Preflight) -> Self {
+    /// The frontend for `cfg`, verifying against `cache`'s verdicts.
+    pub fn new(cfg: &ServeConfig, cache: Arc<TraceCache>) -> Self {
         Frontend {
             engine: cfg.engine.clone(),
             opts: cfg.opts,
             fidelity: cfg.fidelity,
             cores: cfg.preflight_cores(),
-            preflight: preflight.with_enabled(cfg.preflight),
+            preflight: cfg.preflight,
+            cache,
         }
     }
 
@@ -177,9 +182,14 @@ impl Frontend {
         let key = request
             .work
             .resolve(&self.engine, self.opts, self.fidelity)?;
-        self.preflight
-            .verify(key.shape, &key.spec, self.cores)
-            .map_err(RequestError::Preflight)?;
+        preflight(
+            &self.cache,
+            key.shape,
+            &key.spec,
+            self.cores,
+            self.preflight,
+        )
+        .map_err(RequestError::Preflight)?;
         Ok(key)
     }
 }
@@ -218,7 +228,6 @@ struct Event {
 pub struct Server {
     cfg: ServeConfig,
     cache: Arc<TraceCache>,
-    preflight: Preflight,
     memo: Option<ServiceMemo>,
 }
 
@@ -234,12 +243,13 @@ impl Server {
         Server {
             cfg,
             cache: TraceCache::shared(),
-            preflight: Preflight::new(),
             memo: None,
         }
     }
 
-    /// Shares an existing trace cache (e.g. across sweep cells).
+    /// Shares an existing trace cache, and with it the cache's preflight
+    /// verdicts (e.g. across sweep cells, or with a
+    /// [`Session`](vegeta::session::Session)).
     pub fn with_cache(mut self, cache: Arc<TraceCache>) -> Self {
         self.cache = cache;
         self
@@ -254,10 +264,10 @@ impl Server {
         self
     }
 
-    /// Shares an existing preflight memo (e.g. with a
-    /// [`Session`](vegeta::session::Session)).
-    pub fn with_preflight_memo(mut self, preflight: Preflight) -> Self {
-        self.preflight = preflight;
+    /// Does nothing: kept only because the perfbench serving harness
+    /// calls it. Preflight verdicts live in the trace cache
+    /// ([`Server::with_cache`] shares them).
+    pub fn with_preflight_memo(self, _: Preflight) -> Self {
         self
     }
 
@@ -268,7 +278,7 @@ impl Server {
 
     /// The admission frontend this server applies.
     pub fn frontend(&self) -> Frontend {
-        Frontend::new(&self.cfg, self.preflight.clone())
+        Frontend::new(&self.cfg, Arc::clone(&self.cache))
     }
 
     /// The worker pool this server dispatches to.
@@ -662,6 +672,46 @@ mod tests {
         let second = warm.serve_requests(&requests, 0.0, 0);
         assert_eq!(fresh.0.to_json(), first.0.to_json());
         assert_eq!(fresh.0.to_json(), second.0.to_json());
+    }
+
+    #[test]
+    fn servers_sharing_a_cache_share_preflight_verdicts() {
+        // Two servers share only a trace cache: the first one's admission
+        // lints each key into the cache entry, the second finds every
+        // verdict slot already filled.
+        let cache = TraceCache::shared();
+        let server = || Server::new(base_config()).with_cache(Arc::clone(&cache));
+        let requests: Vec<Request> = (0..4)
+            .map(|i| spec_request(i, i * 5, 16 << (i % 2)))
+            .collect();
+        let first = server().serve_requests(&requests, 0.0, 0).0;
+        let spec = KernelSpec::tiled(SparseMode::Dense);
+        for m in [16, 32] {
+            let relint = || Err("linted twice".to_string());
+            let shape = GemmShape::new(m, 16, 128);
+            assert_eq!(cache.verdict(shape, &spec, 0, Some(relint)), Ok(()));
+        }
+        let second = server().serve_requests(&requests, 0.0, 0).0;
+        assert_eq!(first.to_json(), second.to_json());
+
+        // A failing verdict is memoized like a clean one. Every
+        // structurally valid spec lints clean, so the failure is the lint
+        // report of a mutated stream, stored in the shared cache: both
+        // servers reject with its text and neither re-lints.
+        let mutated = vegeta::lint::Mutation::all()[0].run();
+        assert!(!mutated.is_clean());
+        let why = format!("preflight rejected {}:\n{mutated}", spec.name());
+        let lint = || Err(why.clone());
+        let shape = GemmShape::new(48, 16, 128);
+        assert_eq!(cache.verdict(shape, &spec, 0, Some(lint)), Err(why.clone()));
+        for _ in 0..2 {
+            let (report, responses) = server().serve_requests(&[spec_request(9, 0, 48)], 0.0, 0);
+            assert_eq!(report.rejected, 1);
+            assert_eq!(
+                responses[0].outcome,
+                Outcome::Rejected(RequestError::Preflight(why.clone()))
+            );
+        }
     }
 
     #[test]

@@ -64,9 +64,9 @@ pub struct SimOutcome {
 ///
 /// Host-side, [`simulate_all`](WorkerPool::simulate_all) fans the distinct
 /// keys out over `threads` OS threads pulling from a channel work queue;
-/// all threads share one [`TraceCache`], so a key's trace summary is built
-/// once no matter which thread simulates it. Host threading affects only
-/// how fast the simulations run, never their results.
+/// all threads share one [`TraceCache`], the one admission verified the
+/// keys against. Host threading affects only how fast the simulations
+/// run, never their results.
 #[derive(Debug, Clone)]
 pub struct WorkerPool {
     engine: EngineConfig,
@@ -116,8 +116,6 @@ impl WorkerPool {
             let res = core.run_stream(&mut stream);
             (res.core_cycles, res.instructions)
         } else {
-            // Account the generator summary exactly as Session sweeps do.
-            self.cache.summary(key.shape, &key.spec);
             let set = key.spec.shard_set(key.shape, self.cores);
             // Each worker's share of the host: phase-1 fan-out already
             // occupies `threads` host threads, so the per-key multi-core

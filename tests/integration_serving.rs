@@ -2,6 +2,8 @@
 //! report, the economics of batching, admission behavior under low load,
 //! and structured rejection of malformed specs.
 
+use std::sync::Arc;
+
 use vegeta::prelude::*;
 use vegeta_serve::{LoadGen, Outcome, Request, RequestError, ServeConfig, Server, Work};
 
@@ -128,4 +130,48 @@ fn report_accounting_is_internally_consistent() {
     assert!(report.p95_latency_us <= report.p99_latency_us);
     assert!(report.p99_latency_us <= report.max_latency_us);
     assert!(report.mean_utilization() <= 1.0 + 1e-9);
+}
+
+#[test]
+fn a_session_and_a_server_sharing_a_cache_verify_a_key_once() {
+    // The session's preflight stores its verdict in the shared cache entry;
+    // the server's admission (single-core workers verify the unsharded
+    // stream, as an unsharded cell does) finds it there.
+    let cache = TraceCache::shared();
+    let engine = EngineConfig::vegeta_s(16).expect("valid design");
+    let session = Session::new(engine.clone()).with_cache(Arc::clone(&cache));
+    let server =
+        Server::new(quick_config().with_cores_per_worker(1)).with_cache(Arc::clone(&cache));
+    let spec = engine.kernel_spec(NmRatio::S2_4, KernelOptions::default());
+    let request = |shape| Request {
+        id: 0,
+        work: Work::Spec {
+            shape,
+            spec: spec.clone(),
+        },
+        arrival_us: 0,
+        deadline_us: None,
+    };
+    let shape = GemmShape::new(64, 16, 128);
+    session.run(&Cell::shape("k", shape, &spec));
+    let relint = || Err("linted twice".to_string());
+    assert_eq!(cache.verdict(shape, &spec, 0, Some(relint)), Ok(()));
+    let (report, _) = server.serve_requests(&[request(shape)], 0.0, 0);
+    assert_eq!(report.completed, 1);
+    assert_eq!(cache.len(), 1, "one entry holds the trace and its verdict");
+
+    // Both sides read the same slot: a failing verdict stored there stops
+    // the session and rejects the request with the same text.
+    let other = GemmShape::new(32, 16, 128);
+    let why = "preflight rejected: planted".to_string();
+    let plant = || Err(why.clone());
+    assert!(cache.verdict(other, &spec, 0, Some(plant)).is_err());
+    let panic = std::panic::catch_unwind(|| session.run(&Cell::shape("k", other, &spec)))
+        .expect_err("the session must refuse a rejected stream");
+    assert_eq!(panic.downcast_ref::<String>(), Some(&why));
+    let (_, responses) = server.serve_requests(&[request(other)], 0.0, 0);
+    assert_eq!(
+        responses[0].outcome,
+        Outcome::Rejected(RequestError::Preflight(why))
+    );
 }
