@@ -19,38 +19,49 @@
 //! Per-core [`CacheStats`] merge across cores ([`CacheStats::merge`] /
 //! `+=`) so a multi-core run can report aggregate traffic.
 //!
+//! Both levels keep their books by the 1 KB *block* of 16 lines, the size
+//! of one tile (§V-F), and every per-line result stays exact. A tile load
+//! is 16 line requests in at most two blocks, so a lookup costs one probe
+//! or one hash operation per block, not per line.
+//!
 //! # Replacement in O(1)
 //!
 //! An exact-LRU table (`LruTable`) keeps each resident line in a *slot*:
-//! its address, and its links in an intrusive doubly-linked recency list
-//! over slot numbers. A hit unlinks the line and re-links it at the MRU
-//! tail; a miss at capacity evicts the list head and reuses its slot.
-//! Because every access moves the touched line to the tail, the head is
-//! always the line whose last use is oldest — the exact same victim a
-//! last-use-stamp scan would pick (stamps are strictly increasing, so the
-//! minimum stamp *is* the list head).
+//! its block's sector, its line within the block, and its links in an
+//! intrusive doubly-linked recency list over slot numbers. A hit unlinks
+//! the line and re-links it at the MRU tail; a miss at capacity evicts the
+//! list head and reuses its slot. Because every access moves the touched
+//! line to the tail, the head is always the line whose last use is oldest
+//! — the exact same victim a last-use-stamp scan would pick (stamps are
+//! strictly increasing, so the minimum stamp *is* the list head).
 //!
-//! Lines find their slot through an open-addressed index of `u32` slot
-//! numbers, a power of two at least twice the capacity long, so it is at
-//! most half full. A lookup probes linearly from a multiplicative hash of
-//! the line number and compares keys through the slot's address, so no
-//! key is stored twice; an eviction deletes by backward shift, moving
-//! later entries of the probe run into the hole, so no tombstones build
-//! up. The index is allocated on the first insert. The [`SharedL2`] never
-//! evicts, so it keeps no such table.
+//! Lines find their slot through a *sectored* index: an open-addressed
+//! table of `u32` sector numbers, one per block with a resident line. A
+//! sector holds its block number and the slot of each of its 16 lines. The
+//! index is a power of two at least twice the capacity long (a block per
+//! resident line at worst), so it is at most half full. A lookup probes
+//! linearly from a multiplicative hash of the block number, once for all
+//! the lines an access covers in that block; an eviction clears its line
+//! in the sector the slot records, and only a sector left empty leaves the
+//! index, by backward shift, moving later entries of the probe run into
+//! the hole, so no tombstones build up. The index is allocated on the first
+//! insert. The [`SharedL2`] never evicts, so it keeps no such table.
 //!
 //! Every access of a Fig. 13 replay goes through the L1's table, and most
-//! of them miss (a ~7% hit ratio), so a miss is three short probes and a
-//! shift-delete in one small array rather than three SipHash map
-//! operations. The equivalence with the stamp scan is pinned by
-//! randomized differential tests against a reference model.
+//! of them miss (a ~7% hit ratio), so a tile load is two short probes and
+//! sixteen list operations in small arrays rather than sixteen lookups.
+//! The equivalence with the stamp scan is pinned by randomized
+//! differential tests against a reference model.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Cache line size in bytes.
 pub const LINE_BYTES: u64 = 64;
+
+/// Lines per block: the 1 KB unit (one 16-row tile) that both levels keep
+/// their books by.
+const BLOCK_LINES: usize = 16;
 
 /// Access statistics of one private L1 cache model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -118,6 +129,31 @@ impl SharedL2Stats {
     }
 }
 
+/// The blocks a run of `lines` (at least one) lines from line number
+/// `first` covers, each with the mask of the lines it covers (bit `i` is
+/// line `block * 16 + i`).
+fn blocks(first: u64, lines: u64) -> impl Iterator<Item = (u64, u16)> {
+    let block_lines = BLOCK_LINES as u64;
+    let end = first + lines;
+    (first / block_lines..=(end - 1) / block_lines).map(move |block| {
+        let base = block * block_lines;
+        let (lo, hi) = (first.max(base) - base, end.min(base + block_lines) - base);
+        (block, ((1u32 << hi) - (1u32 << lo)) as u16)
+    })
+}
+
+/// The set bits of `mask`, lowest first: the lines of a block an access
+/// covers, in address order.
+fn lanes(mut mask: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
 /// Who first brought a shared-L2 line in, and how often that core has
 /// touched it since. [`SharedL2::fold`] orders claims on the same line by
 /// `(time, core)`: the smallest is the line's first toucher.
@@ -130,15 +166,24 @@ struct Claim {
     /// The first-toucher core.
     core: u32,
     /// Accesses the first toucher itself made to the line, the first
-    /// touch included. Every other access is a shared hit.
+    /// touch included; every other access is a shared hit. A present
+    /// line has at least one, so 0 marks a line no core has touched.
     own: u32,
 }
 
-// One claim per resident line: a GPT-L3 multi-core cell holds hundreds of
-// thousands, so 16 bytes rather than 24 keeps the claim map's peak down.
+// One claim per line of every resident block: a GPT-L3 multi-core cell
+// holds hundreds of thousands, so 16 bytes rather than 24 keeps the claim
+// maps' peak down.
 const _: () = assert!(std::mem::size_of::<Claim>() == 16);
 
 impl Claim {
+    /// The claim of a line no core has touched.
+    const ABSENT: Claim = Claim {
+        time: 0,
+        core: 0,
+        own: 0,
+    };
+
     /// Counts one more access by the first toucher.
     fn add_own(&mut self, accesses: u32) {
         self.own = self
@@ -148,16 +193,19 @@ impl Claim {
     }
 }
 
-/// Hashes the line addresses keying a [`SharedL2`]'s claims on every L1
-/// miss: the line number without the bits that chose its map (see
-/// [`map_of`]) times an odd constant, with the high half folded into the
-/// low half. Consecutive keys of one map then differ in their low bits,
-/// one to one, so nearby lines spread over distinct buckets. The keys are
-/// simulated addresses, so a DoS-resistant hasher would only cost time.
-#[derive(Debug, Clone, Copy, Default)]
-struct LineHasher(u64);
+/// The claims of one block's lines, by line within the block.
+type BlockClaims = [Claim; BLOCK_LINES];
 
-impl Hasher for LineHasher {
+/// Hashes the block numbers keying a [`SharedL2`]'s claims: the block
+/// number without the bits that chose its map (see [`map_of`]) times an
+/// odd constant, with the high half folded into the low half. Consecutive
+/// keys of one map then differ in their low bits, one to one, so nearby
+/// blocks spread over distinct buckets. The keys are simulated addresses,
+/// so a DoS-resistant hasher would only cost time.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
     fn finish(&self) -> u64 {
         self.0
     }
@@ -168,35 +216,57 @@ impl Hasher for LineHasher {
         }
     }
 
-    fn write_u64(&mut self, line_addr: u64) {
-        let h = (line_addr / (LINE_BYTES * CLAIM_MAPS as u64)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    fn write_u64(&mut self, block: u64) {
+        let h = (block / CLAIM_MAPS as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         self.0 = h ^ (h >> 32);
     }
 }
 
-/// Line address → first-touch claim.
-type ClaimMap = HashMap<u64, Claim, BuildHasherDefault<LineHasher>>;
+/// Block number → the claims of its lines.
+type ClaimMap = HashMap<u64, BlockClaims, BuildHasherDefault<BlockHasher>>;
 
-/// Claim maps a [`SharedL2`] spreads its lines over. A map grows by
+/// Claim maps a [`SharedL2`] spreads its blocks over. A map grows by
 /// doubling, with the old and the new table live while it copies; with
 /// one map, the largest multi-core cells' claims went from 3 to 6 MiB at
 /// once, a heap spike of half again the table. Sixteen maps grow one at a
 /// time, so a growth step holds a sixteenth of the claims twice.
 const CLAIM_MAPS: usize = 16;
 
-/// The claim map line `line_addr` lives in: consecutive lines go to
-/// consecutive maps, so every map takes its share of a streamed tile.
-fn map_of(line_addr: u64) -> usize {
-    (line_addr / LINE_BYTES) as usize % CLAIM_MAPS
+/// The claim map block `block` lives in: consecutive blocks go to
+/// consecutive maps, so every map takes its share of a streamed operand.
+fn map_of(block: u64) -> usize {
+    block as usize % CLAIM_MAPS
 }
 
-/// Sentinel for "no slot": an empty index bucket, or the end of the
-/// intrusive recency list.
+/// Sentinel for "no slot" or "no sector": an empty index bucket, a line
+/// of a sector that is not resident, or the end of the intrusive recency
+/// list.
 const NO_SLOT: u32 = u32::MAX;
 
-/// An exact-LRU residency table: line address → slot, with recency as an
-/// intrusive doubly-linked list over slots (head = least recently used,
-/// tail = most recently used).
+/// One block with a resident line in an [`LruTable`]: the slot of each of
+/// its lines, or [`NO_SLOT`].
+#[derive(Debug, Clone)]
+struct Sector {
+    block: u64,
+    slots: [u32; BLOCK_LINES],
+    /// Resident lines of the block; a sector at 0 leaves the index.
+    resident: u32,
+}
+
+/// One resident line of an [`LruTable`]: where the index keeps it, and its
+/// links in the recency list.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    sector: u32,
+    /// The line's position within its block.
+    lane: u32,
+    prev: u32,
+    next: u32,
+}
+
+/// An exact-LRU residency table: block → sector → line → slot, with
+/// recency as an intrusive doubly-linked list over slots (head = least
+/// recently used, tail = most recently used).
 ///
 /// Every operation is O(1): a hit unlinks + re-links at the tail, an
 /// insert appends at the tail (reusing a freed slot when one exists), and
@@ -204,21 +274,22 @@ const NO_SLOT: u32 = u32::MAX;
 /// used line, so this is observationally identical to scanning for the
 /// minimum last-use stamp — just without the O(capacity) scan per miss.
 ///
-/// The index is an open-addressed table of slot numbers (see the module
+/// The index is an open-addressed table of sector numbers (see the module
 /// doc), allocated on the first insert.
 #[derive(Debug, Clone)]
 struct LruTable {
     /// Most lines the owner keeps resident; sizes the index.
     capacity_lines: usize,
-    /// Index buckets, each a slot number or [`NO_SLOT`]; a power of two at
-    /// least twice `capacity_lines` long, or empty before the first insert.
+    /// Index buckets, each a sector number or [`NO_SLOT`]; a power of two
+    /// at least twice `capacity_lines` long, or empty before the first
+    /// insert.
     buckets: Vec<u32>,
     /// `64 - log2(buckets.len())`: the hash keeps the top bits.
     shift: u32,
-    addrs: Vec<u64>,
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    free: Vec<u32>,
+    sectors: Vec<Sector>,
+    free_sectors: Vec<u32>,
+    slots: Vec<Slot>,
+    free_slots: Vec<u32>,
     head: u32,
     tail: u32,
 }
@@ -231,10 +302,10 @@ impl LruTable {
             capacity_lines: capacity_lines.max(1),
             buckets: Vec::new(),
             shift: 0,
-            addrs: Vec::new(),
-            prev: Vec::new(),
-            next: Vec::new(),
-            free: Vec::new(),
+            sectors: Vec::new(),
+            free_sectors: Vec::new(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
             head: NO_SLOT,
             tail: NO_SLOT,
         }
@@ -242,35 +313,36 @@ impl LruTable {
 
     /// Resident lines.
     fn len(&self) -> usize {
-        self.addrs.len() - self.free.len()
+        self.slots.len() - self.free_slots.len()
     }
 
-    /// The bucket `addr`'s probe starts from: a multiplicative hash of its
-    /// line number.
-    fn home(&self, addr: u64) -> usize {
-        ((addr / LINE_BYTES).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    /// The bucket `block`'s probe starts from: a multiplicative hash of
+    /// the block number.
+    fn home(&self, block: u64) -> usize {
+        (block.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
     }
 
-    /// The bucket holding `addr`, or the empty bucket ending its probe.
-    fn probe(&self, addr: u64) -> usize {
+    /// The bucket holding `block`'s sector, or the empty bucket ending its
+    /// probe.
+    fn probe(&self, block: u64) -> usize {
         let mask = self.buckets.len() - 1;
-        let mut b = self.home(addr);
+        let mut b = self.home(block);
         loop {
-            let slot = self.buckets[b];
-            if slot == NO_SLOT || self.addrs[slot as usize] == addr {
+            let sector = self.buckets[b];
+            if sector == NO_SLOT || self.sectors[sector as usize].block == block {
                 return b;
             }
             b = (b + 1) & mask;
         }
     }
 
-    /// The slot of `addr`, if it is resident.
-    fn find(&self, addr: u64) -> Option<u32> {
+    /// The sector of `block`, if one of its lines is resident.
+    fn find(&self, block: u64) -> Option<u32> {
         if self.buckets.is_empty() {
             return None;
         }
-        let slot = self.buckets[self.probe(addr)];
-        (slot != NO_SLOT).then_some(slot)
+        let sector = self.buckets[self.probe(block)];
+        (sector != NO_SLOT).then_some(sector)
     }
 
     /// Empties bucket `hole` by backward shift: every later entry of the
@@ -282,16 +354,16 @@ impl LruTable {
         let mut b = hole;
         loop {
             b = (b + 1) & mask;
-            let slot = self.buckets[b];
-            if slot == NO_SLOT {
+            let sector = self.buckets[b];
+            if sector == NO_SLOT {
                 break;
             }
             // Probe distance of the entry at `b` vs the distance from the
             // hole: the entry may fill the hole unless its home lies in
             // `(hole, b]`.
-            let home = self.home(self.addrs[slot as usize]);
+            let home = self.home(self.sectors[sector as usize].block);
             if b.wrapping_sub(home) & mask >= b.wrapping_sub(hole) & mask {
-                self.buckets[hole] = slot;
+                self.buckets[hole] = sector;
                 hole = b;
             }
         }
@@ -299,80 +371,132 @@ impl LruTable {
     }
 
     fn unlink(&mut self, slot: u32) {
-        let (p, n) = (self.prev[slot as usize], self.next[slot as usize]);
-        if p == NO_SLOT {
-            self.head = n;
+        let Slot { prev, next, .. } = self.slots[slot as usize];
+        if prev == NO_SLOT {
+            self.head = next;
         } else {
-            self.next[p as usize] = n;
+            self.slots[prev as usize].next = next;
         }
-        if n == NO_SLOT {
-            self.tail = p;
+        if next == NO_SLOT {
+            self.tail = prev;
         } else {
-            self.prev[n as usize] = p;
+            self.slots[next as usize].prev = prev;
         }
     }
 
     fn link_tail(&mut self, slot: u32) {
-        self.prev[slot as usize] = self.tail;
-        self.next[slot as usize] = NO_SLOT;
+        self.slots[slot as usize].prev = self.tail;
+        self.slots[slot as usize].next = NO_SLOT;
         if self.tail == NO_SLOT {
             self.head = slot;
         } else {
-            self.next[self.tail as usize] = slot;
+            self.slots[self.tail as usize].next = slot;
         }
         self.tail = slot;
     }
 
-    /// If `addr` is resident, refreshes it to most-recently-used and
-    /// returns `true`.
-    fn touch(&mut self, addr: u64) -> bool {
-        let Some(slot) = self.find(addr) else {
-            return false;
-        };
-        if self.tail != slot {
-            self.unlink(slot);
-            self.link_tail(slot);
+    /// Accesses the lines `mask` selects in `block`, lowest first: a
+    /// resident line is refreshed to most-recently-used, a missing one is
+    /// inserted as most-recently-used, after a full table evicts its
+    /// least-recently-used line. So at most `capacity_lines` lines are
+    /// ever resident and the index stays at most half full. Returns the
+    /// mask of the lines that missed.
+    fn access(&mut self, block: u64, mask: u16) -> u16 {
+        let mut sector = self.find(block);
+        let mut misses = 0;
+        for lane in lanes(mask) {
+            if let Some(s) = sector {
+                let slot = self.sectors[s as usize].slots[lane];
+                if slot != NO_SLOT {
+                    if self.tail != slot {
+                        self.unlink(slot);
+                        self.link_tail(slot);
+                    }
+                    continue;
+                }
+            }
+            misses |= 1 << lane;
+            // The victim may be the last resident line of this very block,
+            // whose sector then leaves the index.
+            if self.len() >= self.capacity_lines && self.evict_lru() == sector {
+                sector = None;
+            }
+            let s = match sector {
+                Some(s) => s,
+                None => self.insert_sector(block),
+            };
+            sector = Some(s);
+            self.insert_slot(s, lane);
         }
-        true
+        misses
     }
 
-    /// Inserts a non-resident `addr` as most-recently-used. A full table
-    /// first evicts its least-recently-used line, so at most
-    /// `capacity_lines` lines are ever resident and the index stays at most
-    /// half full.
-    fn insert(&mut self, addr: u64) {
-        if self.len() >= self.capacity_lines {
-            self.evict_lru();
-        }
+    /// Adds an empty sector for a `block` with no resident line to the
+    /// index, allocating the index on the first insert.
+    fn insert_sector(&mut self, block: u64) -> u32 {
         if self.buckets.is_empty() {
             let buckets = (2 * self.capacity_lines).next_power_of_two().max(2);
             self.buckets = vec![NO_SLOT; buckets];
             self.shift = 64 - buckets.trailing_zeros();
         }
-        let bucket = self.probe(addr);
-        debug_assert_eq!(self.buckets[bucket], NO_SLOT, "insert of resident line");
-        let slot = if let Some(slot) = self.free.pop() {
-            self.addrs[slot as usize] = addr;
+        let bucket = self.probe(block);
+        debug_assert_eq!(self.buckets[bucket], NO_SLOT, "insert of a resident block");
+        let fresh = Sector {
+            block,
+            slots: [NO_SLOT; BLOCK_LINES],
+            resident: 0,
+        };
+        let sector = if let Some(sector) = self.free_sectors.pop() {
+            self.sectors[sector as usize] = fresh;
+            sector
+        } else {
+            self.sectors.push(fresh);
+            u32::try_from(self.sectors.len() - 1).expect("fewer than 2^32 sectors")
+        };
+        self.buckets[bucket] = sector;
+        sector
+    }
+
+    /// Makes line `lane` of `sector` resident as most-recently-used.
+    fn insert_slot(&mut self, sector: u32, lane: usize) {
+        let fresh = Slot {
+            sector,
+            lane: lane as u32,
+            prev: NO_SLOT,
+            next: NO_SLOT,
+        };
+        let slot = if let Some(slot) = self.free_slots.pop() {
+            self.slots[slot as usize] = fresh;
             slot
         } else {
-            let slot = u32::try_from(self.addrs.len()).expect("fewer than 2^32 cache lines");
-            self.addrs.push(addr);
-            self.prev.push(NO_SLOT);
-            self.next.push(NO_SLOT);
-            slot
+            self.slots.push(fresh);
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 cache lines")
         };
-        self.buckets[bucket] = slot;
+        let s = &mut self.sectors[sector as usize];
+        s.slots[lane] = slot;
+        s.resident += 1;
         self.link_tail(slot);
     }
 
     /// Evicts the least-recently-used line (the list head — exactly the
     /// line a min-last-use-stamp scan would pick) of a non-empty table.
-    fn evict_lru(&mut self) {
+    /// Returns the victim's sector if that left it empty, and so out of
+    /// the index.
+    fn evict_lru(&mut self) -> Option<u32> {
         let victim = self.head;
         self.unlink(victim);
-        let bucket = self.probe(self.addrs[victim as usize]);
-        self.remove_bucket(bucket);
-        self.free.push(victim);
+        self.free_slots.push(victim);
+        let Slot { sector, lane, .. } = self.slots[victim as usize];
+        let s = &mut self.sectors[sector as usize];
+        s.slots[lane as usize] = NO_SLOT;
+        s.resident -= 1;
+        if s.resident > 0 {
+            return None;
+        }
+        let block = s.block;
+        self.remove_bucket(self.probe(block));
+        self.free_sectors.push(sector);
+        Some(sector)
     }
 }
 
@@ -384,7 +508,9 @@ impl LruTable {
 /// invalidation traffic is modelled. Under the §VI-B prefetch assumption
 /// every lookup is a hit at `hit_latency`, exactly as the single-core model
 /// assumes, and nothing is ever evicted: the level only tracks each line's
-/// first toucher, for the sharing attribution.
+/// first toucher, for the sharing attribution. It keeps those claims by
+/// block, one map entry per 1 KB block holding its 16 lines' claims, so an
+/// L1 miss on a whole tile costs one hash operation per block.
 ///
 /// A shared L2 that only one core accesses doubles as that core's
 /// *first-touch summary* (each line's first stamp and access count),
@@ -392,9 +518,11 @@ impl LruTable {
 #[derive(Debug, Clone)]
 pub struct SharedL2 {
     hit_latency: u64,
-    /// Every resident line's first-touch claim (sharing attribution),
-    /// spread over [`CLAIM_MAPS`] maps by line number (see [`map_of`]).
+    /// Every resident block's first-touch claims (sharing attribution),
+    /// spread over [`CLAIM_MAPS`] maps by block number (see [`map_of`]).
     claims: [ClaimMap; CLAIM_MAPS],
+    /// Lines with a claim.
+    resident_lines: usize,
     stats: SharedL2Stats,
     /// Stamp recorded on lines first touched from now on.
     now: u64,
@@ -406,6 +534,7 @@ impl SharedL2 {
         SharedL2 {
             hit_latency,
             claims: Default::default(),
+            resident_lines: 0,
             stats: SharedL2Stats::default(),
             now: 0,
         }
@@ -418,12 +547,12 @@ impl SharedL2 {
 
     /// Resident lines.
     pub(crate) fn resident_lines(&self) -> usize {
-        self.claims.iter().map(HashMap::len).sum()
+        self.resident_lines
     }
 
     /// Sets the clock of the accesses that follow: lines they touch first
     /// are stamped `now + 1`, which keeps stamp 0 for settled lines.
-    pub(crate) fn set_now(&mut self, now: u64) {
+    pub fn set_now(&mut self, now: u64) {
         self.now = now + 1;
     }
 
@@ -431,8 +560,10 @@ impl SharedL2 {
     /// it from its owner, since it was touched before the run that folds.
     pub(crate) fn settle(&mut self) {
         for map in &mut self.claims {
-            for claim in map.values_mut() {
-                claim.time = 0;
+            for claims in map.values_mut() {
+                for claim in claims {
+                    claim.time = 0;
+                }
             }
         }
     }
@@ -441,19 +572,36 @@ impl SharedL2 {
     /// attribution; returns the load-to-use latency, always the hit
     /// latency.
     pub fn access_line(&mut self, core: usize, line_addr: u64) -> u64 {
+        let line = line_addr / LINE_BYTES;
+        let lane = line % BLOCK_LINES as u64;
+        self.access_block(core, line / BLOCK_LINES as u64, 1 << lane)
+    }
+
+    /// Looks up the lines `mask` selects in `block` on behalf of `core`
+    /// (see [`SharedL2::access_line`]), with one hash operation.
+    pub(crate) fn access_block(&mut self, core: usize, block: u64, mask: u16) -> u64 {
         let core = u32::try_from(core).expect("fewer than 2^32 simulated cores");
-        self.stats.accesses += 1;
-        self.stats.hits += 1;
-        match self.claims[map_of(line_addr)].entry(line_addr) {
-            Entry::Occupied(mut claim) if claim.get().core == core => claim.get_mut().add_own(1),
-            Entry::Occupied(_) => self.stats.shared_hits += 1,
-            // The data was preloaded (§VI-B): the first touch is a hit too.
-            Entry::Vacant(slot) => {
-                slot.insert(Claim {
+        let lines = u64::from(mask.count_ones());
+        self.stats.accesses += lines;
+        self.stats.hits += lines;
+        let claims = self.claims[map_of(block)]
+            .entry(block)
+            .or_insert([Claim::ABSENT; BLOCK_LINES]);
+        for lane in lanes(mask) {
+            let claim = &mut claims[lane];
+            if claim.own == 0 {
+                // The data was preloaded (§VI-B): the first touch is a hit
+                // too.
+                *claim = Claim {
                     time: self.now,
                     core,
                     own: 1,
-                });
+                };
+                self.resident_lines += 1;
+            } else if claim.core == core {
+                claim.add_own(1);
+            } else {
+                self.stats.shared_hits += 1;
             }
         }
         self.hit_latency
@@ -470,26 +618,35 @@ impl SharedL2 {
     /// so the stats do not depend on the order cores are folded in. One
     /// core may fold several summaries, as long as it folds them in the
     /// order it ran them.
-    pub(crate) fn fold(&mut self, summary: &mut SharedL2) {
+    pub fn fold(&mut self, summary: &mut SharedL2) {
         // Plain nested loops: draining through `flat_map(HashMap::drain)`
         // made multi-core runs 20-40% slower on a 2-CPU host.
         for map in &mut summary.claims {
-            for (line, theirs) in map.drain() {
-                self.stats.accesses += u64::from(theirs.own);
-                self.stats.hits += u64::from(theirs.own);
-                let ours = self.claims[map_of(line)]
-                    .entry(line)
-                    .or_insert(Claim { own: 0, ..theirs });
-                if ours.core == theirs.core {
-                    ours.add_own(theirs.own);
-                } else if (theirs.time, theirs.core) < (ours.time, ours.core) {
-                    self.stats.shared_hits += u64::from(ours.own);
-                    *ours = theirs;
-                } else {
-                    self.stats.shared_hits += u64::from(theirs.own);
+            for (block, theirs) in map.drain() {
+                let ours = self.claims[map_of(block)]
+                    .entry(block)
+                    .or_insert([Claim::ABSENT; BLOCK_LINES]);
+                for (ours, theirs) in ours.iter_mut().zip(&theirs) {
+                    if theirs.own == 0 {
+                        continue;
+                    }
+                    self.stats.accesses += u64::from(theirs.own);
+                    self.stats.hits += u64::from(theirs.own);
+                    if ours.own == 0 {
+                        *ours = *theirs;
+                        self.resident_lines += 1;
+                    } else if ours.core == theirs.core {
+                        ours.add_own(theirs.own);
+                    } else if (theirs.time, theirs.core) < (ours.time, ours.core) {
+                        self.stats.shared_hits += u64::from(ours.own);
+                        *ours = *theirs;
+                    } else {
+                        self.stats.shared_hits += u64::from(theirs.own);
+                    }
                 }
             }
         }
+        summary.resident_lines = 0;
     }
 }
 
@@ -520,8 +677,9 @@ impl CacheModel {
         self.stats
     }
 
-    /// Looks up one line, updating LRU state, and returns its load-to-use
-    /// latency; misses are served by the flat always-hitting L2.
+    /// Looks up the line holding `line_addr`, updating LRU state, and
+    /// returns its load-to-use latency; misses are served by the flat
+    /// always-hitting L2.
     pub fn access_line(&mut self, line_addr: u64, is_store: bool) -> u64 {
         self.access_line_via(line_addr, is_store, None)
     }
@@ -535,25 +693,12 @@ impl CacheModel {
         is_store: bool,
         next: Option<(usize, &mut SharedL2)>,
     ) -> u64 {
-        if is_store {
-            self.stats.bytes_written += LINE_BYTES;
-        } else {
-            self.stats.bytes_read += LINE_BYTES;
-        }
-        if self.lines.touch(line_addr) {
-            self.stats.l1_hits += 1;
-            return self.l1_latency;
-        }
-        self.stats.l2_hits += 1;
-        self.lines.insert(line_addr);
-        match next {
-            Some((core, l2)) => l2.access_line(core, line_addr),
-            None => self.l2_latency,
-        }
+        self.access_range_via(line_addr, 1, is_store, next).0
     }
 
-    /// Accesses a byte range, touching every covered line; returns the
-    /// latency until the *first* line is available and the number of lines.
+    /// Accesses a byte range, touching every covered line in address
+    /// order; returns the latency until the *first* line is available and
+    /// the number of lines.
     ///
     /// Tile loads are converted into one request per 64 B line (§V-F); the
     /// pipelined transfer cost is handled by the port model in the core.
@@ -562,7 +707,9 @@ impl CacheModel {
     }
 
     /// [`CacheModel::access_range`] with an explicit shared next level (see
-    /// [`CacheModel::access_line_via`]).
+    /// [`CacheModel::access_line_via`]). The lines of each block are
+    /// looked up together: one index probe, and for the lines that miss,
+    /// one shared-L2 lookup.
     pub fn access_range_via(
         &mut self,
         addr: u64,
@@ -571,15 +718,26 @@ impl CacheModel {
         mut next: Option<(usize, &mut SharedL2)>,
     ) -> (u64, u64) {
         let (first, lines) = line_span(addr, bytes);
+        if is_store {
+            self.stats.bytes_written += lines * LINE_BYTES;
+        } else {
+            self.stats.bytes_read += lines * LINE_BYTES;
+        }
         let mut worst = 0;
-        for line in first..first + lines {
-            let hop = match next.as_mut() {
-                Some((core, l2)) => {
-                    self.access_line_via(line * LINE_BYTES, is_store, Some((*core, l2)))
-                }
-                None => self.access_line(line * LINE_BYTES, is_store),
-            };
-            worst = worst.max(hop);
+        for (block, mask) in blocks(first, lines) {
+            let misses = self.lines.access(block, mask);
+            if mask != misses {
+                self.stats.l1_hits += u64::from((mask & !misses).count_ones());
+                worst = worst.max(self.l1_latency);
+            }
+            if misses != 0 {
+                self.stats.l2_hits += u64::from(misses.count_ones());
+                let hop = match next.as_mut() {
+                    Some((core, l2)) => l2.access_block(*core, block, misses),
+                    None => self.l2_latency,
+                };
+                worst = worst.max(hop);
+            }
         }
         (worst, lines)
     }
@@ -597,6 +755,9 @@ pub(crate) fn line_span(addr: u64, bytes: usize) -> (u64, u64) {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::hash_map::Entry;
+    use std::collections::BTreeMap;
+
     use super::*;
 
     #[test]
@@ -724,15 +885,27 @@ mod tests {
         assert_eq!(l2.stats().shared_hits, 2);
     }
 
+    /// One step of a xorshift64 sequence: deterministic pseudo-random
+    /// input for the differential tests.
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
     /// The pre-optimization reference: last-use stamps in a map, with an
-    /// O(capacity) min-stamp scan to pick the eviction victim. The O(1)
-    /// list must be observationally identical to this.
+    /// O(capacity) min-stamp scan to pick the eviction victim, one line at
+    /// a time. The O(1) list over a sectored index must be observationally
+    /// identical to this.
     struct StampScanReference {
         capacity: usize,
         l1_latency: u64,
         l2_latency: u64,
+        /// Line number → last-use stamp.
         lines: HashMap<u64, u64>,
         stamp: u64,
+        stats: CacheStats,
     }
 
     impl StampScanReference {
@@ -743,13 +916,16 @@ mod tests {
                 l2_latency,
                 lines: HashMap::new(),
                 stamp: 0,
+                stats: CacheStats::default(),
             }
         }
 
         fn access_line(&mut self, line_addr: u64) -> u64 {
+            let line = line_addr / LINE_BYTES;
             self.stamp += 1;
-            if self.lines.contains_key(&line_addr) {
-                self.lines.insert(line_addr, self.stamp);
+            if self.lines.contains_key(&line) {
+                self.lines.insert(line, self.stamp);
+                self.stats.l1_hits += 1;
                 return self.l1_latency;
             }
             if self.lines.len() >= self.capacity {
@@ -757,24 +933,38 @@ mod tests {
                     self.lines.remove(&victim);
                 }
             }
-            self.lines.insert(line_addr, self.stamp);
+            self.lines.insert(line, self.stamp);
+            self.stats.l2_hits += 1;
             self.l2_latency
+        }
+
+        /// Every line `bytes` (at least one) at `addr` overlap, in address
+        /// order: the worst latency and the line count.
+        fn access_range(&mut self, addr: u64, bytes: usize) -> (u64, u64) {
+            let (first, last) = (addr / LINE_BYTES, (addr + bytes as u64 - 1) / LINE_BYTES);
+            let worst = (first..=last)
+                .map(|line| self.access_line(line * LINE_BYTES))
+                .max()
+                .expect("at least one line");
+            (worst, last - first + 1)
         }
     }
 
-    /// `count` line addresses whose index home is one of the last two
-    /// buckets of a `capacity`-line table: their probe runs pile up into
-    /// one long run that wraps past the end of the index, so evictions
-    /// delete from the middle of it, where a backward-shift bug would lose
-    /// or strand an entry.
+    /// `count` line addresses, one in each of `count` blocks whose index
+    /// home is one of the last two buckets of a `capacity`-line table:
+    /// their probe runs pile up into one long run that wraps past the end
+    /// of the index, so evictions delete from the middle of it, where a
+    /// backward-shift bug would lose or strand an entry. Consecutive
+    /// addresses sit at consecutive lines of their blocks.
     fn colliding_addrs(capacity: usize, count: usize) -> Vec<u64> {
         let mut table = LruTable::new(capacity);
-        table.insert(0);
+        table.insert_sector(0);
         let last = table.buckets.len() - 1;
         (0u64..)
-            .map(|line| line * LINE_BYTES)
-            .filter(|&addr| table.home(addr) + 1 >= last)
+            .filter(|&block| table.home(block) + 1 >= last)
             .take(count)
+            .enumerate()
+            .map(|(i, block)| (block * BLOCK_LINES as u64 + (i % BLOCK_LINES) as u64) * LINE_BYTES)
             .collect()
     }
 
@@ -783,15 +973,22 @@ mod tests {
         (0..count as u64).map(|line| line * LINE_BYTES).collect()
     }
 
-    /// Capacities the differential tests cover: tiny ones, non-powers of
-    /// two (the index rounds up) and the default 768-line L1.
-    const DIFF_CAPACITIES: [usize; 9] = [1, 2, 3, 5, 7, 16, 64, 100, 768];
+    /// Capacities the differential tests cover: every one below the 16
+    /// lines of a block (where evicting the head can empty the sector
+    /// being filled), one block, non-powers of two (the index rounds up)
+    /// and the default 768-line L1.
+    const DIFF_CAPACITIES: [usize; 11] = [1, 2, 3, 4, 5, 6, 7, 16, 64, 100, 768];
+
+    /// Lengths of the range accesses, in lines: one line, two, a 1 KB
+    /// tile and a 2 KB one.
+    const RANGE_LINES: [u64; 4] = [1, 2, 16, 32];
 
     #[test]
     fn o1_lru_is_identical_to_the_stamp_scan_reference() {
         // Deterministic xorshift address sequences over a working set a
         // few times the capacity, across several capacities: the fast list
-        // and the reference scan must agree on every single access.
+        // and the reference scan must agree on every single access, first
+        // line by line, then range by range.
         for capacity in DIFF_CAPACITIES {
             let span = capacity * 3 + 1;
             for pool in [sequential_addrs(span), colliding_addrs(capacity, span)] {
@@ -800,9 +997,7 @@ mod tests {
                 let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ capacity as u64;
                 let phase = 512.max(4 * capacity as u64);
                 for step in 0..4000.max(8 * capacity as u64) {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
+                    xorshift(&mut x);
                     // Mix uniform-random and looping sequential phases so
                     // both thrash and reuse paths are exercised.
                     let addr = if step % phase < phase / 2 {
@@ -814,6 +1009,28 @@ mod tests {
                         fast.access_line(addr, false),
                         reference.access_line(addr),
                         "capacity {capacity}, step {step}, addr {addr}"
+                    );
+                }
+                // Tile-sized ranges from a pool line: at the line itself,
+                // at 64 B and 576 B into its block (where the kernels'
+                // tiles start, so each straddles two blocks), or unaligned.
+                for step in 0..2000 {
+                    let r = xorshift(&mut x);
+                    let line_addr = pool[(r % span as u64) as usize];
+                    let block_addr = line_addr - line_addr % (BLOCK_LINES as u64 * LINE_BYTES);
+                    let addr = [line_addr, block_addr + 64, block_addr + 576, line_addr + 37]
+                        [(r >> 32) as usize % 4];
+                    let bytes = (RANGE_LINES[(r >> 40) as usize % 4] * LINE_BYTES) as usize;
+                    assert_eq!(
+                        fast.access_range(addr, bytes, false),
+                        reference.access_range(addr, bytes),
+                        "capacity {capacity}, range step {step}, {bytes} B at {addr}"
+                    );
+                    let s = fast.stats();
+                    assert_eq!(
+                        (s.l1_hits, s.l2_hits),
+                        (reference.stats.l1_hits, reference.stats.l2_hits),
+                        "capacity {capacity}, range step {step}: per-line hits"
                     );
                 }
                 assert_eq!(fast.lines.len(), reference.lines.len());
@@ -828,6 +1045,25 @@ mod tests {
         c.access_line(0, false);
         assert_eq!(c.lines.buckets.len(), 2048, "2 x 768 rounded up");
         assert_eq!(CacheModel::new(100, 5, 14).lines.buckets.capacity(), 0);
+    }
+
+    #[test]
+    fn a_tile_load_fills_two_sectors() {
+        // A 1 KB tile 64 B into its block covers 15 lines of one block and
+        // the first line of the next: two index entries for 16 lines.
+        let mut c = CacheModel::new(768, 5, 14);
+        assert_eq!(c.access_range(1024 + 64, 1024, false), (14, 16));
+        assert_eq!(c.lines.len(), 16);
+        assert_eq!(c.lines.sectors.len(), 2);
+        assert_eq!(c.lines.buckets.iter().filter(|&&b| b != NO_SLOT).count(), 2);
+        // The next tile fills the second block and starts a third.
+        assert_eq!(c.access_range(2048 + 64, 1024, false), (14, 16));
+        assert_eq!(c.lines.sectors.len(), 3);
+        assert_eq!(
+            c.access_range(2048, 64, false),
+            (5, 1),
+            "line 32 is resident"
+        );
     }
 
     /// One core's first-touch summary of `(stamp, line)` accesses.
@@ -894,19 +1130,180 @@ mod tests {
         assert_eq!(real.stats().shared_hits, 4);
     }
 
+    /// The per-line shared L2 that block-keyed claims replaced: one map
+    /// entry per line, every operation one hash lookup per line. The
+    /// [`SharedL2`] must keep the same stats and owners.
+    #[derive(Default)]
+    struct PerLineSharedL2 {
+        /// Line address → first-touch claim.
+        claims: HashMap<u64, Claim>,
+        stats: SharedL2Stats,
+        now: u64,
+    }
+
+    impl PerLineSharedL2 {
+        fn set_now(&mut self, now: u64) {
+            self.now = now + 1;
+        }
+
+        fn settle(&mut self) {
+            for claim in self.claims.values_mut() {
+                claim.time = 0;
+            }
+        }
+
+        fn access_line(&mut self, core: usize, line_addr: u64) {
+            let core = core as u32;
+            self.stats.accesses += 1;
+            self.stats.hits += 1;
+            match self.claims.entry(line_addr) {
+                Entry::Occupied(mut claim) if claim.get().core == core => {
+                    claim.get_mut().add_own(1);
+                }
+                Entry::Occupied(_) => self.stats.shared_hits += 1,
+                Entry::Vacant(slot) => {
+                    slot.insert(Claim {
+                        time: self.now,
+                        core,
+                        own: 1,
+                    });
+                }
+            }
+        }
+
+        fn fold(&mut self, summary: &mut PerLineSharedL2) {
+            for (line, theirs) in summary.claims.drain() {
+                self.stats.accesses += u64::from(theirs.own);
+                self.stats.hits += u64::from(theirs.own);
+                let ours = self
+                    .claims
+                    .entry(line)
+                    .or_insert(Claim { own: 0, ..theirs });
+                if ours.core == theirs.core {
+                    ours.add_own(theirs.own);
+                } else if (theirs.time, theirs.core) < (ours.time, ours.core) {
+                    self.stats.shared_hits += u64::from(ours.own);
+                    *ours = theirs;
+                } else {
+                    self.stats.shared_hits += u64::from(theirs.own);
+                }
+            }
+        }
+    }
+
+    /// Every resident line's claim in `l2`, by line address.
+    fn owners(l2: &SharedL2) -> BTreeMap<u64, Claim> {
+        l2.claims
+            .iter()
+            .flat_map(HashMap::iter)
+            .flat_map(|(&block, claims)| {
+                lanes(u16::MAX)
+                    .filter(|&lane| claims[lane].own > 0)
+                    .map(move |lane| {
+                        let line = block * BLOCK_LINES as u64 + lane as u64;
+                        (line * LINE_BYTES, claims[lane])
+                    })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn block_claims_match_the_per_line_reference() {
+        const CORES: usize = 4;
+        // Lines of the region every access falls in: 64 blocks.
+        const REGION_LINES: u64 = 64 * BLOCK_LINES as u64;
+        for seed in 1..=8u64 {
+            let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut real = SharedL2::new(14);
+            let mut reference = PerLineSharedL2::default();
+            // Lines touched before the run: settled, so no fold may take
+            // them from their owner.
+            for _ in 0..40 {
+                let r = xorshift(&mut x);
+                let (core, line_addr) = ((r % CORES as u64) as usize, (r >> 8) % 256 * LINE_BYTES);
+                real.set_now(r >> 40);
+                reference.set_now(r >> 40);
+                real.access_line(core, line_addr);
+                reference.access_line(core, line_addr);
+            }
+            real.settle();
+            reference.settle();
+
+            // Each core's run as partial summaries, each folded as it
+            // fills (in the order the core ran them), cores interleaved;
+            // now and then a core accesses the real L2 directly, as the
+            // K-split reduction does.
+            let mut summaries: Vec<_> = (0..CORES)
+                .map(|_| (SharedL2::new(14), PerLineSharedL2::default()))
+                .collect();
+            let mut clocks = [0u64; CORES];
+            for step in 0..800 {
+                let r = xorshift(&mut x);
+                let core = (r % CORES as u64) as usize;
+                clocks[core] += 1 + (r >> 8) % 7;
+                // 1 to 32 lines from any line, so ranges straddle blocks;
+                // odd steps drop a random subset of lines, as L1 hits do.
+                let first = (r >> 16) % REGION_LINES;
+                let lines = 1 + (r >> 32) % 32;
+                let keep = if step % 2 == 0 {
+                    u16::MAX
+                } else {
+                    xorshift(&mut x) as u16
+                };
+                let kept = |line: u64| keep >> (line % BLOCK_LINES as u64) & 1 == 1;
+                let direct = (r >> 40).is_multiple_of(16);
+                let (sum, sum_ref) = &mut summaries[core];
+                let (l2, l2_ref) = if direct {
+                    (&mut real, &mut reference)
+                } else {
+                    (sum, sum_ref)
+                };
+                l2.set_now(clocks[core]);
+                l2_ref.set_now(clocks[core]);
+                for (block, mask) in blocks(first, lines) {
+                    if mask & keep != 0 {
+                        assert_eq!(l2.access_block(core, block, mask & keep), 14);
+                    }
+                }
+                for line in (first..first + lines).filter(|&line| kept(line)) {
+                    l2_ref.access_line(core, line * LINE_BYTES);
+                }
+                let (sum, sum_ref) = &mut summaries[core];
+                assert_eq!(sum.resident_lines(), sum_ref.claims.len());
+                if (r >> 48).is_multiple_of(8) {
+                    real.fold(sum);
+                    reference.fold(sum_ref);
+                    assert_eq!(sum.resident_lines(), 0);
+                    assert_eq!(real.stats(), reference.stats, "seed {seed}, step {step}");
+                }
+            }
+            for (sum, sum_ref) in summaries.iter_mut().rev() {
+                real.fold(sum);
+                reference.fold(sum_ref);
+            }
+            assert_eq!(real.stats(), reference.stats, "seed {seed}");
+            assert!(real.stats().shared_hits > 0, "seed {seed} shares lines");
+            let expected: BTreeMap<u64, Claim> = reference.claims.into_iter().collect();
+            assert_eq!(owners(&real), expected, "seed {seed}");
+            assert_eq!(real.resident_lines(), expected.len());
+        }
+    }
+
     #[test]
     fn lru_table_reuses_freed_slots() {
         let mut c = CacheModel::new(2, 5, 14);
         for i in 0..100u64 {
             c.access_line(i * 64, false);
         }
-        // Two live lines, at most three slots ever allocated (two resident
-        // plus one freed-and-reused): eviction must recycle, not grow.
+        // Two live lines, at most three slots and sectors ever allocated
+        // (two resident plus one freed-and-reused): eviction must recycle,
+        // not grow.
         assert_eq!(c.lines.len(), 2);
         assert!(
-            c.lines.addrs.len() <= 3,
-            "slots grew to {} for a 2-line cache",
-            c.lines.addrs.len()
+            c.lines.slots.len() <= 3 && c.lines.sectors.len() <= 3,
+            "slots grew to {} and sectors to {} for a 2-line cache",
+            c.lines.slots.len(),
+            c.lines.sectors.len()
         );
     }
 }
