@@ -5,6 +5,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use vegeta::engine::{dataflow, EngineConfig, EngineTimer};
 use vegeta::kernels::{GemmShape, Kernel, KernelSpec, SparseMode, TraceCache};
+use vegeta::lint::verify_shard_set;
 use vegeta::num::Matrix;
 use vegeta::sim::CoreSim;
 use vegeta::sparse::{prune, CompressedTile, NmRatio, RowWiseTile};
@@ -80,11 +81,26 @@ fn bench_simulator(c: &mut Criterion) {
     });
 }
 
+/// The lint preflight of one `multicore_scaling` cell: every stream of the
+/// full-size ResNet50-L3 2:4 shard set for 16 cores, walked once.
+fn bench_lint(c: &mut Criterion) {
+    let layer = vegeta::workloads::table4()
+        .into_iter()
+        .find(|l| l.name == "ResNet50-L3")
+        .expect("Table IV has ResNet50-L3");
+    let shape = layer.gemm_shape();
+    let spec = KernelSpec::tiled(SparseMode::Nm2of4);
+    c.bench_function("lint_verify_shard_set_resnet50_l3_2of4_16c", |b| {
+        b.iter(|| verify_shard_set(&spec, shape, 16));
+    });
+}
+
 criterion_group!(
     benches,
     bench_compression,
     bench_dataflow,
     bench_engine_timer,
-    bench_simulator
+    bench_simulator,
+    bench_lint
 );
 criterion_main!(benches);

@@ -45,7 +45,8 @@ use rand::SeedableRng;
 use vegeta_engine::EngineConfig;
 use vegeta_kernels::{EngineKernelExt, Kernel, KernelOptions, KernelSpec, SparseMode, TraceCache};
 use vegeta_sim::{
-    CoreSim, ExecMode, L1Memo, MultiCoreConfig, MultiCoreSim, SchedulerPolicy, SimConfig,
+    CoreSim, ExecMode, L1Memo, MultiCoreConfig, MultiCoreSim, SchedulerPolicy, ShardL1Memo,
+    SimConfig,
 };
 use vegeta_sparse::{prune, transform, FormatSpec, NmRatio};
 use vegeta_workloads::Layer;
@@ -520,19 +521,19 @@ impl Harness {
     /// shard set) it replays. The preflight is the cell's one trace-cache
     /// lookup, on or off.
     ///
-    /// An unsharded cell replays on one [`CoreSim`], through `memo` when
-    /// given. A sharded cell cuts the kernel into its 2D/K-split shard set,
-    /// LPT-packed onto the cores, with any K-split reduction replayed after
-    /// the barrier. Its shards stream
-    /// through private L1s over one coherence-free shared L2 on `exec`
-    /// host threads, and `cycles` is the makespan.
+    /// An unsharded cell replays on one [`CoreSim`]. A sharded cell cuts
+    /// the kernel into its 2D/K-split shard set, LPT-packed onto the cores,
+    /// with any K-split reduction replayed after the barrier. Its shards
+    /// stream through private L1s over one coherence-free shared L2 on
+    /// `exec` host threads, and `cycles` is the makespan. Either runs
+    /// through `memo` when given, which is the cell's kind of memo.
     fn run(
         &self,
         engine: &EngineConfig,
         cell: &Cell<'_>,
         spec: &KernelSpec,
         exec: ExecMode,
-        memo: Option<&L1Memo>,
+        memo: Option<&CellMemo>,
     ) -> RunReport {
         let shape = cell.gemm_shape();
         if let Err(report) = preflight(
@@ -549,18 +550,23 @@ impl Harness {
                 let stream = spec.stream(shape);
                 let mut core = CoreSim::new(self.sim.clone(), engine.clone());
                 CellOutcome::from(match memo {
-                    Some(memo) => core.run_stream_memoized(stream, memo),
-                    None => core.run_stream(stream),
+                    Some(CellMemo::Core(memo)) => core.run_stream_memoized(stream, memo),
+                    _ => core.run_stream(stream),
                 })
             }
             Some(cores) => {
                 let set = spec.shard_set(shape, cores);
                 let policy = SchedulerPolicy::Lpt;
-                let res = MultiCoreSim::new(
+                let mut sim = MultiCoreSim::new(
                     MultiCoreConfig::with_core(self.sim.clone(), cores).with_exec(exec),
                     engine.clone(),
-                )
-                .run_sharded(set.shards, set.reduction, policy);
+                );
+                let res = match memo {
+                    Some(CellMemo::Shards(memo)) => {
+                        sim.run_sharded_memoized(set.shards, set.reduction, memo)
+                    }
+                    _ => sim.run_sharded(set.shards, set.reduction, policy),
+                };
                 CellOutcome::sharded(res, policy)
             }
         };
@@ -933,13 +939,14 @@ impl Sweep {
     /// then fidelity, then axis entry (sparsities before formats), then
     /// core count, then engine, whatever the thread count.
     ///
-    /// Single-core cells that replay the same `(shape, kernel)` trace share
-    /// one [`L1Memo`]: the first of them to run records its L1 outcome and
-    /// the others replay it, with the same results as fresh runs. Within
-    /// each run of cells sharing a shape, every trace's first cell is
-    /// scheduled before the others, so concurrent workers record different
-    /// traces instead of the same one twice. A memo is dropped when the
-    /// last cell of its trace finishes.
+    /// Cells that replay the same `(shape, kernel, cores)` key share one
+    /// L1 memo, an [`L1Memo`] for a single-core trace and a
+    /// [`ShardL1Memo`] for a shard set: the first of them to run records
+    /// its L1 outcome and the others replay it, with the same results as
+    /// fresh runs. Within each run of cells sharing a shape and core count,
+    /// every key's first cell is scheduled before the others, so
+    /// concurrent workers record different keys instead of the same one
+    /// twice. A memo is dropped when the last cell of its key finishes.
     pub fn run(&self) -> SweepReport {
         self.run_with_memos().0
     }
@@ -1012,21 +1019,18 @@ impl Sweep {
 
         let memos = L1Memos::plan((0..count).map(|i| {
             let (cell, engine) = grid_cell(i);
-            cell.cores
-                .is_none()
-                .then(|| (cell.gemm_shape(), kernel_of(cell, engine)))
+            (cell.gemm_shape(), kernel_of(cell, engine), cell.cores)
         }));
-        let order = memos.schedule((0..count).map(|i| grid_cell(i).0.gemm_shape()));
+        let order = memos.schedule((0..count).map(|i| {
+            let cell = grid_cell(i).0;
+            (cell.gemm_shape(), cell.cores)
+        }));
         let run_one = |i: usize| -> RunReport {
             let (cell, engine) = grid_cell(i);
             let spec = kernel_of(cell, engine);
-            let run =
-                |memo: Option<&L1Memo>| self.harness.run(engine, cell, &spec, cell_exec, memo);
-            match cell.cores {
-                // Unsharded cells replay their trace's L1 memo.
-                None => memos.with(i, |memo| run(Some(memo))),
-                Some(_) => run(None),
-            }
+            memos.with(i, |memo| {
+                self.harness.run(engine, cell, &spec, cell_exec, Some(memo))
+            })
         };
 
         // Workers pull the next cell of the schedule from a shared counter
@@ -1067,48 +1071,68 @@ impl Sweep {
     }
 }
 
-/// The L1 memo of one single-core `(shape, spec)` trace, held while any
-/// cell of that trace is still to run.
+/// The L1 memo a sweep cell runs through: its single-core trace's or its
+/// shard set's.
+#[derive(Debug)]
+enum CellMemo {
+    Core(L1Memo),
+    Shards(ShardL1Memo),
+}
+
+impl CellMemo {
+    /// Runs through this memo that replayed the L1 model fresh.
+    fn recordings(&self) -> u64 {
+        match self {
+            CellMemo::Core(memo) => memo.recordings(),
+            CellMemo::Shards(memo) => memo.recordings(),
+        }
+    }
+}
+
+/// The L1 memo of one `(shape, spec, cores)` key, held while any cell of
+/// that key is still to run.
 #[derive(Debug)]
 struct MemoSlot {
-    memo: Mutex<Option<Arc<L1Memo>>>,
+    memo: Mutex<Option<Arc<CellMemo>>>,
     left: AtomicUsize,
 }
 
-/// A sweep's L1 memos: one slot per distinct single-core trace, and the
-/// slot of each cell.
+/// A sweep's L1 memos: one slot per distinct `(shape, spec, cores)` key,
+/// and the slot of each cell.
 #[derive(Debug)]
 struct L1Memos {
     slots: Vec<MemoSlot>,
-    /// Per cell in report order; `None` for multi-core cells.
-    slot_of: Vec<Option<usize>>,
+    /// Per cell in report order.
+    slot_of: Vec<usize>,
     /// Recordings of the memos dropped so far: the cells whose L1 was
     /// replayed fresh.
     fresh: AtomicU64,
 }
 
 impl L1Memos {
-    /// Slots for cells keyed in report order (`None` for cells that do
-    /// not memoize).
-    fn plan(keys: impl Iterator<Item = Option<(GemmShape, KernelSpec)>>) -> Self {
+    /// Slots for cells keyed in report order; `None` cores marks an
+    /// unsharded cell.
+    fn plan(keys: impl Iterator<Item = (GemmShape, KernelSpec, Option<usize>)>) -> Self {
         let mut index = HashMap::new();
-        let mut counts: Vec<usize> = Vec::new();
+        let mut slots: Vec<MemoSlot> = Vec::new();
         let slot_of = keys
             .map(|key| {
+                let sharded = key.2.is_some();
                 let next = index.len();
-                let slot = *index.entry(key?).or_insert(next);
-                if slot == counts.len() {
-                    counts.push(0);
+                let slot = *index.entry(key).or_insert(next);
+                if slot == slots.len() {
+                    let memo = if sharded {
+                        CellMemo::Shards(ShardL1Memo::new())
+                    } else {
+                        CellMemo::Core(L1Memo::new())
+                    };
+                    slots.push(MemoSlot {
+                        memo: Mutex::new(Some(Arc::new(memo))),
+                        left: AtomicUsize::new(0),
+                    });
                 }
-                counts[slot] += 1;
-                Some(slot)
-            })
-            .collect();
-        let slots = counts
-            .into_iter()
-            .map(|cells| MemoSlot {
-                memo: Mutex::new(None),
-                left: AtomicUsize::new(cells),
+                *slots[slot].left.get_mut() += 1;
+                slot
             })
             .collect();
         L1Memos {
@@ -1118,40 +1142,41 @@ impl L1Memos {
         }
     }
 
-    /// The order cells run in, given each cell's shape in report order:
-    /// within each run of cells that share a shape, the first cell of
-    /// every trace, then the others, each in report order.
-    fn schedule(&self, shapes: impl Iterator<Item = GemmShape>) -> Vec<usize> {
+    /// The order cells run in, given each cell's shape and core count in
+    /// report order: within each run of cells that share both, the first
+    /// cell of every key, then the others, each in report order.
+    fn schedule(&self, blocks: impl Iterator<Item = (GemmShape, Option<usize>)>) -> Vec<usize> {
         let mut first = vec![true; self.slots.len()];
         let mut order = Vec::with_capacity(self.slot_of.len());
         let mut rest = Vec::new();
-        let mut block = None;
-        for (i, shape) in shapes.enumerate() {
-            if block != Some(shape) {
+        let mut current = None;
+        for (i, block) in blocks.enumerate() {
+            if current != Some(block) {
                 order.append(&mut rest);
-                block = Some(shape);
+                current = Some(block);
             }
-            match self.slot_of[i] {
-                Some(slot) if first[slot] => {
-                    first[slot] = false;
-                    order.push(i);
-                }
-                _ => rest.push(i),
+            let slot = self.slot_of[i];
+            if first[slot] {
+                first[slot] = false;
+                order.push(i);
+            } else {
+                rest.push(i);
             }
         }
         order.append(&mut rest);
         order
     }
 
-    /// Runs single-core cell `i` with its trace's memo; the trace's last
-    /// cell drops the memo.
-    fn with<R>(&self, i: usize, run: impl FnOnce(&L1Memo) -> R) -> R {
-        let slot = &self.slots[self.slot_of[i].expect("single-core cells have a memo slot")];
+    /// Runs cell `i` with its key's memo; the key's last cell drops the
+    /// memo.
+    fn with<R>(&self, i: usize, run: impl FnOnce(&CellMemo) -> R) -> R {
+        let slot = &self.slots[self.slot_of[i]];
         let memo = Arc::clone(
             slot.memo
                 .lock()
                 .expect("L1 memo slot poisoned")
-                .get_or_insert_with(Default::default),
+                .as_ref()
+                .expect("a memo is dropped only after its key's last cell took it"),
         );
         let out = run(&memo);
         // Each cell's decrement releases its recording count; the last
@@ -1691,23 +1716,54 @@ mod tests {
             }
         }
 
-        // A cores axis runs the sharded branch of the same cell runner.
-        let sharded = Sweep::new()
-            .with_engines(engines.clone())
-            .with_layer(layer)
-            .with_sparsity(NmRatio::S2_4)
-            .with_cores([1, 4])
-            .with_scale(8)
-            .with_threads(2);
+        // A cores axis runs the sharded branch of the same cell runner,
+        // each shard set's L1 recorded once and replayed by the engines
+        // that share its kernel (STC-like and VEGETA-S at 2:4).
+        let cores = [1, 4, 16];
+        let sharded = |threads| {
+            Sweep::new()
+                .with_engines(engines.clone())
+                .with_layer(layer)
+                .with_sparsities(ratios)
+                .with_cores(cores)
+                .with_scale(8)
+                .with_threads(threads)
+        };
         let mut expected = Vec::new();
-        for cores in [1, 4] {
-            for engine in &engines {
-                let cell = Cell::layer(&layer, Fidelity::Quick(8), NmRatio::S2_4).cores(cores);
-                expected.push(Session::new(engine.clone()).run(&cell));
+        for ratio in ratios {
+            for cores in cores {
+                for engine in &engines {
+                    let cell = Cell::layer(&layer, Fidelity::Quick(8), ratio).cores(cores);
+                    expected.push(Session::new(engine.clone()).run(&cell));
+                }
             }
         }
-        assert_eq!(sharded.cell_count(), expected.len());
-        assert_eq!(sharded.run().cells, expected);
+        let distinct: std::collections::HashSet<(String, usize)> = expected
+            .iter()
+            .map(|r| (r.kernel.clone(), r.cores))
+            .collect();
+        assert!(distinct.len() < expected.len(), "some cells share a key");
+        for threads in [1, 2] {
+            let grid = sharded(threads);
+            assert_eq!(grid.cell_count(), expected.len());
+            let (report, memos) = grid.run_with_memos();
+            assert_eq!(report.cells, expected, "{threads} threads");
+            assert!(
+                memos
+                    .slots
+                    .iter()
+                    .all(|slot| slot.memo.lock().unwrap().is_none()),
+                "every shard memo is dropped once its last cell finished"
+            );
+            assert_eq!(memos.slots.len(), distinct.len());
+            if threads == 1 {
+                assert_eq!(
+                    report.l1_fresh_replays,
+                    distinct.len() as u64,
+                    "one fresh L1 replay per distinct shard set"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1723,44 +1779,39 @@ mod tests {
     #[test]
     fn sweeps_schedule_each_traces_first_cell_first() {
         // Dense engines share one dense trace per sparsity, the sparse
-        // engine has one trace per pattern: within the shape's block the
-        // first cell of every trace runs before the rest.
-        let sweep = Sweep::new()
-            .with_engines([EngineConfig::rasa_dm(), EngineConfig::vegeta_s(16).unwrap()])
-            .with_layer(table4()[7])
-            .with_sparsities([NmRatio::D4_4, NmRatio::S2_4])
-            .with_cores([2])
-            .with_scale(8);
-        // A cores axis: every cell is multi-core and keeps no memo.
-        let (report, memos) = sweep.run_with_memos();
-        assert!(memos.slots.is_empty() && memos.slot_of.iter().all(Option::is_none));
-        assert_eq!(report.l1_fresh_replays, 0);
-
+        // engine has one trace per pattern: within a block of one shape
+        // and core count the first cell of every key runs before the rest.
         let layer = &table4()[7];
         let engines = [EngineConfig::rasa_dm(), EngineConfig::vegeta_s(16).unwrap()];
         let shape = Fidelity::Quick(8).shape_of(layer);
-        let memos = L1Memos::plan(
-            [NmRatio::D4_4, NmRatio::S2_4]
-                .into_iter()
-                .flat_map(|ratio| {
+        for cores in [None, Some(2)] {
+            let memos = L1Memos::plan([NmRatio::D4_4, NmRatio::S2_4].into_iter().flat_map(
+                |ratio| {
                     engines.iter().map(move |engine| {
-                        Some((shape, engine.kernel_spec(ratio, KernelOptions::default())))
+                        let spec = engine.kernel_spec(ratio, KernelOptions::default());
+                        (shape, spec, cores)
                     })
-                }),
-        );
-        // Cells: dense/DM, dense/S, 2:4/DM (dense trace), 2:4/S.
-        assert_eq!(memos.slot_of, vec![Some(0), Some(0), Some(0), Some(1)]);
-        assert_eq!(memos.schedule([shape; 4].into_iter()), vec![0, 3, 1, 2]);
-        // A new shape starts a new block: its first cells run after the
-        // previous block's rest.
+                },
+            ));
+            // Cells: dense/DM, dense/S, 2:4/DM (dense trace), 2:4/S.
+            assert_eq!(memos.slot_of, vec![0, 0, 0, 1]);
+            assert!(memos.slots.iter().all(|s| {
+                let memo = s.memo.lock().unwrap();
+                matches!(memo.as_deref(), Some(CellMemo::Shards(_))) == cores.is_some()
+            }));
+            let blocks = [(shape, cores); 4].into_iter();
+            assert_eq!(memos.schedule(blocks), vec![0, 3, 1, 2]);
+        }
+        // A new shape or core count starts a new block: its first cells run
+        // after the previous block's rest.
         let other = Fidelity::Quick(4).shape_of(layer);
-        let memos = L1Memos::plan(
-            [shape, shape, other, other]
-                .into_iter()
-                .map(|s| Some((s, KernelSpec::Vector))),
-        );
-        let shapes = [shape, shape, other, other].into_iter();
-        assert_eq!(memos.schedule(shapes), vec![0, 1, 2, 3]);
+        let blocks = [(shape, None), (shape, None), (other, None), (other, None)];
+        let memos = L1Memos::plan(blocks.iter().map(|&(s, c)| (s, KernelSpec::Vector, c)));
+        assert_eq!(memos.schedule(blocks.into_iter()), vec![0, 1, 2, 3]);
+        let blocks = [(shape, Some(2)), (shape, Some(2)), (shape, Some(4))];
+        let memos = L1Memos::plan(blocks.iter().map(|&(s, c)| (s, KernelSpec::Vector, c)));
+        assert_eq!(memos.slot_of, vec![0, 0, 1]);
+        assert_eq!(memos.schedule(blocks.into_iter()), vec![0, 1, 2]);
     }
 
     #[test]

@@ -220,16 +220,10 @@ impl Inst {
         })
     }
 
-    /// Architectural registers this instruction reads.
-    pub fn reads(self) -> Vec<RegRef> {
-        let mut v = Vec::new();
-        self.visit_reads(|r| v.push(r));
-        v
-    }
-
-    /// Calls `f` on each register this instruction reads, in
-    /// [`Inst::reads`] order, without allocating — the form the
-    /// simulator's per-instruction hot path uses.
+    /// Calls `f` on each architectural register this instruction reads, in
+    /// operand order (accumulators, then `A` and its paired metadata
+    /// register, then `B`), without allocating: the form the simulator's
+    /// per-instruction hot path and the verifier's dataflow walk use.
     pub fn visit_reads(self, mut f: impl FnMut(RegRef)) {
         match self {
             Inst::TileLoadT { .. }
@@ -273,16 +267,8 @@ impl Inst {
         }
     }
 
-    /// Architectural registers this instruction writes.
-    pub fn writes(self) -> Vec<RegRef> {
-        let mut v = Vec::new();
-        self.visit_writes(|r| v.push(r));
-        v
-    }
-
-    /// Calls `f` on each register this instruction writes, in
-    /// [`Inst::writes`] order, without allocating (see
-    /// [`Inst::visit_reads`]).
+    /// Calls `f` on each architectural register this instruction writes,
+    /// in operand order, without allocating (see [`Inst::visit_reads`]).
     pub fn visit_writes(self, mut f: impl FnMut(RegRef)) {
         match self {
             Inst::TileLoadT { dst, .. } => f(RegRef::Tile(dst)),
@@ -361,7 +347,8 @@ mod tests {
             a: TReg::T3,
             b: UReg::U0,
         };
-        let reads = i.reads();
+        let mut reads = Vec::new();
+        i.visit_reads(|r| reads.push(r));
         assert!(reads.contains(&RegRef::Meta(MReg::M3)));
         assert!(reads.contains(&RegRef::Tile(TReg::T0)));
         assert!(reads.contains(&RegRef::Tile(TReg::T1)));
@@ -374,7 +361,8 @@ mod tests {
             dst: VReg::V1,
             addr: 0,
         };
-        let writes = i.writes();
+        let mut writes = Vec::new();
+        i.visit_writes(|r| writes.push(r));
         assert_eq!(writes.len(), 4);
         assert!(writes.contains(&RegRef::Tile(TReg::T7)));
     }

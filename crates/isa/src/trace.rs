@@ -75,16 +75,10 @@ pub enum TraceOp {
 }
 
 impl TraceOp {
-    /// Registers read by this op.
-    pub fn reads(&self) -> Vec<ArchReg> {
-        let mut v = Vec::new();
-        self.visit_reads(|r| v.push(r));
-        v
-    }
-
-    /// Calls `f` on each register this op reads, in [`TraceOp::reads`]
-    /// order, without allocating — what the simulator's per-instruction
-    /// hot path uses instead of materializing a `Vec` per step.
+    /// Calls `f` on each register this op reads, in operand order (a tile
+    /// op's in [`Inst::visit_reads`] order), without allocating — what
+    /// the simulator's per-instruction hot path uses instead of
+    /// materializing a `Vec` per step.
     pub fn visit_reads(&self, mut f: impl FnMut(ArchReg)) {
         match *self {
             TraceOp::Tile(inst) => inst.visit_reads(|r| f(reg_ref_to_arch(r))),
@@ -101,15 +95,8 @@ impl TraceOp {
         }
     }
 
-    /// Registers written by this op.
-    pub fn writes(&self) -> Vec<ArchReg> {
-        let mut v = Vec::new();
-        self.visit_writes(|r| v.push(r));
-        v
-    }
-
-    /// Calls `f` on each register this op writes, in [`TraceOp::writes`]
-    /// order, without allocating (see [`TraceOp::visit_reads`]).
+    /// Calls `f` on each register this op writes, in operand order,
+    /// without allocating (see [`TraceOp::visit_reads`]).
     pub fn visit_writes(&self, mut f: impl FnMut(ArchReg)) {
         match *self {
             TraceOp::Tile(inst) => inst.visit_writes(|r| f(reg_ref_to_arch(r))),
@@ -351,11 +338,20 @@ mod tests {
         assert_eq!(mix.total(), 7);
     }
 
+    /// The registers `op` reads and writes, collected through the visitors.
+    fn regs(op: &TraceOp) -> (Vec<ArchReg>, Vec<ArchReg>) {
+        let (mut reads, mut writes) = (Vec::new(), Vec::new());
+        op.visit_reads(|r| reads.push(r));
+        op.visit_writes(|w| writes.push(w));
+        (reads, writes)
+    }
+
     #[test]
     fn vec_fma_dependences() {
         let op = TraceOp::VecFma { acc: 3, a: 4, b: 5 };
-        assert!(op.reads().contains(&ArchReg::Vec(3)));
-        assert_eq!(op.writes(), vec![ArchReg::Vec(3)]);
+        let (reads, writes) = regs(&op);
+        assert!(reads.contains(&ArchReg::Vec(3)));
+        assert_eq!(writes, vec![ArchReg::Vec(3)]);
     }
 
     #[test]
@@ -365,7 +361,7 @@ mod tests {
             a: TReg::T3,
             b: UReg::U0,
         });
-        let reads = op.reads();
+        let (reads, _) = regs(&op);
         assert!(reads.contains(&ArchReg::Tile(0)));
         assert!(reads.contains(&ArchReg::Tile(1)));
         assert!(reads.contains(&ArchReg::Meta(3)));

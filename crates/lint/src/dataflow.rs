@@ -159,15 +159,13 @@ impl DataflowPass {
     fn tile_inst(&mut self, inst: Inst) {
         // Reads first (an accumulator is read *and* written by compute, and
         // the read must clear the pending-unread state before the write).
-        for r in inst.reads() {
-            match r {
-                RegRef::Tile(t) => self.read_tile(t.index()),
-                // Metadata reads are re-derived below with sub-slot
-                // precision; `RegRef` cannot distinguish positions from
-                // row patterns.
-                RegRef::Meta(_) => {}
-            }
-        }
+        inst.visit_reads(|r| match r {
+            RegRef::Tile(t) => self.read_tile(t.index()),
+            // Metadata reads are re-derived below with sub-slot
+            // precision; `RegRef` cannot distinguish positions from
+            // row patterns.
+            RegRef::Meta(_) => {}
+        });
         match inst {
             Inst::TileSpmmU { a, .. } | Inst::TileSpmmV { a, .. } => {
                 self.read_meta_pos(a.paired_mreg().index());
@@ -182,13 +180,11 @@ impl DataflowPass {
         match inst {
             Inst::TileLoadM { dst, .. } => self.write_meta(dst.index(), true),
             Inst::TileLoadRp { dst, .. } => self.write_meta(dst.index(), false),
-            _ => {
-                for w in inst.writes() {
-                    if let RegRef::Tile(t) = w {
-                        self.write_tile(t.index());
-                    }
+            _ => inst.visit_writes(|w| {
+                if let RegRef::Tile(t) = w {
+                    self.write_tile(t.index());
                 }
-            }
+            }),
         }
     }
 

@@ -132,7 +132,7 @@ impl SharedL2Stats {
 /// The blocks a run of `lines` (at least one) lines from line number
 /// `first` covers, each with the mask of the lines it covers (bit `i` is
 /// line `block * 16 + i`).
-fn blocks(first: u64, lines: u64) -> impl Iterator<Item = (u64, u16)> {
+pub(crate) fn blocks(first: u64, lines: u64) -> impl Iterator<Item = (u64, u16)> {
     let block_lines = BLOCK_LINES as u64;
     let end = first + lines;
     (first / block_lines..=(end - 1) / block_lines).map(move |block| {
@@ -715,7 +715,21 @@ impl CacheModel {
         addr: u64,
         bytes: usize,
         is_store: bool,
+        next: Option<(usize, &mut SharedL2)>,
+    ) -> (u64, u64) {
+        self.access_range_logged(addr, bytes, is_store, next, |_, _| {})
+    }
+
+    /// [`CacheModel::access_range_via`], calling `log(covered, misses)`
+    /// for each block the access covers, in address order: the mask of
+    /// its lines the access covers and the mask of those that missed.
+    pub(crate) fn access_range_logged(
+        &mut self,
+        addr: u64,
+        bytes: usize,
+        is_store: bool,
         mut next: Option<(usize, &mut SharedL2)>,
+        mut log: impl FnMut(u16, u16),
     ) -> (u64, u64) {
         let (first, lines) = line_span(addr, bytes);
         if is_store {
@@ -726,6 +740,7 @@ impl CacheModel {
         let mut worst = 0;
         for (block, mask) in blocks(first, lines) {
             let misses = self.lines.access(block, mask);
+            log(mask, misses);
             if mask != misses {
                 self.stats.l1_hits += u64::from((mask & !misses).count_ones());
                 worst = worst.max(self.l1_latency);

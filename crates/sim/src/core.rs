@@ -284,15 +284,16 @@ impl Bandwidth {
 ///
 /// The private L1 is the core's memory outcome, kept apart from its
 /// timing: a core built by [`Core::new`] steps a fresh L1 model, while
-/// [`CoreSim::run_stream_memoized`] may record that outcome or replay it
-/// (see [`L1Memo`]).
+/// [`CoreSim::run_stream_memoized`] and
+/// [`crate::MultiCoreSim::run_sharded_memoized`] may record that outcome
+/// or replay it (see [`L1Memo`] and [`crate::ShardL1Memo`]).
 #[derive(Debug, Clone)]
 pub struct Core {
     id: usize,
     cfg: SimConfig,
     ratio: u64,
     engine: EngineTimer,
-    l1: L1Path,
+    pub(crate) l1: L1Path,
     reg_ready: ReadyTable,
     /// Which accumulator tregs were last written by the engine (so the
     /// engine's internal forwarding rule, not the architectural

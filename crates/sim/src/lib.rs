@@ -15,7 +15,9 @@
 //! matrix-engine-equipped cores. A single core's
 //! L1 outcome depends only on its trace's addresses, so an [`L1Memo`]
 //! records it once and replays it for every other engine that runs the
-//! same trace ([`CoreSim::run_stream_memoized`]).
+//! same trace ([`CoreSim::run_stream_memoized`]); a [`ShardL1Memo`] does
+//! the same for each core of a shard set
+//! ([`MultiCoreSim::run_sharded_memoized`]).
 //!
 //! # Example
 //!
@@ -45,7 +47,7 @@ pub mod multicore;
 
 pub use crate::core::{simulate, simulate_insts, Core, CoreSim, SimConfig, SimResult};
 pub use cache::{CacheModel, CacheStats, SharedL2, SharedL2Stats, LINE_BYTES};
-pub use memo::L1Memo;
+pub use memo::{L1Memo, ShardL1Memo};
 pub use multicore::{
     ExecMode, MultiCoreConfig, MultiCoreResult, MultiCoreSim, SchedulerPolicy, HOST_THREADS_ENV,
 };

@@ -82,6 +82,7 @@ use vegeta_isa::stream::InstStream;
 
 use crate::cache::{CacheStats, SharedL2, SharedL2Stats};
 use crate::core::{Core, SimConfig, SimResult};
+use crate::memo::{L1Config, ShardL1Memo};
 
 /// Per-level tree-barrier cost in core cycles (about two shared-L2 round
 /// trips: one line flush, one flag observation).
@@ -390,6 +391,44 @@ impl MultiCoreSim {
         let mut lanes = assign_lanes(policy, shards, self.cores.len());
         self.run_per_core(&mut lanes);
         self.finish(lanes, reduction)
+    }
+
+    /// [`MultiCoreSim::run_sharded`] on this fresh simulator, through
+    /// `memo`, the per-core L1 outcome of this shard set: a memo that is
+    /// still empty is recorded, one that is filled is replayed in place of
+    /// every core's L1 model (see [`ShardL1Memo`]). The result is the one
+    /// [`MultiCoreSim::run_sharded`] reports, field for field.
+    ///
+    /// The run consumes the simulator: a replayed core keeps no L1 state
+    /// that a later run could continue from.
+    ///
+    /// # Panics
+    ///
+    /// When this simulator has already run, or when `memo` was recorded
+    /// under another `(l1_lines, l1_latency, l2_latency)` triple, core
+    /// count, or shard set (a core with another memory-op count); those
+    /// messages name both values.
+    pub fn run_sharded_memoized<S: InstStream + Send>(
+        mut self,
+        shards: Vec<S>,
+        reduction: Option<S>,
+        memo: &ShardL1Memo,
+    ) -> MultiCoreResult {
+        assert!(
+            self.cores.iter().all(|core| core.instructions() == 0),
+            "a memoized sharded run starts from fresh L1s, but this simulator has already run"
+        );
+        let config = L1Config::of(&self.cfg.core);
+        for (core, l1) in self
+            .cores
+            .iter_mut()
+            .zip(memo.paths(config, self.cfg.cores))
+        {
+            core.l1 = l1;
+        }
+        let result = self.run_sharded(shards, reduction, SchedulerPolicy::Lpt);
+        memo.finish(self.cores.into_iter().map(|core| core.l1), config);
+        result
     }
 
     /// [`MultiCoreSim::run_sharded`] driven by the linear-scan reference
