@@ -16,8 +16,9 @@
 //! cost of the summary and the fold.
 //!
 //! A last pair times what a sweep saves per cell by memoizing the L1: a
-//! whole `CoreSim` replay of one quick-fidelity Fig. 13 trace, once through
-//! a fresh L1 model and once replaying a recorded [`L1Memo`].
+//! whole unsharded run of one quick-fidelity Fig. 13 trace, the one lane
+//! of a one-core `MultiCoreSim`, once recording a fresh [`L1Memo`] and
+//! once replaying the recorded one.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use vegeta::prelude::*;
@@ -130,24 +131,29 @@ fn bench_memoized_replay(c: &mut Criterion) {
     let shape = Fidelity::Quick(4).shape_of(&layer);
     let engine = EngineConfig::vegeta_s(16).expect("valid alpha");
     let spec = engine.kernel_spec(NmRatio::S2_4, KernelOptions::default());
-    let sim = || CoreSim::new(SimConfig::default(), engine.clone());
+    let run = |memo: &L1Memo| {
+        MultiCoreSim::new(MultiCoreConfig::new(1), engine.clone())
+            .run_sharded_memoized(vec![spec.stream(shape)], None, memo)
+            .expect("a fresh simulator")
+    };
     let memo = L1Memo::new();
-    let recorded = sim().run_stream_memoized(spec.stream(shape), &memo);
-    assert_eq!(recorded, sim().run_stream(spec.stream(shape)));
+    let recorded = run(&memo).per_core.remove(0);
+    assert_eq!(recorded, run(&memo).per_core[0], "a replay is exact");
     println!(
-        "{} at {}x{}x{}: {} instructions, {} L1 line accesses",
+        "{} at {}x{}x{}: {} instructions, {} L1 line accesses, a {} B record",
         spec.name(),
         shape.m,
         shape.n,
         shape.k,
         recorded.instructions,
-        recorded.cache.l1_hits + recorded.cache.l2_hits
+        recorded.cache.l1_hits + recorded.cache.l2_hits,
+        memo.record_bytes()
     );
     c.bench_function("coresim_replay_fresh_l1_bert_l2_quick4", |b| {
-        b.iter(|| black_box(sim().run_stream(spec.stream(shape))));
+        b.iter(|| black_box(run(&L1Memo::new())));
     });
     c.bench_function("coresim_replay_memoized_l1_bert_l2_quick4", |b| {
-        b.iter(|| black_box(sim().run_stream_memoized(spec.stream(shape), &memo)));
+        b.iter(|| black_box(run(&memo)));
     });
 }
 

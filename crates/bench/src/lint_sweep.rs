@@ -163,7 +163,8 @@ pub struct ReplayCell {
     pub label: String,
     /// Ops the verifier walked in the unsharded stream.
     pub verified_ops: u64,
-    /// Instructions the single-core simulator consumed from that stream.
+    /// Instructions the production one-lane simulator consumed from that
+    /// stream.
     pub simulated_insts: u64,
     /// Ops the verifier walked across the [`REPLAY_CHECK_CORES`]-core LPT
     /// shard set (reduction included).
@@ -205,8 +206,10 @@ pub fn run_replay_check() -> Vec<ReplayCell> {
         .into_iter()
         .map(|(label, shape, spec)| {
             let verified_ops = verify_spec(&spec, shape).ops_checked;
-            let mut core = CoreSim::new(SimConfig::default(), engine.clone());
-            let simulated_insts = core.run_stream(spec.stream(shape)).instructions;
+            // The unsharded stream as production runs it, as one lane.
+            let simulated_insts = MultiCoreSim::new(MultiCoreConfig::new(1), engine.clone())
+                .run_sharded(vec![spec.stream(shape)], None, SchedulerPolicy::Lpt)
+                .instructions();
 
             let verified_shard_ops = verify_shard_set(&spec, shape, REPLAY_CHECK_CORES).ops_checked;
             let set = spec.shard_set(shape, REPLAY_CHECK_CORES);

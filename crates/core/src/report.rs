@@ -466,9 +466,9 @@ pub struct SweepReport {
     pub traces_built: u64,
     /// Trace-cache lookups during the sweep that found an existing entry.
     pub trace_cache_hits: u64,
-    /// Cells whose L1 model replayed fresh; every other cell replayed a
-    /// memoized L1 outcome ([`vegeta_sim::L1Memo`] for a single-core
-    /// trace, [`vegeta_sim::ShardL1Memo`] for a shard set). On one
+    /// Cells whose L1 model replayed fresh, recording their key's
+    /// [`vegeta_sim::L1Memo`]; every other cell replayed that memo, an
+    /// unsharded cell's one lane or a shard set's lanes alike. On one
     /// thread, the number of distinct `(shape, kernel, cores)` keys.
     pub l1_fresh_replays: u64,
     /// Snapshot of the shared [`vegeta_kernels::TraceCache`]'s counters at

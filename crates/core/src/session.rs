@@ -43,10 +43,10 @@ use std::sync::{Arc, Mutex};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use vegeta_engine::EngineConfig;
+use vegeta_isa::stream::InstStream;
 use vegeta_kernels::{EngineKernelExt, Kernel, KernelOptions, KernelSpec, SparseMode, TraceCache};
 use vegeta_sim::{
-    CoreSim, ExecMode, L1Memo, MultiCoreConfig, MultiCoreSim, SchedulerPolicy, ShardL1Memo,
-    SimConfig,
+    ExecMode, L1Memo, MultiCoreConfig, MultiCoreResult, MultiCoreSim, SchedulerPolicy, SimConfig,
 };
 use vegeta_sparse::{prune, transform, FormatSpec, NmRatio};
 use vegeta_workloads::Layer;
@@ -181,8 +181,7 @@ impl std::fmt::Display for Fidelity {
     }
 }
 
-/// The execution-side numbers of one simulated cell, whichever simulator
-/// produced them.
+/// The execution-side numbers of one simulated cell.
 struct CellOutcome {
     cycles: u64,
     instructions: u64,
@@ -196,26 +195,12 @@ struct CellOutcome {
     scaling_efficiency: f64,
 }
 
-impl From<vegeta_sim::SimResult> for CellOutcome {
-    fn from(res: vegeta_sim::SimResult) -> Self {
-        CellOutcome {
-            cycles: res.core_cycles,
-            instructions: res.instructions,
-            tile_compute: res.tile_compute,
-            engine_busy_cycles: res.engine_busy_cycles,
-            peak_resident_bytes: res.peak_resident_bytes,
-            cores: 1,
-            scheduler: "-",
-            per_core_cycles: Vec::new(),
-            shared_l2: Default::default(),
-            scaling_efficiency: if res.core_cycles == 0 { 0.0 } else { 1.0 },
-        }
-    }
-}
-
 impl CellOutcome {
-    fn sharded(res: vegeta_sim::MultiCoreResult, policy: SchedulerPolicy) -> Self {
-        CellOutcome {
+    /// The outcome of `res`. An unsharded cell reports it as the paper's
+    /// single core behind a flat L2: no per-core cycles, scheduler `"-"`
+    /// and zero shared-L2 counts.
+    fn of(res: MultiCoreResult, sharded: bool) -> Self {
+        let mut outcome = CellOutcome {
             cycles: res.core_cycles,
             instructions: res.instructions(),
             tile_compute: res.tile_compute(),
@@ -224,9 +209,15 @@ impl CellOutcome {
             scaling_efficiency: res.scaling_efficiency(),
             per_core_cycles: res.per_core_cycles(),
             cores: res.cores,
-            scheduler: policy.label(),
+            scheduler: SchedulerPolicy::Lpt.label(),
             shared_l2: res.shared_l2,
+        };
+        if !sharded {
+            outcome.scheduler = "-";
+            outcome.per_core_cycles.clear();
+            outcome.shared_l2 = Default::default();
         }
+        outcome
     }
 }
 
@@ -405,12 +396,13 @@ enum Workload<'a> {
 ///   ground truth, so its report says `"full"` fidelity.
 /// * The operand is anything that converts into an [`Operand`]: an
 ///   [`NmRatio`], a [`FormatSpec`] or a `&`[`KernelSpec`].
-/// * A cell without cores runs unsharded on one [`CoreSim`]: the paper's
+/// * A cell without cores runs unsharded: the kernel's own stream is the
+///   one lane of a one-core [`MultiCoreSim`]. This is the paper's
 ///   single-core setup, the path Fig. 13 and `BENCH_fig13.json` run on.
-///   Its report has no per-core cycles and scheduler `"-"`. [`Cell::cores`]
-///   shards the kernel across that many cores of a [`MultiCoreSim`]: the
-///   shard set [`KernelSpec::shard_set`] cuts, packed longest first (the
-///   report's scheduler `"lpt"`). `cores(1)` is that harness with a single
+///   Its report has no per-core cycles, scheduler `"-"` and zero shared-L2
+///   counts. [`Cell::cores`] shards the kernel across that many cores of a
+///   [`MultiCoreSim`]: the shard set [`KernelSpec::shard_set`] cuts, packed
+///   longest first (the report's scheduler `"lpt"`). `cores(1)` is that harness with a single
 ///   shard: the same cycles, instructions and tile work as the unsharded
 ///   cell, but a report with one per-core entry, a `peak_resident_bytes`
 ///   that counts the shard emitter's state, and a preflight that verifies
@@ -521,19 +513,25 @@ impl Harness {
     /// shard set) it replays. The preflight is the cell's one trace-cache
     /// lookup, on or off.
     ///
-    /// An unsharded cell replays on one [`CoreSim`]. A sharded cell cuts
-    /// the kernel into its 2D/K-split shard set, LPT-packed onto the cores,
-    /// with any K-split reduction replayed after the barrier. Its shards
-    /// stream through private L1s over one coherence-free shared L2 on
-    /// `exec` host threads, and `cycles` is the makespan. Either runs
-    /// through `memo` when given, which is the cell's kind of memo.
+    /// Both kinds of cell run on a [`MultiCoreSim`], through `memo` when
+    /// given. An unsharded cell is its one lane, the kernel's stream on a
+    /// single core. A sharded cell cuts the kernel into its 2D/K-split
+    /// shard set, LPT-packed onto the cores, with any K-split reduction
+    /// replayed after the barrier. Its shards stream through private L1s
+    /// over one coherence-free shared L2 on `exec` host threads, and
+    /// `cycles` is the makespan.
+    ///
+    /// # Panics
+    ///
+    /// When the preflight rejects the cell, or `memo` was recorded for
+    /// other lanes.
     fn run(
         &self,
         engine: &EngineConfig,
         cell: &Cell<'_>,
         spec: &KernelSpec,
         exec: ExecMode,
-        memo: Option<&CellMemo>,
+        memo: Option<&L1Memo>,
     ) -> RunReport {
         let shape = cell.gemm_shape();
         if let Err(report) = preflight(
@@ -545,31 +543,18 @@ impl Harness {
         ) {
             panic!("{report}");
         }
-        let outcome = match cell.cores {
-            None => {
-                let stream = spec.stream(shape);
-                let mut core = CoreSim::new(self.sim.clone(), engine.clone());
-                CellOutcome::from(match memo {
-                    Some(CellMemo::Core(memo)) => core.run_stream_memoized(stream, memo),
-                    _ => core.run_stream(stream),
-                })
-            }
+        let sim = MultiCoreSim::new(
+            MultiCoreConfig::with_core(self.sim.clone(), cell.cores.unwrap_or(1)).with_exec(exec),
+            engine.clone(),
+        );
+        let res = match cell.cores {
+            None => simulate(sim, vec![spec.stream(shape)], None, memo),
             Some(cores) => {
                 let set = spec.shard_set(shape, cores);
-                let policy = SchedulerPolicy::Lpt;
-                let mut sim = MultiCoreSim::new(
-                    MultiCoreConfig::with_core(self.sim.clone(), cores).with_exec(exec),
-                    engine.clone(),
-                );
-                let res = match memo {
-                    Some(CellMemo::Shards(memo)) => {
-                        sim.run_sharded_memoized(set.shards, set.reduction, memo)
-                    }
-                    _ => sim.run_sharded(set.shards, set.reduction, policy),
-                };
-                CellOutcome::sharded(res, policy)
+                simulate(sim, set.shards, set.reduction, memo)
             }
         };
+        let outcome = CellOutcome::of(res, cell.cores.is_some());
         let (workload, fidelity) = match cell.workload {
             Workload::Layer(layer, fidelity) => (layer.name, fidelity),
             Workload::Shape(name, _) => (name, Fidelity::Full),
@@ -606,6 +591,23 @@ impl Harness {
             shared_l2: outcome.shared_l2,
             scaling_efficiency: outcome.scaling_efficiency,
         }
+    }
+}
+
+/// Runs `shards` and the optional K-split `reduction` on `sim`, through
+/// `memo` when given; panics, like a preflight rejection, when `memo` was
+/// recorded for other lanes.
+fn simulate<S: InstStream + Send>(
+    mut sim: MultiCoreSim,
+    shards: Vec<S>,
+    reduction: Option<S>,
+    memo: Option<&L1Memo>,
+) -> MultiCoreResult {
+    match memo {
+        Some(memo) => sim
+            .run_sharded_memoized(shards, reduction, memo)
+            .unwrap_or_else(|e| panic!("{e}")),
+        None => sim.run_sharded(shards, reduction, SchedulerPolicy::Lpt),
     }
 }
 
@@ -858,8 +860,8 @@ impl Sweep {
     /// first-class experiment axis: every cell runs sharded across each
     /// requested core count through [`vegeta_sim::MultiCoreSim`]
     /// (`with_cores([1, 2, 4, 8, 16])` is the classic strong-scaling
-    /// sweep). With no cores axis the grid runs the classic single-core
-    /// [`CoreSim`] path, byte-identical to pre-scale-out sweeps.
+    /// sweep). With no cores axis every cell runs unsharded, the paper's
+    /// single-core setup (see [`Cell`]).
     pub fn with_cores(mut self, cores: impl IntoIterator<Item = usize>) -> Self {
         self.cores.extend(cores.into_iter().map(|c| c.max(1)));
         self
@@ -940,8 +942,8 @@ impl Sweep {
     /// core count, then engine, whatever the thread count.
     ///
     /// Cells that replay the same `(shape, kernel, cores)` key share one
-    /// L1 memo, an [`L1Memo`] for a single-core trace and a
-    /// [`ShardL1Memo`] for a shard set: the first of them to run records
+    /// [`L1Memo`], for an unsharded cell's one lane as for a shard set's
+    /// lanes: the first of them to run records
     /// its L1 outcome and the others replay it, with the same results as
     /// fresh runs. Within each run of cells sharing a shape and core count,
     /// every key's first cell is scheduled before the others, so
@@ -1071,29 +1073,11 @@ impl Sweep {
     }
 }
 
-/// The L1 memo a sweep cell runs through: its single-core trace's or its
-/// shard set's.
-#[derive(Debug)]
-enum CellMemo {
-    Core(L1Memo),
-    Shards(ShardL1Memo),
-}
-
-impl CellMemo {
-    /// Runs through this memo that replayed the L1 model fresh.
-    fn recordings(&self) -> u64 {
-        match self {
-            CellMemo::Core(memo) => memo.recordings(),
-            CellMemo::Shards(memo) => memo.recordings(),
-        }
-    }
-}
-
 /// The L1 memo of one `(shape, spec, cores)` key, held while any cell of
 /// that key is still to run.
 #[derive(Debug)]
 struct MemoSlot {
-    memo: Mutex<Option<Arc<CellMemo>>>,
+    memo: Mutex<Option<Arc<L1Memo>>>,
     left: AtomicUsize,
 }
 
@@ -1117,17 +1101,11 @@ impl L1Memos {
         let mut slots: Vec<MemoSlot> = Vec::new();
         let slot_of = keys
             .map(|key| {
-                let sharded = key.2.is_some();
                 let next = index.len();
                 let slot = *index.entry(key).or_insert(next);
                 if slot == slots.len() {
-                    let memo = if sharded {
-                        CellMemo::Shards(ShardL1Memo::new())
-                    } else {
-                        CellMemo::Core(L1Memo::new())
-                    };
                     slots.push(MemoSlot {
-                        memo: Mutex::new(Some(Arc::new(memo))),
+                        memo: Mutex::new(Some(Arc::new(L1Memo::new()))),
                         left: AtomicUsize::new(0),
                     });
                 }
@@ -1169,7 +1147,7 @@ impl L1Memos {
 
     /// Runs cell `i` with its key's memo; the key's last cell drops the
     /// memo.
-    fn with<R>(&self, i: usize, run: impl FnOnce(&CellMemo) -> R) -> R {
+    fn with<R>(&self, i: usize, run: impl FnOnce(&L1Memo) -> R) -> R {
         let slot = &self.slots[self.slot_of[i]];
         let memo = Arc::clone(
             slot.memo
@@ -1471,9 +1449,10 @@ mod tests {
     fn prebuilt_trace_runs_report_materialized_residency() {
         let shape = GemmShape::new(32, 32, 64);
         let trace = vegeta_kernels::build_trace(shape, SparseMode::Dense, KernelOptions::default());
-        let report = CoreSim::new(SimConfig::default(), EngineConfig::rasa_dm()).run(&trace);
+        let report = MultiCoreSim::new(MultiCoreConfig::new(1), EngineConfig::rasa_dm())
+            .run_sharded(vec![trace.stream()], None, SchedulerPolicy::Lpt);
         assert_eq!(
-            report.peak_resident_bytes,
+            report.peak_resident_bytes(),
             trace.len() as u64 * vegeta_isa::TRACE_OP_BYTES as u64,
             "the whole trace was resident"
         );
@@ -1795,10 +1774,6 @@ mod tests {
             ));
             // Cells: dense/DM, dense/S, 2:4/DM (dense trace), 2:4/S.
             assert_eq!(memos.slot_of, vec![0, 0, 0, 1]);
-            assert!(memos.slots.iter().all(|s| {
-                let memo = s.memo.lock().unwrap();
-                matches!(memo.as_deref(), Some(CellMemo::Shards(_))) == cores.is_some()
-            }));
             let blocks = [(shape, cores); 4].into_iter();
             assert_eq!(memos.schedule(blocks), vec![0, 3, 1, 2]);
         }

@@ -2,13 +2,16 @@
 //! kernel families × §VI engine classes × core counts must report the same
 //! numbers whether each core runs on its own (`run_sharded`) or every core
 //! is interleaved by the stepped reference scan (`run_sharded_stepped`) —
-//! and the 1-core sharded path must stay identical to the classic
-//! single-core [`CoreSim`] replay.
+//! and the 1-core paths must stay identical to the classic single-core
+//! [`CoreSim`] replay: the unsharded one-lane run field for field, fresh
+//! and through an L1 memo, and the 1-core shard set in every timing and
+//! cache counter.
 //!
 //! Reported cycles are computed by the per-instruction timing algebra, so
 //! the order cores are advanced in must not move a single one.
 
 use vegeta::prelude::*;
+use vegeta::sim::L1Memo;
 
 fn families(shape: GemmShape) -> Vec<KernelSpec> {
     vec![
@@ -83,23 +86,31 @@ fn event_merge_is_cycle_identical_across_the_kernel_engine_core_grid() {
 fn one_core_sharded_replay_matches_the_classic_core_sim() {
     let shape = GemmShape::new(93, 67, 197);
     for spec in families(shape) {
+        let memo = L1Memo::new();
         for engine in engine_classes() {
+            let what = format!("{}/{}", spec.name(), engine.name());
+            let one_core = || MultiCoreSim::new(MultiCoreConfig::new(1), engine.clone());
             let set = spec.shard_set(shape, 1);
             assert!(set.reduction.is_none(), "1 core never K-splits");
-            let mut mc = MultiCoreSim::new(MultiCoreConfig::new(1), engine.clone());
-            let sharded = mc.run_sharded(set.shards, None, SchedulerPolicy::Lpt);
+            let sharded = one_core().run_sharded(set.shards, None, SchedulerPolicy::Lpt);
 
             let mut core = CoreSim::new(SimConfig::default(), engine.clone());
             let single = core.run_stream(spec.stream(shape));
 
+            // The unsharded cell's path, the kernel's own stream as the one
+            // lane, is the classic run field for field, `peak_resident_bytes`
+            // included, fresh and through a memo (recording, then replaying).
+            let stream = || vec![spec.stream(shape)];
+            let fresh = one_core().run_sharded(stream(), None, SchedulerPolicy::Lpt);
+            let memoized = one_core().run_sharded_memoized(stream(), None, &memo);
+            for res in [fresh, memoized.expect("a fresh simulator")] {
+                assert_eq!(res.per_core, std::slice::from_ref(&single), "{what}");
+                assert_eq!(res.core_cycles, single.core_cycles, "{what}");
+                assert_eq!(res.shared_l2.accesses, single.cache.l2_hits, "{what}");
+            }
+
             assert_eq!(sharded.barrier_cycles, 0, "single core pays no barrier");
-            assert_eq!(
-                sharded.core_cycles,
-                single.core_cycles,
-                "{}/{}",
-                spec.name(),
-                engine.name()
-            );
+            assert_eq!(sharded.core_cycles, single.core_cycles, "{what}");
             assert_eq!(sharded.per_core.len(), 1);
             // Every timing and cache counter matches exactly. Only the
             // byte-accounting of generator state may differ: the shard
@@ -108,7 +119,8 @@ fn one_core_sharded_replay_matches_the_classic_core_sim() {
             let mut shard_core = sharded.per_core[0].clone();
             assert!(shard_core.peak_resident_bytes > 0);
             shard_core.peak_resident_bytes = single.peak_resident_bytes;
-            assert_eq!(shard_core, single, "{}/{}", spec.name(), engine.name());
+            assert_eq!(shard_core, single, "{what}");
         }
+        assert_eq!(memo.recordings(), 1, "{}: one recording", spec.name());
     }
 }

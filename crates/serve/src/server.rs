@@ -25,8 +25,9 @@ pub struct ServeConfig {
     pub sim: SimConfig,
     /// Fleet size: virtual workers serving batches.
     pub workers: usize,
-    /// Simulator cores per worker (1 = unsharded [`CoreSim`] worker;
-    /// more shard each kernel and pack the shards longest first).
+    /// Simulator cores per worker (1 = an unsharded worker, the kernel's
+    /// stream on one core; more shard each kernel and pack the shards
+    /// longest first).
     pub cores_per_worker: usize,
     /// Admission bound: requests admitted but not yet dispatched beyond
     /// this are shed.

@@ -106,17 +106,20 @@ impl WorkerPool {
         &self.cache
     }
 
-    /// Simulates one batch key on one worker: unsharded on a single
-    /// [`CoreSim`] when the worker has one core, sharded through
-    /// [`MultiCoreSim`] (its shard set packed longest first) otherwise.
+    /// Simulates one batch key on one worker's [`MultiCoreSim`]: the
+    /// key's own stream as the one lane when the worker has one core, its
+    /// shard set packed longest first otherwise.
     pub fn simulate(&self, key: &BatchKey) -> SimOutcome {
-        let (cycles, instructions) = if self.cores <= 1 {
-            let mut stream = self.cache.stream(key.shape, &key.spec);
-            let mut core = CoreSim::new(self.sim.clone(), self.engine.clone());
-            let res = core.run_stream(&mut stream);
-            (res.core_cycles, res.instructions)
+        let sim = |exec| {
+            MultiCoreSim::new(
+                MultiCoreConfig::with_core(self.sim.clone(), self.cores).with_exec(exec),
+                self.engine.clone(),
+            )
+        };
+        let res = if self.cores == 1 {
+            let stream = self.cache.stream(key.shape, &key.spec);
+            sim(ExecMode::Sequential).run_sharded(vec![stream], None, SchedulerPolicy::Lpt)
         } else {
-            let set = key.spec.shard_set(key.shape, self.cores);
             // Each worker's share of the host: phase-1 fan-out already
             // occupies `threads` host threads, so the per-key multi-core
             // replay gets the leftover budget (at least one). Results are
@@ -124,14 +127,14 @@ impl WorkerPool {
             // summaries fold into the shared L2 in any order.
             let avail = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
             let host_budget = (avail / self.threads).max(1);
-            let mut mc = MultiCoreSim::new(
-                MultiCoreConfig::with_core(self.sim.clone(), self.cores)
-                    .with_exec(ExecMode::ParallelHost(host_budget)),
-                self.engine.clone(),
-            );
-            let res = mc.run_sharded(set.shards, set.reduction, SchedulerPolicy::Lpt);
-            (res.core_cycles, res.instructions())
+            let set = key.spec.shard_set(key.shape, self.cores);
+            sim(ExecMode::ParallelHost(host_budget)).run_sharded(
+                set.shards,
+                set.reduction,
+                SchedulerPolicy::Lpt,
+            )
         };
+        let (cycles, instructions) = (res.core_cycles, res.instructions());
         SimOutcome {
             cycles,
             instructions,

@@ -14,10 +14,11 @@
 //! * the matrix engine's WL/FF/FS/DR pipelining and output-forwarding rules,
 //!   via [`vegeta_engine::EngineTimer`], scaled by the clock-domain ratio.
 //!
-//! Since the multi-core refactor the pipeline state lives in [`Core`] — one
-//! composable core unit, stepped one instruction at a time. [`CoreSim`] is
-//! the single-core driver (a thin wrapper over one [`Core`]), and
-//! [`crate::MultiCoreSim`] runs many cores over a shared L2.
+//! The pipeline state lives in [`Core`] — one composable core unit,
+//! stepped one instruction at a time. [`crate::MultiCoreSim`] is the
+//! driver every production run goes through, one lane per core;
+//! [`CoreSim`] is the unmemoized single-core reference it is checked
+//! against.
 
 use vegeta_engine::{EngineConfig, EngineTimer};
 use vegeta_isa::stream::InstStream;
@@ -25,7 +26,7 @@ use vegeta_isa::trace::{ArchReg, Trace, TraceOp};
 use vegeta_isa::Inst;
 
 use crate::cache::{CacheStats, SharedL2};
-use crate::memo::{L1Config, L1Memo, L1Path};
+use crate::memo::L1Path;
 
 /// Core configuration (§VI-B values by default).
 #[derive(Debug, Clone, PartialEq)]
@@ -272,9 +273,9 @@ impl Bandwidth {
     }
 }
 
-/// One out-of-order core's complete pipeline state: the reusable unit a
-/// [`CoreSim`] wraps once and a [`crate::MultiCoreSim`] instantiates per
-/// core.
+/// One out-of-order core's complete pipeline state: the unit a
+/// [`crate::MultiCoreSim`] instantiates per core (and the [`CoreSim`]
+/// reference wraps once).
 ///
 /// The state is exactly what the monolithic simulator used to keep in
 /// locals — renaming table, engine-ownership map, bandwidth limiters, port
@@ -284,9 +285,8 @@ impl Bandwidth {
 ///
 /// The private L1 is the core's memory outcome, kept apart from its
 /// timing: a core built by [`Core::new`] steps a fresh L1 model, while
-/// [`CoreSim::run_stream_memoized`] and
 /// [`crate::MultiCoreSim::run_sharded_memoized`] may record that outcome
-/// or replay it (see [`L1Memo`] and [`crate::ShardL1Memo`]).
+/// or replay it (see [`crate::L1Memo`]).
 #[derive(Debug, Clone)]
 pub struct Core {
     id: usize,
@@ -501,6 +501,12 @@ impl Core {
 }
 
 /// The trace-driven single-core simulator: a thin driver over one [`Core`].
+///
+/// Production runs go through [`crate::MultiCoreSim`]: an unsharded run is
+/// its one-lane case, cycle for cycle and byte for byte the same as
+/// [`CoreSim::run_stream`]. `CoreSim` is kept as the unmemoized reference
+/// that tests, benches and the repository benchmark call; deleting it
+/// waits until the benchmark stops calling [`CoreSim::run`].
 #[derive(Debug, Clone)]
 pub struct CoreSim {
     cfg: SimConfig,
@@ -540,36 +546,7 @@ impl CoreSim {
     /// window (ROB, load buffer) is a fixed ring, so memory is bounded by
     /// the stream's chunk size however many instructions flow through.
     pub fn run_stream<S: InstStream>(&mut self, mut stream: S) -> SimResult {
-        let l1 = L1Path::model(&self.cfg);
-        self.drive(&mut stream, l1).0
-    }
-
-    /// [`CoreSim::run_stream`] through `memo`, the memory outcome of this
-    /// stream's L1: a memo that is still empty is recorded, one that is
-    /// filled is replayed in place of the L1 model (see [`L1Memo`]). The
-    /// result is the one [`CoreSim::run_stream`] reports, field for field.
-    ///
-    /// # Panics
-    ///
-    /// When `memo` was recorded under another `(l1_lines, l1_latency,
-    /// l2_latency)` triple, or over a stream with another memory-op
-    /// count. The message names both values.
-    pub fn run_stream_memoized<S: InstStream>(
-        &mut self,
-        mut stream: S,
-        memo: &L1Memo,
-    ) -> SimResult {
-        let config = L1Config::of(&self.cfg);
-        let (result, l1) = self.drive(&mut stream, memo.path(config));
-        memo.finish(l1, config);
-        result
-    }
-
-    /// Runs `stream` to completion on a core whose memory ops take `l1`,
-    /// returning the result and the path as the run left it.
-    fn drive<S: InstStream>(&mut self, stream: &mut S, l1: L1Path) -> (SimResult, L1Path) {
         let mut core = Core::with_timer(0, self.cfg.clone(), self.engine.clone());
-        core.l1 = l1;
         while let Some(op) = stream.next_op() {
             core.step(op, None);
         }
@@ -577,7 +554,7 @@ impl CoreSim {
         // The timer belongs to the simulator across runs (its hazard state
         // deliberately persists for back-to-back replays on one CoreSim).
         self.engine = core.engine;
-        (result, core.l1)
+        result
     }
 }
 

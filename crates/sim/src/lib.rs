@@ -1,7 +1,7 @@
 //! Trace-driven CPU simulator with an integrated VEGETA matrix engine.
 //!
 //! This crate is the repository's substitute for MacSim (§VI-A/B): kernels
-//! from `vegeta-kernels` produce dynamic instruction traces, and [`CoreSim`]
+//! from `vegeta-kernels` produce dynamic instruction traces, and a [`Core`]
 //! replays them on an out-of-order core model with the paper's parameters —
 //! 4-wide fetch/issue/retire, 16 front-end stages, a 97-entry ROB, a
 //! 96-entry load buffer, a 2 GHz core clock, data prefetched into L2, and
@@ -9,15 +9,14 @@
 //! pipelining and output-forwarding rules of §V-C.
 //!
 //! The timing layer is composable: [`Core`] is one core's complete pipeline
-//! state, [`CoreSim`] drives a single core (the paper's setup), and
-//! [`MultiCoreSim`] runs many cores — private L1s, one coherence-free
-//! [`SharedL2`] — to answer how a sharded GEMM scales to 2/4/8/16
-//! matrix-engine-equipped cores. A single core's
-//! L1 outcome depends only on its trace's addresses, so an [`L1Memo`]
-//! records it once and replays it for every other engine that runs the
-//! same trace ([`CoreSim::run_stream_memoized`]); a [`ShardL1Memo`] does
-//! the same for each core of a shard set
-//! ([`MultiCoreSim::run_sharded_memoized`]).
+//! state, and [`MultiCoreSim`] drives one or more of them — private L1s,
+//! one coherence-free [`SharedL2`] — to answer how a sharded GEMM scales to
+//! 2/4/8/16 matrix-engine-equipped cores. The paper's single-core setup is
+//! its one-lane case. Each core's L1 outcome depends only on its lane's
+//! addresses, so an [`L1Memo`] records it once and replays it for every
+//! other engine that runs the same lanes
+//! ([`MultiCoreSim::run_sharded_memoized`]). [`CoreSim`] is the unmemoized
+//! single-core reference the one-lane run is checked against.
 //!
 //! # Example
 //!
@@ -47,7 +46,7 @@ pub mod multicore;
 
 pub use crate::core::{simulate, simulate_insts, Core, CoreSim, SimConfig, SimResult};
 pub use cache::{CacheModel, CacheStats, SharedL2, SharedL2Stats, LINE_BYTES};
-pub use memo::{L1Memo, ShardL1Memo};
+pub use memo::{L1Memo, MemoError};
 pub use multicore::{
     ExecMode, MultiCoreConfig, MultiCoreResult, MultiCoreSim, SchedulerPolicy, HOST_THREADS_ENV,
 };

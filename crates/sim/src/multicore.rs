@@ -5,7 +5,9 @@
 //! repository's north star — is many matrix-engine-equipped cores sharding
 //! one GEMM (the scale-out setting SparseZipper and Occamy evaluate).
 //! [`MultiCoreSim`] composes `n` independent [`Core`]s (private L1s, private
-//! engine timers) over one coherence-free [`SharedL2`]:
+//! engine timers) over one coherence-free [`SharedL2`]. It is the one
+//! driver of the workspace: an unsharded run is its one-lane case, the
+//! kernel's stream on a single core.
 //!
 //! * every core consumes shard streams (rectangles of a kernel's tile-loop
 //!   nest, typically produced by `KernelSpec::shard_set` in
@@ -22,7 +24,9 @@
 //!   [`MultiCoreConfig::resolved_host_threads`] at once, against a private
 //!   first-touch summary that folds into the [`SharedL2`] (each line goes
 //!   to the smallest `(first wake time, core)`, its first toucher in that
-//!   order);
+//!   order). A single core shares no line, so it steps against the flat
+//!   L2 of the single-core model, with no summary, and its shared-L2
+//!   statistics are its L1 misses, none of them shared;
 //! * the run ends with a sync/barrier: the makespan is the slowest core's
 //!   retire time plus a tree-barrier cost ([`BARRIER_LATENCY`] per
 //!   `⌈log₂ cores⌉` level; zero for a single core, which keeps
@@ -82,7 +86,7 @@ use vegeta_isa::stream::InstStream;
 
 use crate::cache::{CacheStats, SharedL2, SharedL2Stats};
 use crate::core::{Core, SimConfig, SimResult};
-use crate::memo::{L1Config, ShardL1Memo};
+use crate::memo::{L1Config, L1Memo, MemoError};
 
 /// Per-level tree-barrier cost in core cycles (about two shared-L2 round
 /// trips: one line flush, one flag observation).
@@ -394,41 +398,44 @@ impl MultiCoreSim {
     }
 
     /// [`MultiCoreSim::run_sharded`] on this fresh simulator, through
-    /// `memo`, the per-core L1 outcome of this shard set: a memo that is
+    /// `memo`, the per-core L1 outcome of these streams: a memo that is
     /// still empty is recorded, one that is filled is replayed in place of
-    /// every core's L1 model (see [`ShardL1Memo`]). The result is the one
-    /// [`MultiCoreSim::run_sharded`] reports, field for field.
+    /// every core's L1 model (see [`L1Memo`]). The result is the one
+    /// [`MultiCoreSim::run_sharded`] reports, field for field. This is the
+    /// one memoized entry point, for a shard set and for an unsharded
+    /// stream on one core alike.
     ///
     /// The run consumes the simulator: a replayed core keeps no L1 state
     /// that a later run could continue from.
     ///
-    /// # Panics
+    /// # Errors
     ///
     /// When this simulator has already run, or when `memo` was recorded
     /// under another `(l1_lines, l1_latency, l2_latency)` triple, core
-    /// count, or shard set (a core with another memory-op count); those
-    /// messages name both values.
+    /// count, or lane (a core with another memory-op or miss-mask count);
+    /// the message names both values.
     pub fn run_sharded_memoized<S: InstStream + Send>(
         mut self,
         shards: Vec<S>,
         reduction: Option<S>,
-        memo: &ShardL1Memo,
-    ) -> MultiCoreResult {
-        assert!(
-            self.cores.iter().all(|core| core.instructions() == 0),
-            "a memoized sharded run starts from fresh L1s, but this simulator has already run"
-        );
+        memo: &L1Memo,
+    ) -> Result<MultiCoreResult, MemoError> {
+        if self.cores.iter().any(|core| core.instructions() > 0) {
+            return Err(MemoError(
+                "a memoized run starts from fresh L1s, but this simulator has already run".into(),
+            ));
+        }
         let config = L1Config::of(&self.cfg.core);
         for (core, l1) in self
             .cores
             .iter_mut()
-            .zip(memo.paths(config, self.cfg.cores))
+            .zip(memo.paths(config, self.cfg.cores)?)
         {
             core.l1 = l1;
         }
         let result = self.run_sharded(shards, reduction, SchedulerPolicy::Lpt);
-        memo.finish(self.cores.into_iter().map(|core| core.l1), config);
-        result
+        memo.finish(self.cores.into_iter().map(|core| core.l1), config)?;
+        Ok(result)
     }
 
     /// [`MultiCoreSim::run_sharded`] driven by the linear-scan reference
@@ -475,7 +482,13 @@ impl MultiCoreSim {
     /// core's clock before that step, and the fold keeps the smallest
     /// claim in any cross-core order. Lines resident before the run are
     /// settled first.
+    ///
+    /// A single core has no summary: it runs its lane against the flat L2.
     fn run_per_core<S: InstStream + Send>(&mut self, lanes: &mut [Lane<S>]) {
+        if let [core] = self.cores.as_mut_slice() {
+            lanes[0].drain_flat(core);
+            return;
+        }
         let threads = self.cfg.resolved_host_threads();
         let hit_latency = self.cfg.core.l2_latency;
         self.shared_l2.settle();
@@ -531,6 +544,17 @@ impl MultiCoreSim {
             .zip(&lanes)
             .map(|(core, lane)| core.result(lane.peak))
             .collect();
+        let shared_l2 = match per_core.as_slice() {
+            // Every line one core misses goes to the L2 and none is
+            // shared, however the core stepped; the L1 counts accumulate
+            // across runs like the L2's.
+            [one] => SharedL2Stats {
+                accesses: one.cache.l2_hits,
+                hits: one.cache.l2_hits,
+                ..SharedL2Stats::default()
+            },
+            _ => self.shared_l2.stats(),
+        };
         let barrier_cycles = self.cfg.barrier_cycles();
         MultiCoreResult {
             cores: self.cores.len(),
@@ -538,7 +562,7 @@ impl MultiCoreSim {
             barrier_cycles,
             reduction_cycles,
             per_core,
-            shared_l2: self.shared_l2.stats(),
+            shared_l2,
         }
     }
 }
@@ -564,6 +588,17 @@ impl<S: InstStream> Lane<S> {
             self.streams.pop_front();
         }
         false
+    }
+
+    /// Runs `core` through the whole lane against the flat L2, one stream
+    /// after another: a lone core shares no line, so it keeps no summary.
+    fn drain_flat(&mut self, core: &mut Core) {
+        while let Some(mut stream) = self.streams.pop_front() {
+            while let Some(op) = stream.next_op() {
+                core.step(op, None);
+            }
+            self.peak += stream.peak_resident_bytes() as u64;
+        }
     }
 
     /// Runs `core` on its own against its first-touch `summary` until the
@@ -660,6 +695,22 @@ mod tests {
         assert_eq!(got.per_core[0], expected);
         assert_eq!(got.instructions(), expected.instructions);
         assert!((got.scaling_efficiency() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_core_derives_its_shared_l2_counts_from_its_l1_misses() {
+        // The stepped scan looks every missed line up in the real shared
+        // L2, run after run; the per-core run keeps none.
+        let trace = mixed_trace(300, 64);
+        let lane = || vec![trace.stream()];
+        let mut stepped = MultiCoreSim::new(MultiCoreConfig::new(1), EngineConfig::rasa_dm());
+        let mut flat = MultiCoreSim::new(MultiCoreConfig::new(1), EngineConfig::rasa_dm());
+        for _ in 0..2 {
+            let want = stepped.run_sharded_stepped(lane(), None, SchedulerPolicy::Lpt);
+            assert_eq!(want.shared_l2, stepped.shared_l2.stats());
+            assert_eq!(flat.run_sharded(lane(), None, SchedulerPolicy::Lpt), want);
+        }
+        assert_eq!(flat.shared_l2.stats(), SharedL2Stats::default());
     }
 
     #[test]
