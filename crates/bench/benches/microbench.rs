@@ -1,5 +1,7 @@
 //! Criterion microbenchmarks of the core data structures and simulators.
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -7,8 +9,11 @@ use vegeta::engine::{dataflow, EngineConfig, EngineTimer};
 use vegeta::kernels::{GemmShape, Kernel, KernelSpec, SparseMode, TraceCache};
 use vegeta::lint::verify_shard_set;
 use vegeta::num::Matrix;
+use vegeta::session::Fidelity;
 use vegeta::sim::CoreSim;
 use vegeta::sparse::{prune, CompressedTile, NmRatio, RowWiseTile};
+use vegeta_bench::serving::{calibrate_capacity_qps, serving_engines};
+use vegeta_serve::{LoadGen, ServeConfig, Server, ServiceMemo};
 
 fn bench_compression(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(1);
@@ -95,12 +100,31 @@ fn bench_lint(c: &mut Criterion) {
     });
 }
 
+/// One full-size `serve_sweep` load point with everything warm: 8,192
+/// default-mix requests at the four-worker capacity of VEGETA-S-16-2+OF,
+/// served with the trace cache's verdicts and the service memo already
+/// filled, so it times admission and the virtual-time replay only.
+fn bench_serve(c: &mut Criterion) {
+    let engine = serving_engines().pop().expect("two serving engines");
+    let memo = ServiceMemo::default();
+    let capacity = calibrate_capacity_qps(&engine, Fidelity::Full, &memo);
+    let requests = LoadGen::new(capacity * 4.0, 8192).with_seed(11).generate();
+    let server = Server::new(ServeConfig::new(engine).with_workers(4))
+        .with_cache(TraceCache::shared())
+        .with_service_memo(Arc::clone(&memo));
+    server.serve_requests(&requests, 0.0, 11);
+    c.bench_function("serve_requests_default_mix_8192_warm", |b| {
+        b.iter(|| server.serve_requests(&requests, 0.0, 11));
+    });
+}
+
 criterion_group!(
     benches,
     bench_compression,
     bench_dataflow,
     bench_engine_timer,
     bench_simulator,
-    bench_lint
+    bench_lint,
+    bench_serve
 );
 criterion_main!(benches);

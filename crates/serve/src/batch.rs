@@ -1,9 +1,5 @@
 //! The batcher: coalesces same-key requests inside a time/size window.
 
-use std::collections::HashMap;
-
-use crate::request::BatchKey;
-
 /// Batching policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatcherConfig {
@@ -39,8 +35,9 @@ impl BatcherConfig {
 /// One batch of same-key requests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
-    /// The shared execution key.
-    pub key: BatchKey,
+    /// The shared execution key, as the caller's interned key id (the
+    /// server numbers its distinct [`BatchKey`](crate::BatchKey)s `0..`).
+    pub key: usize,
     /// Indices (caller-defined) of the member requests, in arrival order.
     pub members: Vec<usize>,
     /// Virtual time the batch opened (first member's arrival).
@@ -98,18 +95,22 @@ impl Admit {
     }
 }
 
-/// Coalesces requests that share a [`BatchKey`] within a time/size window
-/// so one simulated execution serves many requests.
+/// Coalesces requests that share a key within a time/size window so one
+/// simulated execution serves many requests.
 ///
-/// The batcher is a passive state machine on the virtual clock: the event
-/// loop calls [`add`](Batcher::add) at each arrival and
-/// [`close`](Batcher::close) when a window expires, and dispatches batches
-/// as they close. At most one batch per key is open at a time.
+/// Keys are small interned ids (the server numbers its distinct
+/// [`BatchKey`](crate::BatchKey)s in order of first appearance), so no key
+/// is cloned or hashed per batch. The batcher is a passive state machine
+/// on the virtual clock: the event loop calls [`add`](Batcher::add) at
+/// each arrival and [`close`](Batcher::close) when a window expires, and
+/// dispatches batches as they close. At most one batch per key is open at
+/// a time.
 #[derive(Debug, Default)]
 pub struct Batcher {
     cfg: BatcherConfig,
     batches: Vec<Batch>,
-    open: HashMap<BatchKey, usize>,
+    /// The open batch of each key id, if any.
+    open: Vec<Option<usize>>,
 }
 
 impl Batcher {
@@ -118,7 +119,7 @@ impl Batcher {
         Batcher {
             cfg,
             batches: Vec::new(),
-            open: HashMap::new(),
+            open: Vec::new(),
         }
     }
 
@@ -127,23 +128,28 @@ impl Batcher {
         self.cfg
     }
 
-    /// Admits request `member` (an opaque caller index) with key `key` at
-    /// virtual time `now_us`. See [`Admit`] for the caller's obligations.
-    pub fn add(&mut self, key: &BatchKey, member: usize, now_us: u64) -> Admit {
+    /// Admits request `member` (an opaque caller index) with key id `key`
+    /// at virtual time `now_us`. See [`Admit`] for the caller's
+    /// obligations. Ids should be dense from 0: the batcher keeps one
+    /// open-batch slot per id up to the largest it has seen.
+    pub fn add(&mut self, key: usize, member: usize, now_us: u64) -> Admit {
         let max_batch = self.cfg.max_batch.max(1);
-        if let Some(&idx) = self.open.get(key) {
+        if key >= self.open.len() {
+            self.open.resize(key + 1, None);
+        }
+        if let Some(idx) = self.open[key] {
             let batch = &mut self.batches[idx];
             batch.members.push(member);
             if batch.len() >= max_batch {
                 batch.closed_us = Some(now_us);
-                self.open.remove(key);
+                self.open[key] = None;
                 return Admit::Filled { batch: idx };
             }
             return Admit::Joined { batch: idx };
         }
         let idx = self.batches.len();
         self.batches.push(Batch {
-            key: key.clone(),
+            key,
             members: vec![member],
             opened_us: now_us,
             closed_us: None,
@@ -152,7 +158,7 @@ impl Batcher {
             self.batches[idx].closed_us = Some(now_us);
             return Admit::Filled { batch: idx };
         }
-        self.open.insert(key.clone(), idx);
+        self.open[key] = Some(idx);
         Admit::Opened {
             batch: idx,
             close_at_us: now_us + self.cfg.window_us,
@@ -168,7 +174,7 @@ impl Batcher {
             return false;
         }
         b.closed_us = Some(now_us);
-        self.open.remove(&b.key);
+        self.open[b.key] = None;
         true
     }
 
@@ -186,14 +192,10 @@ impl Batcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vegeta::prelude::*;
 
-    fn key(m: usize) -> BatchKey {
-        BatchKey {
-            shape: GemmShape::new(m, 16, 128),
-            spec: KernelSpec::tiled(SparseMode::Dense),
-        }
-    }
+    /// Two interned key ids; the batcher never looks behind them.
+    const KEY: usize = 0;
+    const OTHER_KEY: usize = 1;
 
     #[test]
     fn single_request_opens_then_closes_on_window() {
@@ -201,7 +203,7 @@ mod tests {
             window_us: 100,
             max_batch: 4,
         });
-        let admit = b.add(&key(16), 0, 50);
+        let admit = b.add(KEY, 0, 50);
         assert_eq!(
             admit,
             Admit::Opened {
@@ -222,14 +224,14 @@ mod tests {
             window_us: 0,
             max_batch: 8,
         });
-        let Admit::Opened { batch, close_at_us } = b.add(&key(16), 0, 10) else {
+        let Admit::Opened { batch, close_at_us } = b.add(KEY, 0, 10) else {
             panic!("first add must open");
         };
         assert_eq!(close_at_us, 10);
-        assert_eq!(b.add(&key(16), 1, 10), Admit::Joined { batch });
+        assert_eq!(b.add(KEY, 1, 10), Admit::Joined { batch });
         assert!(b.close(batch, 10));
         // A later arrival opens a fresh batch.
-        let next = b.add(&key(16), 2, 11);
+        let next = b.add(KEY, 2, 11);
         assert!(matches!(next, Admit::Opened { batch: 1, .. }), "{next:?}");
         assert_eq!(b.batch(0).len(), 2);
     }
@@ -240,13 +242,10 @@ mod tests {
             window_us: 100,
             max_batch: 2,
         });
-        assert!(matches!(b.add(&key(16), 0, 0), Admit::Opened { .. }));
-        assert_eq!(b.add(&key(16), 1, 0), Admit::Filled { batch: 0 });
+        assert!(matches!(b.add(KEY, 0, 0), Admit::Opened { .. }));
+        assert_eq!(b.add(KEY, 1, 0), Admit::Filled { batch: 0 });
         // Third same-key request: the filled batch is gone, a new one opens.
-        assert!(matches!(
-            b.add(&key(16), 2, 0),
-            Admit::Opened { batch: 1, .. }
-        ));
+        assert!(matches!(b.add(KEY, 2, 0), Admit::Opened { batch: 1, .. }));
         assert_eq!(b.batch(0).members, vec![0, 1]);
         assert_eq!(b.batch(1).members, vec![2]);
     }
@@ -254,8 +253,8 @@ mod tests {
     #[test]
     fn distinct_keys_never_share_a_batch() {
         let mut b = Batcher::new(BatcherConfig::default());
-        let a = b.add(&key(16), 0, 0).batch();
-        let c = b.add(&key(32), 1, 0).batch();
+        let a = b.add(KEY, 0, 0).batch();
+        let c = b.add(OTHER_KEY, 1, 0).batch();
         assert_ne!(a, c);
     }
 
@@ -265,7 +264,7 @@ mod tests {
             window_us: 100,
             max_batch: 1,
         });
-        assert_eq!(b.add(&key(16), 0, 0), Admit::Filled { batch: 0 });
+        assert_eq!(b.add(KEY, 0, 0), Admit::Filled { batch: 0 });
         assert!(!b.close(0, 100), "close after fill must be a no-op");
     }
 
@@ -273,7 +272,7 @@ mod tests {
     fn batching_off_makes_singleton_batches() {
         let mut b = Batcher::new(BatcherConfig::off());
         for i in 0..3 {
-            assert_eq!(b.add(&key(16), i, 0), Admit::Filled { batch: i });
+            assert_eq!(b.add(KEY, i, 0), Admit::Filled { batch: i });
         }
         assert!(b.batches().iter().all(|batch| batch.len() == 1));
     }

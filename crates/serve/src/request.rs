@@ -2,8 +2,9 @@
 
 use vegeta::prelude::*;
 
-/// What a request asks the fleet to execute.
-#[derive(Debug, Clone, PartialEq)]
+/// What a request asks the fleet to execute. Hashable, so a server admits
+/// each distinct work item once however many requests carry it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Work {
     /// A Table IV layer at a weight sparsity; the engine picks the kernel
     /// it would execute for those weights (always well-formed).

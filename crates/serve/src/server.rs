@@ -3,7 +3,8 @@
 //! together.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 
 use vegeta::prelude::*;
@@ -12,7 +13,7 @@ use vegeta::session::{preflight, Preflight};
 use crate::batch::{Admit, Batcher, BatcherConfig};
 use crate::loadgen::LoadGen;
 use crate::report::{percentile_us, ServeReport};
-use crate::request::{BatchKey, Outcome, Request, RequestError, Response};
+use crate::request::{BatchKey, Outcome, Request, RequestError, Response, Work};
 use crate::worker::{SimOutcome, WorkerPool};
 
 /// Serving configuration: the engine and fleet the workers model, the
@@ -41,9 +42,10 @@ pub struct ServeConfig {
     /// Host threads simulating distinct batch keys (`0` = one per
     /// worker). Never affects results, only how fast they are computed.
     pub threads: usize,
-    /// Whether admission runs the `vegeta-lint` preflight on every
-    /// request, layer and spec work alike (verdicts are memoized in the
-    /// server's trace cache).
+    /// Whether admission runs the `vegeta-lint` preflight, layer and spec
+    /// work alike: once per distinct work item in a call, its verdict
+    /// answering every request that carries it (verdicts are memoized in
+    /// the server's trace cache).
     pub preflight: bool,
 }
 
@@ -178,7 +180,9 @@ impl Frontend {
     }
 
     /// Admits one request: `Ok` with the key it will execute as, or the
-    /// structured error the client gets back.
+    /// structured error the client gets back. The answer depends only on
+    /// the request's work, so [`Server::serve_requests`] asks once per
+    /// distinct work item.
     pub fn admit(&self, request: &Request) -> Result<BatchKey, RequestError> {
         let key = request
             .work
@@ -195,35 +199,84 @@ impl Frontend {
     }
 }
 
-/// Event kinds of the virtual-time loop.
+/// Where an event falls within its tick: a freed worker is visible to
+/// arrivals on the same tick, and a zero-window close still coalesces
+/// that tick's arrivals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventKind {
-    /// A worker finished its batch and is free again.
-    Free { worker: usize },
-    /// A request arrives at the frontend.
-    Arrive { req: usize },
-    /// A batch's window expired.
-    Close { batch: usize },
+enum Phase {
+    /// A worker finished its batch and is free again (`id` = worker).
+    Free,
+    /// A request arrives at the frontend (`id` = request index).
+    Arrive,
+    /// A batch's window expired (`id` = batch index).
+    Close,
 }
 
-/// A heap entry: ordered by time, then kind (Free < Arrive < Close, so a
-/// freed worker is visible to arrivals on the same tick and a zero-window
-/// close still coalesces that tick's arrivals), then insertion sequence.
+/// An event of the virtual-time loop, ordered by time, then phase, then
+/// sequence. Arrivals come from a cursor over the admitted requests in
+/// `(arrival, input index)` order; only frees and closes go through the
+/// heap, numbered by `seq` as they are pushed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Event {
     at: u64,
-    order: u8,
+    phase: Phase,
     seq: u64,
-    kind: EventKind,
+    id: usize,
+}
+
+/// An FxHash-style hasher for interning work items: a rotate, xor and
+/// multiply per word. Admission hashes every request's work, and the keys
+/// are one call's own requests, so a DoS-resistant hasher would only cost
+/// time (with SipHash, admission took about twice as long per request).
+#[derive(Debug, Default)]
+struct WorkHasher(u64);
+
+impl Hasher for WorkHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+}
+
+/// One call's requests, admitted once per distinct work item.
+#[derive(Debug, Default)]
+struct Admitted {
+    /// The distinct batch keys, by id, in order of first appearance.
+    keys: Vec<BatchKey>,
+    /// Per distinct work item: the key id it executes as, or its error.
+    works: Vec<Result<usize, RequestError>>,
+    /// Per request: the index of its work item in `works`.
+    work_of: Vec<usize>,
+}
+
+impl Admitted {
+    /// The admission of request `req`.
+    fn of(&self, req: usize) -> &Result<usize, RequestError> {
+        &self.works[self.work_of[req]]
+    }
 }
 
 /// The batched serving loop over a simulated worker fleet.
 ///
-/// `serve` replays admission, batching, dispatch and completion on a
-/// single-threaded discrete-event loop over virtual time. Host threads
-/// parallelize only the per-key *simulations* (phase 1); the timeline
-/// itself (phase 2) is sequential and fully ordered, so the emitted
-/// [`ServeReport`] is byte-identical for a given `(config, load)`
+/// `serve` admits each distinct work item once, interning its batch key
+/// as a small id, then replays admission control, batching, dispatch and
+/// completion on a single-threaded discrete-event loop over virtual time.
+/// Host threads parallelize only the per-key *simulations* (phase 1); the
+/// timeline itself (phase 2) is sequential and fully ordered, so the
+/// emitted [`ServeReport`] is byte-identical for a given `(config, load)`
 /// regardless of host machine or thread count.
 #[derive(Debug)]
 pub struct Server {
@@ -308,129 +361,182 @@ impl Server {
         offered_qps: f64,
         seed: u64,
     ) -> (ServeReport, Vec<Response>) {
-        let frontend = self.frontend();
-
-        // Admission: resolve every request to its key or its error.
-        let admissions: Vec<Result<BatchKey, RequestError>> =
-            requests.iter().map(|r| frontend.admit(r)).collect();
-
-        // Phase 1: simulate each distinct admissible key once, fanning
-        // out over host threads (results are thread-count independent).
-        let keys: Vec<BatchKey> = admissions.iter().flatten().cloned().collect();
-        let pool = self.pool();
-        let outcomes: HashMap<BatchKey, SimOutcome> = match &self.memo {
-            None => pool.simulate_all(&keys),
-            Some(memo) => {
-                let cached: HashMap<BatchKey, SimOutcome> = {
-                    let memo = memo.lock().expect("service memo poisoned");
-                    keys.iter()
-                        .filter_map(|k| memo.get(k).map(|o| (k.clone(), *o)))
-                        .collect()
-                };
-                let missing: Vec<BatchKey> = keys
-                    .iter()
-                    .filter(|k| !cached.contains_key(*k))
-                    .cloned()
-                    .collect();
-                let mut fresh = pool.simulate_all(&missing);
-                let mut memo = memo.lock().expect("service memo poisoned");
-                for (k, o) in &fresh {
-                    memo.insert(k.clone(), *o);
-                }
-                fresh.extend(cached);
-                fresh
-            }
-        };
-
-        // Phase 2: the sequential virtual-time replay.
-        self.replay(requests, &admissions, &outcomes, offered_qps, seed)
+        let admitted = self.admit(requests);
+        let outcomes = self.simulate(&admitted.keys);
+        self.replay(requests, &admitted, &outcomes, offered_qps, seed)
     }
 
-    /// The discrete-event replay: arrivals, admission control, batching,
-    /// dispatch to the earliest-free lowest-id worker, completion.
+    /// Admission: [`Frontend::admit`] once per distinct work item, and
+    /// works resolving to equal keys collapse onto one key id.
+    fn admit(&self, requests: &[Request]) -> Admitted {
+        let frontend = self.frontend();
+        let mut work_ids: HashMap<&Work, usize, BuildHasherDefault<WorkHasher>> =
+            HashMap::default();
+        let mut key_ids: HashMap<BatchKey, usize> = HashMap::new();
+        let mut admitted = Admitted::default();
+        for request in requests {
+            let next = admitted.works.len();
+            let work = *work_ids.entry(&request.work).or_insert_with(|| {
+                let admission = frontend.admit(request).map(|key| {
+                    let id = key_ids.len();
+                    *key_ids.entry(key).or_insert_with_key(|key| {
+                        admitted.keys.push(key.clone());
+                        id
+                    })
+                });
+                admitted.works.push(admission);
+                next
+            });
+            admitted.work_of.push(work);
+        }
+        admitted
+    }
+
+    /// Phase 1: each key's outcome, by key id. The service memo is read
+    /// once per key, and only the keys it lacks are simulated, fanning out
+    /// over host threads (results are thread-count independent).
+    fn simulate(&self, keys: &[BatchKey]) -> Vec<SimOutcome> {
+        let mut outcomes: Vec<Option<SimOutcome>> = match &self.memo {
+            Some(memo) => {
+                let memo = memo.lock().expect("service memo poisoned");
+                keys.iter().map(|k| memo.get(k).copied()).collect()
+            }
+            None => vec![None; keys.len()],
+        };
+        let missing: Vec<usize> = (0..keys.len()).filter(|&i| outcomes[i].is_none()).collect();
+        let fresh = self
+            .pool()
+            .simulate_each(&missing.iter().map(|&i| &keys[i]).collect::<Vec<_>>());
+        let mut memo = self
+            .memo
+            .as_ref()
+            .map(|memo| memo.lock().expect("service memo poisoned"));
+        for (i, outcome) in missing.into_iter().zip(fresh) {
+            if let Some(memo) = &mut memo {
+                memo.insert(keys[i].clone(), outcome);
+            }
+            outcomes[i] = Some(outcome);
+        }
+        outcomes
+            .into_iter()
+            .map(|o| o.expect("every key has an outcome"))
+            .collect()
+    }
+
+    /// Phase 2, the sequential discrete-event replay: arrivals, admission
+    /// control, batching, dispatch to the earliest-free lowest-id worker,
+    /// completion.
     #[allow(clippy::too_many_lines)] // one linear event loop reads better unsplit
     fn replay(
         &self,
         requests: &[Request],
-        admissions: &[Result<BatchKey, RequestError>],
-        outcomes: &HashMap<BatchKey, SimOutcome>,
+        admitted: &Admitted,
+        outcomes: &[SimOutcome],
         offered_qps: f64,
         seed: u64,
     ) -> (ServeReport, Vec<Response>) {
         let cfg = &self.cfg;
-        let mut responses: Vec<Option<Outcome>> = vec![None; requests.len()];
+
+        // Reject at the door; everyone else arrives in (time, input index)
+        // order. An admitted request is shed unless the loop queues it.
+        // Load generators hand out sorted traces; others are sorted once,
+        // stably, so equal-time arrivals keep their submission order.
+        let mut rejected = 0;
+        let mut arrivals: Vec<usize> = Vec::with_capacity(requests.len());
+        let mut responses: Vec<Response> = requests
+            .iter()
+            .enumerate()
+            .map(|(i, request)| Response {
+                id: request.id,
+                arrival_us: request.arrival_us,
+                outcome: match admitted.of(i) {
+                    Err(err) => {
+                        rejected += 1;
+                        Outcome::Rejected(err.clone())
+                    }
+                    Ok(_) => {
+                        arrivals.push(i);
+                        Outcome::Shed {
+                            queue_depth: cfg.queue_depth,
+                        }
+                    }
+                },
+            })
+            .collect();
+        if !arrivals
+            .windows(2)
+            .all(|w| requests[w[0]].arrival_us <= requests[w[1]].arrival_us)
+        {
+            arrivals.sort_by_key(|&i| requests[i].arrival_us);
+        }
+        let mut arrivals = arrivals.into_iter().map(|req| Event {
+            at: requests[req].arrival_us,
+            phase: Phase::Arrive,
+            seq: 0,
+            id: req,
+        });
+        let mut next_arrival = arrivals.next();
+
         let mut events: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
         let mut seq = 0u64;
-        let mut push = |events: &mut BinaryHeap<Reverse<Event>>, at: u64, kind: EventKind| {
-            let order = match kind {
-                EventKind::Free { .. } => 0,
-                EventKind::Arrive { .. } => 1,
-                EventKind::Close { .. } => 2,
+        let mut push =
+            |events: &mut BinaryHeap<Reverse<Event>>, at: u64, phase: Phase, id: usize| {
+                events.push(Reverse(Event { at, phase, seq, id }));
+                seq += 1;
             };
-            events.push(Reverse(Event {
-                at,
-                order,
-                seq,
-                kind,
-            }));
-            seq += 1;
-        };
-
-        // Reject at the door; queue arrivals for everyone else. Arrival
-        // events are pushed in input order, so equal-time arrivals keep
-        // their submission order (seq breaks the tie).
-        for (i, admission) in admissions.iter().enumerate() {
-            match admission {
-                Err(err) => responses[i] = Some(Outcome::Rejected(err.clone())),
-                Ok(_) => push(
-                    &mut events,
-                    requests[i].arrival_us,
-                    EventKind::Arrive { req: i },
-                ),
-            }
-        }
 
         let mut batcher = Batcher::new(cfg.batcher);
         let mut ready: VecDeque<usize> = VecDeque::new();
-        let mut idle: BTreeSet<usize> = (0..cfg.workers).collect();
+        let mut idle: BinaryHeap<Reverse<usize>> = (0..cfg.workers).map(Reverse).collect();
         let mut busy_us: Vec<u64> = vec![0; cfg.workers];
         let mut queued = 0usize;
         let mut max_queue_depth = 0usize;
         let mut shed = 0usize;
-        let mut latencies: Vec<u64> = Vec::new();
-        let mut batch_hist: HashMap<usize, usize> = HashMap::new();
+        let mut latencies: Vec<u64> = Vec::with_capacity(requests.len());
+        let mut batch_hist: Vec<usize> = vec![0; cfg.batcher.max_batch.max(1) + 1];
         let mut deadline_misses = 0usize;
         let mut batches_dispatched = 0usize;
         let mut makespan_us = 0u64;
 
-        while let Some(Reverse(event)) = events.pop() {
-            let now = event.at;
-            match event.kind {
-                EventKind::Free { worker } => {
-                    idle.insert(worker);
+        loop {
+            // The earlier of the next arrival and the heap's next event;
+            // they never tie, their phases differ.
+            let event = match (next_arrival, events.peek()) {
+                (Some(arrival), Some(Reverse(timer))) if *timer < arrival => {
+                    events.pop().expect("peeked").0
                 }
-                EventKind::Arrive { req } => {
+                (Some(arrival), _) => {
+                    next_arrival = arrivals.next();
+                    arrival
+                }
+                (None, Some(_)) => events.pop().expect("peeked").0,
+                (None, None) => break,
+            };
+            let now = event.at;
+            match event.phase {
+                Phase::Free => {
+                    idle.push(Reverse(event.id));
+                }
+                Phase::Arrive => {
+                    let req = event.id;
                     if queued >= cfg.queue_depth {
-                        responses[req] = Some(Outcome::Shed {
-                            queue_depth: cfg.queue_depth,
-                        });
                         shed += 1;
                         continue;
                     }
                     queued += 1;
                     max_queue_depth = max_queue_depth.max(queued);
-                    let key = admissions[req].as_ref().expect("admitted request has key");
+                    let key = *admitted.of(req).as_ref().expect("admitted request has key");
                     match batcher.add(key, req, now) {
                         Admit::Joined { .. } => {}
                         Admit::Opened { batch, close_at_us } => {
-                            push(&mut events, close_at_us, EventKind::Close { batch });
+                            push(&mut events, close_at_us, Phase::Close, batch);
                         }
                         Admit::Filled { batch } => ready.push_back(batch),
                     }
                 }
-                EventKind::Close { batch } => {
-                    if batcher.close(batch, now) {
-                        ready.push_back(batch);
+                Phase::Close => {
+                    if batcher.close(event.id, now) {
+                        ready.push_back(event.id);
                     }
                 }
             }
@@ -438,42 +544,43 @@ impl Server {
             // Dispatch every ready batch an idle worker can take, FIFO to
             // the lowest idle worker id — both deterministic orders.
             while !ready.is_empty() {
-                let Some(&worker) = idle.iter().next() else {
+                let Some(Reverse(worker)) = idle.pop() else {
                     break;
                 };
-                idle.remove(&worker);
                 let batch_idx = ready.pop_front().expect("checked non-empty");
                 let batch = batcher.batch(batch_idx);
-                let outcome = outcomes[&batch.key];
+                let outcome = outcomes[batch.key];
                 let finish = now + outcome.service_us;
                 busy_us[worker] += outcome.service_us;
                 makespan_us = makespan_us.max(finish);
                 batches_dispatched += 1;
-                *batch_hist.entry(batch.len()).or_insert(0) += 1;
+                batch_hist[batch.len()] += 1;
                 for &req in &batch.members {
                     let request = &requests[req];
                     let latency = finish - request.arrival_us;
                     let missed = request.deadline_us.is_some_and(|d| latency > d);
                     deadline_misses += usize::from(missed);
                     latencies.push(latency);
-                    responses[req] = Some(Outcome::Completed {
+                    responses[req].outcome = Outcome::Completed {
                         start_us: now,
                         finish_us: finish,
                         batch_size: batch.len(),
                         worker,
                         missed_deadline: missed,
-                    });
+                    };
                 }
                 queued -= batch.len();
-                push(&mut events, finish, EventKind::Free { worker });
+                push(&mut events, finish, Phase::Free, worker);
             }
         }
 
-        let rejected = admissions.iter().filter(|a| a.is_err()).count();
         let completed = latencies.len();
         latencies.sort_unstable();
-        let mut hist: Vec<(usize, usize)> = batch_hist.into_iter().collect();
-        hist.sort_unstable();
+        let hist: Vec<(usize, usize)> = batch_hist
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, count)| count > 0)
+            .collect();
         let achieved_qps = if makespan_us == 0 {
             0.0
         } else {
@@ -514,18 +621,9 @@ impl Server {
             max_latency_us: latencies.last().copied().unwrap_or(0),
             per_worker_busy_us: busy_us,
             distinct_keys: outcomes.len(),
-            sim_cycles: outcomes.values().map(|o| o.cycles).sum(),
+            sim_cycles: outcomes.iter().map(|o| o.cycles).sum(),
             host_threads: cfg.host_threads(),
         };
-        let responses = responses
-            .into_iter()
-            .enumerate()
-            .map(|(i, outcome)| Response {
-                id: requests[i].id,
-                arrival_us: requests[i].arrival_us,
-                outcome: outcome.expect("every request resolved"),
-            })
-            .collect();
         (report, responses)
     }
 }
@@ -713,6 +811,52 @@ mod tests {
                 Outcome::Rejected(RequestError::Preflight(why.clone()))
             );
         }
+    }
+
+    #[test]
+    fn each_distinct_work_is_admitted_and_looked_up_once() {
+        // 8,192 default-mix requests carry three distinct works. A fresh
+        // call looks each key up in the trace cache once to admit it and
+        // once to simulate it.
+        let requests = LoadGen::new(50_000.0, 8192).with_seed(3).generate();
+        let cache = TraceCache::shared();
+        let lookups = || cache.hits() + cache.misses();
+        let server = Server::new(base_config()).with_cache(Arc::clone(&cache));
+        let (fresh, _) = server.serve_requests(&requests, 0.0, 0);
+        assert_eq!(fresh.distinct_keys, 3);
+        assert_eq!(lookups(), 3 + 3);
+
+        // With a memo that already holds all three keys, admission is the
+        // only lookup, nothing is simulated, and the memo is not written:
+        // its stand-in outcomes come back unchanged and are what the
+        // report serves with.
+        let stand_in = SimOutcome {
+            cycles: 1,
+            instructions: 1,
+            service_us: 7,
+        };
+        let cfg = base_config();
+        let memo: ServiceMemo = Arc::new(Mutex::new(
+            requests
+                .iter()
+                .map(|r| {
+                    let key = r.work.resolve(&cfg.engine, cfg.opts, cfg.fidelity);
+                    (key.unwrap(), stand_in)
+                })
+                .collect(),
+        ));
+        assert_eq!(memo.lock().unwrap().len(), 3);
+        let before = lookups();
+        let (warm, _) = Server::new(cfg)
+            .with_cache(Arc::clone(&cache))
+            .with_service_memo(Arc::clone(&memo))
+            .serve_requests(&requests, 0.0, 0);
+        assert_eq!(lookups() - before, 3);
+        let memo = memo.lock().unwrap();
+        assert_eq!(memo.len(), 3);
+        assert!(memo.values().all(|&o| o == stand_in));
+        assert_eq!(warm.sim_cycles, 3);
+        assert_eq!(warm.completed + warm.shed, 8192);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! The worker pool: simulated multi-core workers behind a channel work
-//! queue, plus the virtual clock that converts cycles to service time.
+//! The worker pool: simulated multi-core workers behind a shared work
+//! counter, plus the virtual clock that converts cycles to service time.
 
-use std::collections::HashMap;
-use std::sync::mpsc;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use vegeta::prelude::*;
@@ -63,9 +63,9 @@ pub struct SimOutcome {
 /// entire economics of batching — and memoizes the outcome.
 ///
 /// Host-side, [`simulate_all`](WorkerPool::simulate_all) fans the distinct
-/// keys out over `threads` OS threads pulling from a channel work queue;
-/// all threads share one [`TraceCache`], the one admission verified the
-/// keys against. Host threading affects only how fast the simulations
+/// keys out over `threads` OS threads pulling from a shared counter; all
+/// threads share one [`TraceCache`], the one admission verified the keys
+/// against. Host threading affects only how fast the simulations
 /// run, never their results.
 #[derive(Debug, Clone)]
 pub struct WorkerPool {
@@ -143,53 +143,44 @@ impl WorkerPool {
     }
 
     /// Simulates every key once, fanning out over the pool's host
-    /// threads: keys flow through an [`mpsc`] channel acting as the work
-    /// queue, workers pull until it drains, and outcomes flow back over a
-    /// result channel. The returned map is complete — one entry per input
-    /// key (duplicates collapse).
+    /// threads. The returned map is complete — one entry per input key
+    /// (duplicates collapse).
     pub fn simulate_all(&self, keys: &[BatchKey]) -> HashMap<BatchKey, SimOutcome> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         let distinct: Vec<&BatchKey> = keys.iter().filter(|k| seen.insert(*k)).collect();
-        let mut out: HashMap<BatchKey, SimOutcome> = HashMap::with_capacity(distinct.len());
-        let threads = self.threads.min(distinct.len());
+        let outcomes = self.simulate_each(&distinct);
+        distinct.into_iter().cloned().zip(outcomes).collect()
+    }
+
+    /// Simulates each of `keys` (distinct), returning outcomes in input
+    /// order. Host threads pull the next key from a shared counter, as
+    /// [`Sweep`](vegeta::session::Sweep) workers pull cells, and store its
+    /// outcome at the key's index.
+    pub(crate) fn simulate_each(&self, keys: &[&BatchKey]) -> Vec<SimOutcome> {
+        let next = AtomicUsize::new(0);
+        let outcomes: Mutex<Vec<Option<SimOutcome>>> = Mutex::new(vec![None; keys.len()]);
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(key) = keys.get(i) else { break };
+            let outcome = self.simulate(key);
+            outcomes.lock().expect("outcomes poisoned")[i] = Some(outcome);
+        };
+        let threads = self.threads.min(keys.len());
         if threads <= 1 {
-            for key in distinct {
-                let outcome = self.simulate(key);
-                out.insert(key.clone(), outcome);
-            }
-            return out;
+            work();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(work);
+                }
+            });
         }
-        let (job_tx, job_rx) = mpsc::channel::<BatchKey>();
-        let (res_tx, res_rx) = mpsc::channel::<(BatchKey, SimOutcome)>();
-        for key in &distinct {
-            job_tx.send((*key).clone()).expect("job queue open");
-        }
-        drop(job_tx);
-        let jobs = Arc::new(Mutex::new(job_rx));
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let jobs = Arc::clone(&jobs);
-                let res_tx = res_tx.clone();
-                scope.spawn(move || loop {
-                    // Take the lock only to dequeue; simulate unlocked.
-                    let job = jobs.lock().expect("job queue poisoned").try_recv();
-                    match job {
-                        Ok(key) => {
-                            let outcome = self.simulate(&key);
-                            if res_tx.send((key, outcome)).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => break,
-                    }
-                });
-            }
-            drop(res_tx);
-            for (key, outcome) in res_rx {
-                out.insert(key, outcome);
-            }
-        });
-        out
+        outcomes
+            .into_inner()
+            .expect("outcomes poisoned")
+            .into_iter()
+            .map(|o| o.expect("every key simulated"))
+            .collect()
     }
 }
 
