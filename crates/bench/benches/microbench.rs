@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use vegeta::engine::{dataflow, EngineConfig, EngineTimer};
-use vegeta::kernels::{GemmShape, Kernel, KernelSpec, SparseMode, TraceCache};
+use vegeta::kernels::{GemmShape, KernelSpec, SparseMode, TraceCache};
 use vegeta::lint::verify_shard_set;
 use vegeta::num::Matrix;
 use vegeta::session::Fidelity;

@@ -5,7 +5,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use vegeta::isa::stream::InstStream;
-use vegeta::kernels::Kernel;
 use vegeta::prelude::*;
 
 /// A mid-size 2:4 layer: big enough that chunking matters, small enough

@@ -106,7 +106,7 @@ pub fn calibrate_capacity_qps(
             layer: entry.layer,
             weights: entry.weights,
         }
-        .resolve(&cfg.engine, cfg.opts, cfg.fidelity)
+        .resolve(&cfg.engine, KernelOptions::default(), cfg.fidelity)
         .expect("default mix layers are well-formed");
         let outcome = {
             let cached = memo

@@ -96,8 +96,8 @@ pub mod prelude {
     pub use vegeta_engine::{CostModel, EngineConfig, EngineTimer};
     pub use vegeta_isa::{Executor, Inst, Memory, TReg, UReg, VReg};
     pub use vegeta_kernels::{
-        EngineKernelExt, GemmShape, Kernel, KernelOptions, KernelSpec, ShardPlan, ShardSet,
-        SparseMode, TraceCache,
+        EngineKernelExt, GemmShape, KernelOptions, KernelSpec, ShardPlan, ShardSet, SparseMode,
+        TraceCache,
     };
     pub use vegeta_model::{GranularityHw, GranularityModel};
     pub use vegeta_num::{Bf16, Matrix};

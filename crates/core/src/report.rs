@@ -92,7 +92,7 @@ pub struct RunReport {
     /// [`crate::session::Fidelity`]).
     pub fidelity: String,
     /// Kernel that was executed (self-describing, from
-    /// [`vegeta_kernels::Kernel::name`]).
+    /// [`vegeta_kernels::KernelSpec::name`]).
     pub kernel: String,
     /// Storage-format label of the executed kernel's `A` operand
     /// (`"dense"`, `"2:4"`, `"rowwise:4"`, `"csr"`; `"-"` for prebuilt

@@ -4,8 +4,8 @@
 //! point of the evaluation grid: a layer or ad-hoc shape, the `A` operand
 //! (a weight pattern, a storage format or an explicit [`KernelSpec`]) and,
 //! optionally, the cores it is sharded across. A [`Session`] binds one
-//! engine design point to a simulator configuration, kernel options and a
-//! shared memoizing [`TraceCache`]; [`Session::run`] simulates one cell and
+//! engine design point to a simulator configuration and a shared
+//! memoizing [`TraceCache`]; [`Session::run`] simulates one cell and
 //! [`Session::run_network`] a whole layer suite, returning structured
 //! [`RunReport`]s. A [`Sweep`] builds the cells of an
 //! engine × workload × sparsity grid — the shape of Fig. 13 — and runs them
@@ -44,7 +44,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use vegeta_engine::EngineConfig;
 use vegeta_isa::stream::InstStream;
-use vegeta_kernels::{EngineKernelExt, Kernel, KernelOptions, KernelSpec, SparseMode, TraceCache};
+use vegeta_kernels::{EngineKernelExt, KernelOptions, KernelSpec, SparseMode, TraceCache};
 use vegeta_sim::{
     ExecMode, L1Memo, MultiCoreConfig, MultiCoreResult, MultiCoreSim, SchedulerPolicy, SimConfig,
 };
@@ -181,50 +181,9 @@ impl std::fmt::Display for Fidelity {
     }
 }
 
-/// The execution-side numbers of one simulated cell.
-struct CellOutcome {
-    cycles: u64,
-    instructions: u64,
-    tile_compute: u64,
-    engine_busy_cycles: u64,
-    peak_resident_bytes: u64,
-    cores: usize,
-    scheduler: &'static str,
-    per_core_cycles: Vec<u64>,
-    shared_l2: vegeta_sim::SharedL2Stats,
-    scaling_efficiency: f64,
-}
-
-impl CellOutcome {
-    /// The outcome of `res`. An unsharded cell reports it as the paper's
-    /// single core behind a flat L2: no per-core cycles, scheduler `"-"`
-    /// and zero shared-L2 counts.
-    fn of(res: MultiCoreResult, sharded: bool) -> Self {
-        let mut outcome = CellOutcome {
-            cycles: res.core_cycles,
-            instructions: res.instructions(),
-            tile_compute: res.tile_compute(),
-            engine_busy_cycles: res.engine_busy_cycles(),
-            peak_resident_bytes: res.peak_resident_bytes(),
-            scaling_efficiency: res.scaling_efficiency(),
-            per_core_cycles: res.per_core_cycles(),
-            cores: res.cores,
-            scheduler: SchedulerPolicy::Lpt.label(),
-            shared_l2: res.shared_l2,
-        };
-        if !sharded {
-            outcome.scheduler = "-";
-            outcome.per_core_cycles.clear();
-            outcome.shared_l2 = Default::default();
-        }
-        outcome
-    }
-}
-
 /// The static-verification gate in front of every simulated cell and
-/// every admitted serving request, on unless switched off
-/// ([`Session::with_preflight`], [`Sweep::with_preflight`], or
-/// `ServeConfig::preflight` in `vegeta-serve`).
+/// every admitted serving request. It cannot be switched off: a verdict
+/// that could be skipped would prove nothing.
 ///
 /// [`vegeta_lint`] proves the stream a cell replays well-formed — register
 /// dataflow, footprint bounds, shard coverage, and declared-length
@@ -234,7 +193,6 @@ impl CellOutcome {
 /// entry of `cache` ([`TraceCache::verdict`]): any [`Session`], [`Sweep`]
 /// or server that shares the cache shares verification, and each
 /// `(shape, spec, cores)` is linted once however many engines replay it.
-/// With `enabled` false it only records the cell's cache lookup.
 ///
 /// [`Session`]/[`Sweep`] panic on a rejection (a malformed stream inside a
 /// trusted experiment grid is a bug, not an input; simulating it would
@@ -249,9 +207,8 @@ pub fn preflight(
     shape: GemmShape,
     spec: &KernelSpec,
     cores: usize,
-    enabled: bool,
 ) -> Result<(), String> {
-    let lint = || {
+    cache.verdict(shape, spec, cores, || {
         let report = match cores {
             0 => vegeta_lint::verify_spec(spec, shape),
             n => vegeta_lint::verify_shard_set(spec, shape, n),
@@ -267,8 +224,7 @@ pub fn preflight(
                 shape.k,
             ))
         }
-    };
-    cache.verdict(shape, spec, cores, enabled.then_some(lint))
+    })
 }
 
 /// Kept only because the perfbench serving harness names
@@ -317,10 +273,10 @@ fn kernel_for_format(
     engine: &EngineConfig,
     shape: GemmShape,
     format: FormatSpec,
-    opts: KernelOptions,
     degree: f64,
     covers: Option<&[NmRatio]>,
 ) -> KernelSpec {
+    let opts = KernelOptions::default();
     match format {
         FormatSpec::Dense => engine.kernel_spec(NmRatio::D4_4, opts),
         FormatSpec::Nm(ratio) => engine.kernel_spec(ratio, opts),
@@ -461,25 +417,23 @@ impl<'a> Cell<'a> {
 }
 
 /// Everything a cell runs against besides its engine: the simulator
-/// configuration, kernel options, trace cache and preflight switch a
-/// [`Session`] and a [`Sweep`] both hold.
+/// configuration, the unstructured degree of row-wise/CSR format cells and
+/// the trace cache a [`Session`] and a [`Sweep`] both hold. Pattern and
+/// format cells run their kernels with default [`KernelOptions`]; an
+/// ablation passes its own spec as an [`Operand::Spec`].
 #[derive(Debug, Clone)]
 struct Harness {
     sim: SimConfig,
-    opts: KernelOptions,
     unstructured_degree: f64,
     cache: Arc<TraceCache>,
-    preflight: bool,
 }
 
 impl Default for Harness {
     fn default() -> Self {
         Harness {
             sim: SimConfig::default(),
-            opts: KernelOptions::default(),
             unstructured_degree: DEFAULT_UNSTRUCTURED_DEGREE,
             cache: Arc::new(TraceCache::new()),
-            preflight: true,
         }
     }
 }
@@ -494,12 +448,13 @@ impl Harness {
         covers: Option<&[NmRatio]>,
     ) -> Cow<'c, KernelSpec> {
         match cell.operand {
-            Operand::Pattern(ratio) => Cow::Owned(engine.kernel_spec(ratio, self.opts)),
+            Operand::Pattern(ratio) => {
+                Cow::Owned(engine.kernel_spec(ratio, KernelOptions::default()))
+            }
             Operand::Format(format) => Cow::Owned(kernel_for_format(
                 engine,
                 cell.gemm_shape(),
                 format,
-                self.opts,
                 self.unstructured_degree,
                 covers,
             )),
@@ -511,7 +466,7 @@ impl Harness {
     /// streaming pipeline — the trace is generated lazily and never
     /// materialized — after the [`preflight`] has verified the stream (or
     /// shard set) it replays. The preflight is the cell's one trace-cache
-    /// lookup, on or off.
+    /// lookup.
     ///
     /// Both kinds of cell run on a [`MultiCoreSim`], through `memo` when
     /// given. An unsharded cell is its one lane, the kernel's stream on a
@@ -534,13 +489,7 @@ impl Harness {
         memo: Option<&L1Memo>,
     ) -> RunReport {
         let shape = cell.gemm_shape();
-        if let Err(report) = preflight(
-            &self.cache,
-            shape,
-            spec,
-            cell.cores.unwrap_or(0),
-            self.preflight,
-        ) {
+        if let Err(report) = preflight(&self.cache, shape, spec, cell.cores.unwrap_or(0)) {
             panic!("{report}");
         }
         let sim = MultiCoreSim::new(
@@ -554,7 +503,16 @@ impl Harness {
                 simulate(sim, set.shards, set.reduction, memo)
             }
         };
-        let outcome = CellOutcome::of(res, cell.cores.is_some());
+        // An unsharded cell reports the paper's single core behind a flat
+        // L2: no per-core cycles, scheduler "-" and zero shared-L2 counts.
+        let (scheduler, per_core_cycles, shared_l2) = match cell.cores {
+            None => ("-", Vec::new(), Default::default()),
+            Some(_) => (
+                SchedulerPolicy::Lpt.label(),
+                res.per_core_cycles(),
+                res.shared_l2,
+            ),
+        };
         let (workload, fidelity) = match cell.workload {
             Workload::Layer(layer, fidelity) => (layer.name, fidelity),
             Workload::Shape(name, _) => (name, Fidelity::Full),
@@ -576,20 +534,20 @@ impl Harness {
             a_values_bytes: spec.a_values_bytes(shape),
             a_metadata_bits: spec.a_metadata_bits(shape),
             shape,
-            cycles: outcome.cycles,
-            instructions: outcome.instructions,
-            tile_compute: outcome.tile_compute,
-            engine_busy_cycles: outcome.engine_busy_cycles,
+            cycles: res.core_cycles,
+            instructions: res.instructions(),
+            tile_compute: res.tile_compute(),
+            engine_busy_cycles: res.engine_busy_cycles(),
             // Every cell streams.
-            insts_streamed: outcome.instructions,
-            peak_resident_bytes: outcome.peak_resident_bytes,
+            insts_streamed: res.instructions(),
+            peak_resident_bytes: res.peak_resident_bytes(),
             macs: shape.macs(),
             core_ghz: self.sim.core_ghz,
-            cores: outcome.cores,
-            scheduler: outcome.scheduler.to_string(),
-            per_core_cycles: outcome.per_core_cycles,
-            shared_l2: outcome.shared_l2,
-            scaling_efficiency: outcome.scaling_efficiency,
+            cores: res.cores,
+            scheduler: scheduler.to_string(),
+            per_core_cycles,
+            shared_l2,
+            scaling_efficiency: res.scaling_efficiency(),
         }
     }
 }
@@ -611,8 +569,8 @@ fn simulate<S: InstStream + Send>(
     }
 }
 
-/// One engine bound to a simulator configuration, kernel options and a
-/// trace cache: the single-engine experiment driver.
+/// One engine bound to a simulator configuration and a trace cache: the
+/// single-engine experiment driver.
 ///
 /// Sessions are cheap to clone-per-engine while sharing one cache: pass the
 /// same [`Arc<TraceCache>`] via [`Session::with_cache`] and identical
@@ -624,8 +582,8 @@ pub struct Session {
 }
 
 impl Session {
-    /// A session for one engine with default §VI-B simulator parameters,
-    /// default kernel options, and a private trace cache.
+    /// A session for one engine with default §VI-B simulator parameters
+    /// and a private trace cache.
     pub fn new(engine: EngineConfig) -> Self {
         Session {
             engine,
@@ -646,26 +604,9 @@ impl Session {
         self
     }
 
-    /// Replaces the kernel options used for pattern and format cells.
-    pub fn with_kernel_options(mut self, opts: KernelOptions) -> Self {
-        self.harness.opts = opts;
-        self
-    }
-
     /// Shares a trace cache (for example across per-engine sessions).
     pub fn with_cache(mut self, cache: Arc<TraceCache>) -> Self {
         self.harness.cache = cache;
-        self
-    }
-
-    /// Enables or disables the static-verification [`preflight`] (on by
-    /// default): every distinct `(shape, kernel, sharding)` cell is proven
-    /// well-formed by `vegeta-lint` before it simulates, and a diagnostic
-    /// aborts the run with the lint report. Verdicts are memoized in the
-    /// trace cache, so repeated cells, and every session, sweep or server
-    /// sharing the cache, pay once.
-    pub fn with_preflight(mut self, enabled: bool) -> Self {
-        self.harness.preflight = enabled;
         self
     }
 
@@ -757,7 +698,7 @@ impl Default for Sweep {
 }
 
 impl Sweep {
-    /// An empty sweep with default simulator parameters and kernel options.
+    /// An empty sweep with default simulator parameters.
     pub fn new() -> Self {
         Sweep::default()
     }
@@ -891,12 +832,6 @@ impl Sweep {
         self
     }
 
-    /// Replaces the kernel options.
-    pub fn with_kernel_options(mut self, opts: KernelOptions) -> Self {
-        self.harness.opts = opts;
-        self
-    }
-
     /// Sets the worker-thread count: 0 (the default) sizes the pool to the
     /// available parallelism, 1 forces the serial path.
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -907,15 +842,6 @@ impl Sweep {
     /// Shares a trace cache across sweeps.
     pub fn with_cache(mut self, cache: Arc<TraceCache>) -> Self {
         self.harness.cache = cache;
-        self
-    }
-
-    /// Enables or disables the static-verification preflight (on by
-    /// default; see [`Session::with_preflight`]). Memoization means each
-    /// distinct `(shape, kernel, sharding)` cell is verified once per
-    /// cache, not once per engine replaying it.
-    pub fn with_preflight(mut self, enabled: bool) -> Self {
-        self.harness.preflight = enabled;
         self
     }
 
@@ -1448,7 +1374,7 @@ mod tests {
     #[test]
     fn prebuilt_trace_runs_report_materialized_residency() {
         let shape = GemmShape::new(32, 32, 64);
-        let trace = vegeta_kernels::build_trace(shape, SparseMode::Dense, KernelOptions::default());
+        let trace = KernelSpec::tiled(SparseMode::Dense).build(shape);
         let report = MultiCoreSim::new(MultiCoreConfig::new(1), EngineConfig::rasa_dm())
             .run_sharded(vec![trace.stream()], None, SchedulerPolicy::Lpt);
         assert_eq!(
@@ -1790,27 +1716,21 @@ mod tests {
     }
 
     #[test]
-    fn every_sweep_cell_is_one_cache_lookup_with_preflight_on_or_off() {
+    fn every_sweep_cell_is_one_cache_lookup() {
         // The preflight verdict lookup is each cell's one trace-cache
-        // lookup, so switching it off changes no count.
-        let sweep = |cores: &[usize], enabled| {
-            Sweep::new()
+        // lookup, unsharded and sharded alike.
+        for cores in [&[][..], &[1, 4]] {
+            let report = Sweep::new()
                 .with_engines([EngineConfig::rasa_dm(), EngineConfig::vegeta_s(16).unwrap()])
                 .with_layer(table4()[7])
                 .with_sparsities([NmRatio::D4_4, NmRatio::S2_4])
                 .with_cores(cores.iter().copied())
                 .with_scale(8)
-                .with_preflight(enabled)
-        };
-        for cores in [&[][..], &[1, 4]] {
-            let on = sweep(cores, true).run();
-            let off = sweep(cores, false).run();
-            assert_eq!(on.traces_built + on.trace_cache_hits, on.cells.len() as u64);
+                .run();
             assert_eq!(
-                (on.traces_built, on.trace_cache_hits),
-                (off.traces_built, off.trace_cache_hits)
+                report.traces_built + report.trace_cache_hits,
+                report.cells.len() as u64
             );
-            assert_eq!(on.cells, off.cells);
         }
     }
 
@@ -1823,30 +1743,66 @@ mod tests {
         let unlinted = || Err("unlinted".to_string());
         for (i, (cores, other)) in [(0, 4), (4, 0)].into_iter().enumerate() {
             let shape = GemmShape::new(64 << i, 64, 256);
-            assert_eq!(preflight(&cache, shape, &spec, cores, true), Ok(()));
-            assert_eq!(cache.verdict(shape, &spec, cores, Some(unlinted)), Ok(()));
-            assert!(cache.verdict(shape, &spec, other, Some(unlinted)).is_err());
+            assert_eq!(preflight(&cache, shape, &spec, cores), Ok(()));
+            assert_eq!(cache.verdict(shape, &spec, cores, unlinted), Ok(()));
+            assert!(cache.verdict(shape, &spec, other, unlinted).is_err());
         }
-        // Switched off, it fills nothing.
-        let shape = GemmShape::new(32, 64, 256);
-        assert_eq!(preflight(&cache, shape, &spec, 0, false), Ok(()));
-        assert!(cache.verdict(shape, &spec, 0, Some(unlinted)).is_err());
     }
 
     #[test]
     fn preflight_never_perturbs_reports() {
         // The static-verification gate runs before the simulator and is
-        // memoized out of repeat cells: identical runs with the preflight
-        // on and off must produce byte-identical reports, single- and
-        // multi-core alike.
+        // memoized out of repeat cells: a cell whose verdict slot is
+        // already filled reports exactly what a cold cell does, single-
+        // and multi-core alike.
         let layer = table4()[7];
-        let baseline = Session::new(EngineConfig::vegeta_s(16).unwrap());
+        let engine = EngineConfig::vegeta_s(16).unwrap();
+        let spec = engine.kernel_spec(NmRatio::S2_4, KernelOptions::default());
+        let shape = Fidelity::Quick(8).shape_of(&layer);
         let single = Cell::layer(&layer, Fidelity::Quick(8), NmRatio::S2_4);
-        for enabled in [true, false] {
-            let session = baseline.clone().with_preflight(enabled);
-            assert_eq!(session.run(&single), baseline.run(&single));
-            let multi = single.cores(4);
-            assert_eq!(session.run(&multi), baseline.run(&multi));
+        for (cell, cores) in [(single, 0), (single.cores(4), 4)] {
+            let cold = Session::new(engine.clone()).run(&cell);
+            let warm = Session::new(engine.clone());
+            assert_eq!(preflight(warm.cache(), shape, &spec, cores), Ok(()));
+            let relinted = || Err("relinted".to_string());
+            assert_eq!(warm.cache().verdict(shape, &spec, cores, relinted), Ok(()));
+            assert_eq!(warm.run(&cell), cold);
         }
+    }
+
+    /// A cache whose `cores` verdict slot for BERT-L2 at quick/8, run at
+    /// 2:4 on VEGETA-S-16-2, holds a planted rejection.
+    fn cache_rejecting_bert_l2(cores: usize) -> Arc<TraceCache> {
+        let cache = TraceCache::shared();
+        let spec = EngineConfig::vegeta_s(16)
+            .unwrap()
+            .kernel_spec(NmRatio::S2_4, KernelOptions::default());
+        let shape = Fidelity::Quick(8).shape_of(&table4()[7]);
+        let planted = || Err("planted rejection".to_string());
+        assert!(cache.verdict(shape, &spec, cores, planted).is_err());
+        cache
+    }
+
+    #[test]
+    #[should_panic(expected = "planted rejection")]
+    fn a_session_cannot_bypass_a_rejected_verdict() {
+        let layer = table4()[7];
+        Session::new(EngineConfig::vegeta_s(16).unwrap())
+            .with_cache(cache_rejecting_bert_l2(0))
+            .run(&Cell::layer(&layer, Fidelity::Quick(8), NmRatio::S2_4));
+    }
+
+    #[test]
+    #[should_panic(expected = "planted rejection")]
+    fn a_sweep_cannot_bypass_a_rejected_verdict() {
+        // One sharded cell, so the sweep runs it on the calling thread.
+        Sweep::new()
+            .with_engine(EngineConfig::vegeta_s(16).unwrap())
+            .with_layer(table4()[7])
+            .with_sparsity(NmRatio::S2_4)
+            .with_cores([4])
+            .with_scale(8)
+            .with_cache(cache_rejecting_bert_l2(4))
+            .run();
     }
 }

@@ -172,72 +172,6 @@ pub trait BlockEmitter {
     }
 }
 
-/// A contiguous block-range view of another emitter: the stream-splitting
-/// primitive behind multi-core sharding.
-///
-/// A `BlockSlice` re-exposes blocks `[first, first + count)` of the inner
-/// emitter as blocks `[0, count)`, so wrapping it in a [`ChunkedStream`]
-/// yields an exact-length, byte-accounted stream of just that range.
-/// Slices taken over a partition of the inner emitter's block range (see
-/// [`even_ranges`]) concatenate back to the whole trace in order.
-#[derive(Debug, Clone)]
-pub struct BlockSlice<E> {
-    inner: E,
-    first: usize,
-    count: usize,
-}
-
-impl<E: BlockEmitter> BlockSlice<E> {
-    /// A view of blocks `[first, first + count)` of `inner`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the inner emitter's block count.
-    pub fn new(inner: E, first: usize, count: usize) -> Self {
-        assert!(
-            first + count <= inner.blocks(),
-            "slice [{first}, {}) exceeds {} blocks",
-            first + count,
-            inner.blocks()
-        );
-        BlockSlice {
-            inner,
-            first,
-            count,
-        }
-    }
-
-    /// The wrapped emitter.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-
-    /// The first inner block this slice exposes.
-    pub fn first_block(&self) -> usize {
-        self.first
-    }
-}
-
-impl<E: BlockEmitter> BlockEmitter for BlockSlice<E> {
-    fn blocks(&self) -> usize {
-        self.count
-    }
-
-    fn block_ops(&self, block: usize) -> u64 {
-        debug_assert!(block < self.count);
-        self.inner.block_ops(self.first + block)
-    }
-
-    fn emit_block(&self, block: usize, out: &mut Vec<TraceOp>) {
-        debug_assert!(block < self.count);
-        self.inner.emit_block(self.first + block, out);
-    }
-
-    fn state_bytes(&self) -> usize {
-        self.inner.state_bytes()
-    }
-}
-
 /// A 2D block-range view of an emitter whose blocks form a row-major
 /// `rows_total × cols_total` grid.
 ///
@@ -247,9 +181,10 @@ impl<E: BlockEmitter> BlockEmitter for BlockSlice<E> {
 /// sub-rectangle `rows × cols` of that grid as a dense row-major block
 /// range `[0, rows.len() * cols.len())`, so a 2D shard is just a
 /// [`ChunkedStream`] over a `GridSlice` — exact-length and byte-accounted
-/// like every other block view. Unlike [`BlockSlice`], the selected inner
-/// blocks are *strided*: consecutive slice blocks jump `cols_total`
-/// inner blocks at each row boundary.
+/// like every other block view. The selected inner blocks are *strided*:
+/// consecutive slice blocks jump `cols_total` inner blocks at each row
+/// boundary, unless the slice spans every column, when they are one
+/// contiguous range in program order.
 ///
 /// # Example
 ///
@@ -558,25 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn block_slices_partition_a_stream_losslessly() {
-        let whole = ChunkedStream::new(Ramp { n: 9 }).collect_trace();
-        for parts in [1usize, 2, 3, 4, 9, 12] {
-            let mut rejoined = Trace::new();
-            let mut total = 0u64;
-            for range in even_ranges(9, parts) {
-                let mut shard =
-                    ChunkedStream::new(BlockSlice::new(Ramp { n: 9 }, range.start, range.len()));
-                total += shard.remaining();
-                for op in shard.collect_trace().ops() {
-                    rejoined.push(*op);
-                }
-            }
-            assert_eq!(total, whole.len() as u64, "{parts} parts");
-            assert_eq!(rejoined, whole, "{parts} parts");
-        }
-    }
-
-    #[test]
     fn even_ranges_cover_contiguously_with_near_even_sizes() {
         for units in [0usize, 1, 5, 7, 16, 33] {
             for parts in [1usize, 2, 3, 8, 40] {
@@ -595,12 +511,6 @@ mod tests {
                 assert!(max - min <= 1, "near-even: {sizes:?}");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds")]
-    fn block_slice_rejects_out_of_range() {
-        let _ = BlockSlice::new(Ramp { n: 3 }, 2, 2);
     }
 
     #[test]
@@ -630,17 +540,45 @@ mod tests {
     }
 
     #[test]
+    fn block_slices_partition_a_stream_losslessly() {
+        // A one-column grid is a plain block range: slices over a row
+        // partition (empty parts included) concatenate back to the whole
+        // trace in program order, with exact lengths.
+        let whole = ChunkedStream::new(Ramp { n: 9 }).collect_trace();
+        for parts in [1usize, 2, 3, 4, 9, 12] {
+            let mut rejoined = Trace::new();
+            let mut total = 0u64;
+            for rows in even_ranges(9, parts) {
+                let mut shard = ChunkedStream::new(GridSlice::new(Ramp { n: 9 }, 1, rows, 0..1));
+                total += shard.remaining();
+                for op in shard.collect_trace().ops() {
+                    rejoined.push(*op);
+                }
+            }
+            assert_eq!(total, whole.len() as u64, "{parts} parts");
+            assert_eq!(rejoined, whole, "{parts} parts");
+        }
+    }
+
+    #[test]
     fn full_width_grid_slice_matches_block_slice() {
         // Rows x all-columns is a contiguous range: identical op order to
-        // the equivalent BlockSlice, which is what keeps 1D sharding (and
-        // the 1-core path) bit-identical through the grid view.
-        let grid = ChunkedStream::new(GridSlice::new(Ramp { n: 12 }, 3, 1..3, 0..3));
-        let flat = ChunkedStream::new(BlockSlice::new(Ramp { n: 12 }, 3, 6));
+        // emitting the same blocks straight from the emitter, which is what
+        // keeps 1D sharding (and the 1-core path) bit-identical through the
+        // grid view.
+        let mut grid = ChunkedStream::new(GridSlice::new(Ramp { n: 12 }, 3, 1..3, 0..3));
         assert_eq!(grid.emitter().first_block(), 3);
-        let mut grid = grid;
-        let mut flat = flat;
-        assert_eq!(grid.remaining(), flat.remaining());
-        assert_eq!(grid.collect_trace(), flat.collect_trace());
+        let mut flat = Trace::new();
+        let mut buf = Vec::new();
+        for block in 3..9 {
+            buf.clear();
+            Ramp { n: 12 }.emit_block(block, &mut buf);
+            for op in &buf {
+                flat.push(*op);
+            }
+        }
+        assert_eq!(grid.remaining(), flat.len() as u64);
+        assert_eq!(grid.collect_trace(), flat);
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Polymorphic kernel dispatch and trace memoization.
+//! Kernel dispatch and trace memoization.
 //!
 //! Every trace builder in this crate — the optimized tiled GEMM/SPMM
 //! kernels, the naive Listing-1 kernel, the row-wise `TILE_SPMM_R` kernel
-//! and the vector-engine baseline — is reachable through one interface:
+//! and the vector-engine baseline — is reachable through one value:
 //!
-//! * [`Kernel`] is the trait: anything that can emit a timing [`Trace`] for
-//!   a [`GemmShape`].
 //! * [`KernelSpec`] is the closed, hashable enumeration of this crate's
-//!   builders; it is the value the experiment drivers pass around, and the
-//!   cache key the sweep infrastructure memoizes on.
+//!   builders; it is the value the experiment drivers pass around, the one
+//!   way to a kernel's trace ([`KernelSpec::stream`], or
+//!   [`KernelSpec::build`] for a materialized [`Trace`]), and the cache key
+//!   the sweep infrastructure memoizes on.
 //! * [`TraceCache`] memoizes what is known about each `(GemmShape,
 //!   KernelSpec)` trace: its [`TraceSummary`] and its static-verification
 //!   verdicts, handing out fresh lazy [`KernelStream`]s via
@@ -33,24 +33,9 @@ use vegeta_isa::trace::Trace;
 use vegeta_isa::TRACE_OP_BYTES;
 use vegeta_sparse::{FormatSpec, NmRatio};
 
-use crate::rowwise::build_rowwise_trace;
 use crate::stream::{KernelEmitter, KernelStream};
-use crate::tiled::{build_listing1_trace, build_trace, KernelOptions, SparseMode};
-use crate::vector::build_vector_gemm_trace;
+use crate::tiled::{KernelOptions, SparseMode};
 use crate::GemmShape;
-
-/// Anything that can emit a timing trace for a GEMM problem.
-///
-/// The trait is object-safe, so heterogeneous kernel collections
-/// (`Vec<Box<dyn Kernel>>`) work; [`KernelSpec`] is the closed enum form
-/// that additionally supports hashing and caching.
-pub trait Kernel {
-    /// A short human-readable kernel name (for reports and logs).
-    fn name(&self) -> String;
-
-    /// Builds the dynamic instruction trace for the given shape.
-    fn build(&self, shape: GemmShape) -> Trace;
-}
 
 /// A self-describing specification of one of this crate's trace builders.
 ///
@@ -60,7 +45,7 @@ pub trait Kernel {
 /// # Example
 ///
 /// ```
-/// use vegeta_kernels::{GemmShape, Kernel, KernelOptions, KernelSpec, SparseMode};
+/// use vegeta_kernels::{GemmShape, KernelSpec, SparseMode};
 ///
 /// let spec = KernelSpec::tiled(SparseMode::Nm2of4);
 /// let trace = spec.build(GemmShape::new(64, 64, 128));
@@ -156,11 +141,28 @@ impl KernelSpec {
 }
 
 impl KernelSpec {
-    /// Streams this kernel's trace lazily (see [`crate::stream`]): the
-    /// compact generator form of [`Kernel::build`], identical op for op,
-    /// with peak residency bounded by one tile-loop cell.
+    /// A short human-readable kernel name (for reports and logs).
+    pub fn name(&self) -> String {
+        match self {
+            KernelSpec::Tiled { mode, opts } => {
+                format!("tiled-{}-u{}", mode_slug(*mode), opts.unroll)
+            }
+            KernelSpec::Listing1 { mode } => format!("listing1-{}", mode_slug(*mode)),
+            KernelSpec::RowWise { row_ratios } => format!("rowwise-{}rows", row_ratios.len()),
+            KernelSpec::Vector => "vector-gemm".to_string(),
+        }
+    }
+
+    /// Streams this kernel's trace lazily (see [`crate::stream`]), with
+    /// peak residency bounded by one tile-loop cell.
     pub fn stream(&self, shape: GemmShape) -> KernelStream {
         KernelEmitter::for_spec(self, shape).stream()
+    }
+
+    /// Materializes [`KernelSpec::stream`]'s trace, op for op; prefer the
+    /// stream on hot paths.
+    pub fn build(&self, shape: GemmShape) -> Trace {
+        self.stream(shape).collect_trace()
     }
 
     /// Picks the 2D/K-split [`crate::ShardPlan`] for `cores` (see
@@ -192,28 +194,6 @@ impl KernelSpec {
         let emitter = KernelEmitter::for_spec(self, shape);
         let plan = emitter.plan_for_cores(cores);
         emitter.shard_with(plan)
-    }
-}
-
-impl Kernel for KernelSpec {
-    fn name(&self) -> String {
-        match self {
-            KernelSpec::Tiled { mode, opts } => {
-                format!("tiled-{}-u{}", mode_slug(*mode), opts.unroll)
-            }
-            KernelSpec::Listing1 { mode } => format!("listing1-{}", mode_slug(*mode)),
-            KernelSpec::RowWise { row_ratios } => format!("rowwise-{}rows", row_ratios.len()),
-            KernelSpec::Vector => "vector-gemm".to_string(),
-        }
-    }
-
-    fn build(&self, shape: GemmShape) -> Trace {
-        match self {
-            KernelSpec::Tiled { mode, opts } => build_trace(shape, *mode, *opts),
-            KernelSpec::Listing1 { mode } => build_listing1_trace(shape, *mode),
-            KernelSpec::RowWise { row_ratios } => build_rowwise_trace(shape, row_ratios),
-            KernelSpec::Vector => build_vector_gemm_trace(shape),
-        }
     }
 }
 
@@ -400,8 +380,8 @@ impl TraceCache {
     /// The first caller of a slot computes the verdict with `verify`,
     /// outside the cache lock; concurrent callers of the same slot wait
     /// for it, so each slot is verified once and failures stay memoized.
-    /// With `verify` `None` (verification switched off) only the lookup is
-    /// recorded: the verdict is `Ok` and the slot is left untouched.
+    /// There is no way to look a slot up unverified: every caller either
+    /// runs `verify` or gets the verdict an earlier `verify` left.
     ///
     /// # Errors
     ///
@@ -411,12 +391,8 @@ impl TraceCache {
         shape: GemmShape,
         spec: &KernelSpec,
         cores: usize,
-        verify: Option<impl FnOnce() -> Result<(), String>>,
+        verify: impl FnOnce() -> Result<(), String>,
     ) -> Result<(), String> {
-        let Some(verify) = verify else {
-            self.lookup(shape, spec, |_| ());
-            return Ok(());
-        };
         self.lookup(shape, spec, |e| {
             Arc::clone(e.verdicts.entry(cores).or_default())
         })
@@ -467,25 +443,32 @@ mod tests {
 
     #[test]
     fn spec_dispatch_matches_direct_builders() {
+        // Each spec builds exactly what its family's emitter streams.
         let shape = GemmShape::new(48, 32, 256);
+        let emitted = |emitter: KernelEmitter| emitter.stream().collect_trace();
         for mode in [SparseMode::Dense, SparseMode::Nm2of4, SparseMode::Nm1of4] {
-            let spec = KernelSpec::tiled(mode);
+            let opts = KernelOptions::default();
             assert_eq!(
-                spec.build(shape),
-                build_trace(shape, mode, KernelOptions::default())
+                KernelSpec::tiled(mode).build(shape),
+                emitted(KernelEmitter::tiled(shape, mode, opts))
             );
             let naive = KernelSpec::Listing1 { mode };
-            assert_eq!(naive.build(shape), build_listing1_trace(shape, mode));
+            assert_eq!(
+                naive.build(shape),
+                emitted(KernelEmitter::listing1(shape, mode))
+            );
         }
         assert_eq!(
             KernelSpec::Vector.build(shape),
-            build_vector_gemm_trace(shape)
+            emitted(KernelEmitter::vector(shape))
         );
         let ratios = vec![NmRatio::S1_4; 32];
-        let spec = KernelSpec::RowWise {
-            row_ratios: ratios.clone(),
-        };
-        assert_eq!(spec.build(shape), build_rowwise_trace(shape, &ratios));
+        let groups = vegeta_engine::rowwise::pack_rows(&ratios).len();
+        let spec = KernelSpec::RowWise { row_ratios: ratios };
+        assert_eq!(
+            spec.build(shape),
+            emitted(KernelEmitter::rowwise(shape, groups))
+        );
     }
 
     #[test]
@@ -591,14 +574,11 @@ mod tests {
         let spec = KernelSpec::tiled(SparseMode::Nm2of4);
         let runs = AtomicU64::new(0);
         let verify = |verdict: Result<(), String>| {
-            Some(|| {
+            || {
                 runs.fetch_add(1, Ordering::Relaxed);
                 verdict
-            })
+            }
         };
-        // A lookup with verification off leaves the slot untouched.
-        let off = None::<fn() -> Result<(), String>>;
-        assert_eq!(cache.verdict(shape, &spec, 0, off), Ok(()));
         assert_eq!(cache.verdict(shape, &spec, 0, verify(Ok(()))), Ok(()));
         assert_eq!(
             cache.verdict(shape, &spec, 0, verify(Err("late".into()))),
@@ -614,7 +594,7 @@ mod tests {
         assert_eq!(runs.load(Ordering::Relaxed), 2, "one verification per slot");
         // Verdict lookups share the entry the summary lives in.
         cache.summary(shape, &spec);
-        assert_eq!((cache.misses(), cache.hits(), cache.len()), (1, 5, 1));
+        assert_eq!((cache.misses(), cache.hits(), cache.len()), (1, 4, 1));
     }
 
     #[test]
@@ -636,7 +616,7 @@ mod tests {
                         cache.summary(shape, &KernelSpec::Vector);
                         Ok(())
                     };
-                    assert_eq!(cache.verdict(shape, &spec, 2, Some(verify)), Ok(()));
+                    assert_eq!(cache.verdict(shape, &spec, 2, verify), Ok(()));
                 });
             }
         });

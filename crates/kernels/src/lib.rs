@@ -15,8 +15,8 @@
 //!   behind Figs. 3 and 4.
 //! * [`shapes`] — GEMM shapes and im2col lowering for the Table IV
 //!   convolutional layers.
-//! * [`kernel`] — the polymorphic [`Kernel`] trait, the hashable
-//!   [`KernelSpec`] enum unifying every builder, the memoizing
+//! * [`kernel`] — the hashable [`KernelSpec`] enum unifying every
+//!   builder (the one way to a kernel's trace), the memoizing
 //!   [`TraceCache`] (keyed on shape × storage format × kernel), and
 //!   [`EngineKernelExt`] (kernel selection per engine).
 //!
@@ -30,14 +30,10 @@
 //! # Example
 //!
 //! ```
-//! use vegeta_kernels::{build_trace, GemmShape, KernelOptions, SparseMode};
+//! use vegeta_kernels::{GemmShape, KernelSpec, SparseMode};
 //!
 //! // The BERT-L2 layer at 2:4 sparsity, as a timing trace.
-//! let trace = build_trace(
-//!     GemmShape::new(512, 512, 768),
-//!     SparseMode::Nm2of4,
-//!     KernelOptions::default(),
-//! );
+//! let trace = KernelSpec::tiled(SparseMode::Nm2of4).build(GemmShape::new(512, 512, 768));
 //! assert!(trace.mix().tile_compute > 0);
 //! ```
 
@@ -53,16 +49,11 @@ pub mod tiled;
 pub mod vector;
 
 pub use error::KernelError;
-pub use kernel::{EngineKernelExt, Kernel, KernelSpec, TraceCache, TraceCacheStats, TraceSummary};
-pub use rowwise::{
-    build_rowwise_program, build_rowwise_trace, stream_rowwise_trace, RowWiseProgram,
-};
+pub use kernel::{EngineKernelExt, KernelSpec, TraceCache, TraceCacheStats, TraceSummary};
+pub use rowwise::{build_rowwise_program, RowWiseProgram};
 pub use shapes::{direct_conv, im2col, ConvShape, GemmShape};
 pub use stream::{
     KernelEmitter, KernelStream, ShardEmitter, ShardKind, ShardPlan, ShardSet, ShardStream,
 };
-pub use tiled::{
-    build_listing1_trace, build_program, build_trace, stream_listing1_trace, stream_trace,
-    KernelOptions, KernelProgram, SparseMode,
-};
-pub use vector::{build_vector_gemm_trace, stream_vector_gemm_trace, MACS_PER_VEC_FMA};
+pub use tiled::{build_program, KernelOptions, KernelProgram, SparseMode};
+pub use vector::MACS_PER_VEC_FMA;

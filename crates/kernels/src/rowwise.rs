@@ -17,13 +17,11 @@
 
 use vegeta_engine::rowwise::{pack_rows, TileAssignment};
 use vegeta_isa::footprint::{Footprint, Region, RegionClass};
-use vegeta_isa::stream::InstStream;
 use vegeta_isa::trace::{Trace, TraceOp};
 use vegeta_isa::{Executor, Inst, MReg, Memory, TReg, UReg};
 use vegeta_num::{Bf16, Matrix};
 use vegeta_sparse::{transform, MregImage, NmRatio, RowWiseTile, TileFormat, TregImage};
 
-use crate::stream::KernelStream;
 use crate::{GemmShape, KernelError};
 
 /// A row-wise SPMM program: trace, memory, and the output scatter map.
@@ -328,19 +326,6 @@ pub(crate) fn emit_rowwise_block(
     }));
 }
 
-/// Builds just the timing trace for a row-wise SPMM whose per-row covers are
-/// already known (synthetic addresses; used by the benches). Materializes
-/// [`stream_rowwise_trace`]'s output; prefer the stream on hot paths.
-pub fn build_rowwise_trace(shape: GemmShape, row_ratios: &[NmRatio]) -> Trace {
-    stream_rowwise_trace(shape, row_ratios).collect_trace()
-}
-
-/// Streams the row-wise SPMM trace lazily, one packed row group × output
-/// column tile at a time.
-pub fn stream_rowwise_trace(shape: GemmShape, row_ratios: &[NmRatio]) -> KernelStream {
-    crate::stream::KernelEmitter::rowwise(shape, pack_rows(row_ratios).len()).stream()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,7 +406,8 @@ mod tests {
             c.sort();
             c
         };
-        let trace = build_rowwise_trace(GemmShape::new(48, 32, 128), &covers);
+        let trace =
+            crate::KernelSpec::RowWise { row_ratios: covers }.build(GemmShape::new(48, 32, 128));
         assert_eq!(program.trace.mix().tile_compute, trace.mix().tile_compute);
         assert_eq!(program.trace.mix().tile_stores, trace.mix().tile_stores);
     }

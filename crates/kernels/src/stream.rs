@@ -10,9 +10,9 @@
 //! the largest block, not the whole trace — the property that lets
 //! full-scale Table IV layers replay in bounded memory.
 //!
-//! The materialized builders (`build_trace`, `build_rowwise_trace`, ...)
-//! are thin `collect` wrappers over these emitters, so streamed and
-//! materialized replays are identical by construction.
+//! A materialized trace ([`crate::KernelSpec::build`]) is a `collect` over
+//! these emitters, so streamed and materialized replays are identical by
+//! construction.
 //!
 //! # Sharding
 //!
@@ -637,14 +637,14 @@ mod tests {
     fn stream_length_matches_materialized_build() {
         let shape = GemmShape::new(64, 64, 512);
         for mode in [SparseMode::Dense, SparseMode::Nm2of4, SparseMode::Nm1of4] {
-            let stream = crate::tiled::stream_trace(shape, mode, KernelOptions::default());
-            let trace = crate::tiled::build_trace(shape, mode, KernelOptions::default());
-            assert_eq!(stream.remaining(), trace.len() as u64);
+            let spec = crate::KernelSpec::tiled(mode);
+            let trace = spec.build(shape);
+            assert_eq!(spec.stream(shape).remaining(), trace.len() as u64);
         }
-        let vec_stream = crate::vector::stream_vector_gemm_trace(shape);
+        let vector = crate::KernelSpec::Vector;
         assert_eq!(
-            vec_stream.remaining(),
-            crate::vector::build_vector_gemm_trace(shape).len() as u64
+            vector.stream(shape).remaining(),
+            vector.build(shape).len() as u64
         );
     }
 

@@ -2,15 +2,15 @@
 //!
 //! Two kernel families are provided:
 //!
-//! * [`build_trace`]/[`build_program`] — the *optimized* kernels used for
-//!   the Fig. 13 evaluation: output tiles stay resident in accumulator
-//!   tregs across the whole `k` loop (no redundant `C` traffic), the `B`
-//!   tile is reused across an unrolled triple of `A` row-tiles, and three
-//!   accumulators rotate to expose independent tile instructions to the
-//!   engine pipeline.
-//! * [`build_listing1_trace`] — the naive kernel of Listing 1, which
-//!   reloads and stores `C` every iteration; kept as the programmability
-//!   baseline and for ablation.
+//! * [`KernelSpec::Tiled`](crate::KernelSpec::Tiled)/[`build_program`] —
+//!   the *optimized* kernels used for the Fig. 13 evaluation: output tiles
+//!   stay resident in accumulator tregs across the whole `k` loop (no
+//!   redundant `C` traffic), the `B` tile is reused across an unrolled
+//!   triple of `A` row-tiles, and three accumulators rotate to expose
+//!   independent tile instructions to the engine pipeline.
+//! * [`KernelSpec::Listing1`](crate::KernelSpec::Listing1) — the naive
+//!   kernel of Listing 1, which reloads and stores `C` every iteration;
+//!   kept as the programmability baseline and for ablation.
 //!
 //! Register allocation per mode (aliases must not overlap, see
 //! `vegeta-isa`):
@@ -37,7 +37,7 @@ use vegeta_isa::{Executor, Inst, MReg, Memory, TReg, UReg, VReg};
 use vegeta_num::{Bf16, Matrix};
 use vegeta_sparse::{FormatSpec, MregImage, NmRatio, TregImage};
 
-use crate::stream::KernelStream;
+use crate::stream::KernelEmitter;
 use crate::{GemmShape, KernelError};
 
 /// How the `A` operand is encoded and which tile instruction multiplies it.
@@ -515,29 +515,6 @@ pub(crate) fn emit_listing1_cell(plan: &Plan, it: usize, jt: usize, out: &mut Ve
     }
 }
 
-/// Builds the timing trace of the optimized kernel (synthetic addresses, no
-/// data): what the CPU simulator consumes for the Fig. 13 sweeps.
-/// Materializes [`stream_trace`]'s output; prefer the stream on hot paths.
-pub fn build_trace(shape: GemmShape, mode: SparseMode, opts: KernelOptions) -> Trace {
-    stream_trace(shape, mode, opts).collect_trace()
-}
-
-/// Streams the optimized kernel's trace lazily, one accumulator-group ×
-/// column-tile cell at a time (see [`vegeta_isa::stream`]).
-pub fn stream_trace(shape: GemmShape, mode: SparseMode, opts: KernelOptions) -> KernelStream {
-    crate::stream::KernelEmitter::tiled(shape, mode, opts).stream()
-}
-
-/// Builds the naive Listing-1 kernel trace (see [`stream_listing1_trace`]).
-pub fn build_listing1_trace(shape: GemmShape, mode: SparseMode) -> Trace {
-    stream_listing1_trace(shape, mode).collect_trace()
-}
-
-/// Streams the Listing-1 kernel's trace lazily, one output tile at a time.
-pub fn stream_listing1_trace(shape: GemmShape, mode: SparseMode) -> KernelStream {
-    crate::stream::KernelEmitter::listing1(shape, mode).stream()
-}
-
 /// A kernel trace bundled with initialized memory, ready for functional
 /// execution.
 #[derive(Debug)]
@@ -644,7 +621,9 @@ pub fn build_program(
             mem.write_bf16_matrix(plan.b_addr(jt, kt), &bt)?;
         }
     }
-    let trace = stream_trace(shape, mode, opts).collect_trace();
+    let trace = KernelEmitter::tiled(shape, mode, opts)
+        .stream()
+        .collect_trace();
     Ok(KernelProgram {
         trace,
         mem,
@@ -657,6 +636,7 @@ pub fn build_program(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KernelSpec;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use vegeta_num::gemm_bf16_ref;
@@ -711,9 +691,9 @@ mod tests {
     #[test]
     fn sparser_modes_issue_fewer_compute_instructions() {
         let shape = GemmShape::new(64, 64, 512);
-        let dense = build_trace(shape, SparseMode::Dense, KernelOptions::default());
-        let s24 = build_trace(shape, SparseMode::Nm2of4, KernelOptions::default());
-        let s14 = build_trace(shape, SparseMode::Nm1of4, KernelOptions::default());
+        let dense = KernelSpec::tiled(SparseMode::Dense).build(shape);
+        let s24 = KernelSpec::tiled(SparseMode::Nm2of4).build(shape);
+        let s14 = KernelSpec::tiled(SparseMode::Nm1of4).build(shape);
         let (d, u, v) = (
             dense.mix().tile_compute,
             s24.mix().tile_compute,
@@ -726,8 +706,11 @@ mod tests {
     #[test]
     fn listing1_reloads_c_every_iteration() {
         let shape = GemmShape::new(32, 32, 128);
-        let naive = build_listing1_trace(shape, SparseMode::Nm2of4);
-        let opt = build_trace(shape, SparseMode::Nm2of4, KernelOptions::default());
+        let naive = KernelSpec::Listing1 {
+            mode: SparseMode::Nm2of4,
+        }
+        .build(shape);
+        let opt = KernelSpec::tiled(SparseMode::Nm2of4).build(shape);
         assert!(naive.mix().tile_stores > opt.mix().tile_stores);
         assert!(naive.mix().tile_loads > opt.mix().tile_loads);
         assert_eq!(naive.mix().tile_compute, opt.mix().tile_compute);

@@ -9,12 +9,12 @@
 //!
 //! The trace includes the scalar loop control that makes the *executed
 //! instruction count* gap of Fig. 4 so much larger than the FLOP gap.
+//! Its addresses are synthetic but coherent: `A`, `B` and `C` live in
+//! disjoint regions so the cache model sees realistic reuse.
 
 use vegeta_isa::footprint::{Footprint, Region, RegionClass};
-use vegeta_isa::stream::InstStream;
-use vegeta_isa::trace::{Trace, TraceOp};
+use vegeta_isa::trace::TraceOp;
 
-use crate::stream::KernelStream;
 use crate::GemmShape;
 
 /// Rows of `A` processed per microkernel invocation.
@@ -133,45 +133,31 @@ pub(crate) fn emit_vector_block(shape: GemmShape, block: usize, out: &mut Vec<Tr
     }
 }
 
-/// Builds the dynamic trace of a register-blocked vector GEMM.
-///
-/// Synthetic but coherent addresses: `A`, `B` and `C` live in disjoint
-/// regions so the cache model sees realistic reuse. Materializes
-/// [`stream_vector_gemm_trace`]'s output; prefer the stream on hot paths.
-pub fn build_vector_gemm_trace(shape: GemmShape) -> Trace {
-    stream_vector_gemm_trace(shape).collect_trace()
-}
-
-/// Streams the vector-GEMM trace lazily, one microkernel invocation at a
-/// time.
-pub fn stream_vector_gemm_trace(shape: GemmShape) -> KernelStream {
-    crate::stream::KernelEmitter::vector(shape).stream()
-}
-
 /// MACs performed per vector FMA (16 FP32 lanes).
 pub const MACS_PER_VEC_FMA: u64 = 16;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KernelSpec;
 
     #[test]
     fn fma_count_covers_all_macs() {
         let shape = GemmShape::new(32, 32, 64);
-        let trace = build_vector_gemm_trace(shape);
+        let trace = KernelSpec::Vector.build(shape);
         let fmas = trace.mix().vec_fmas;
         assert_eq!(fmas * MACS_PER_VEC_FMA, shape.macs());
     }
 
     #[test]
     fn instruction_count_grows_with_each_dimension() {
-        let base = build_vector_gemm_trace(GemmShape::new(32, 32, 32)).len();
+        let base = KernelSpec::Vector.build(GemmShape::new(32, 32, 32)).len();
         for bigger in [
             GemmShape::new(64, 32, 32),
             GemmShape::new(32, 64, 32),
             GemmShape::new(32, 32, 64),
         ] {
-            assert!(build_vector_gemm_trace(bigger).len() > base);
+            assert!(KernelSpec::Vector.build(bigger).len() > base);
         }
     }
 
@@ -179,12 +165,12 @@ mod tests {
     fn vector_needs_far_more_instructions_than_matrix() {
         // The Fig. 4 motivation: executed instruction count ratio is large
         // and grows with GEMM dimension.
-        use crate::tiled::{build_trace, KernelOptions, SparseMode};
+        use crate::tiled::SparseMode;
         let mut last_ratio = 0.0;
         for dim in [32usize, 64, 128] {
             let shape = GemmShape::new(dim, dim, dim);
-            let vec = build_vector_gemm_trace(shape).len() as f64;
-            let mat = build_trace(shape, SparseMode::Dense, KernelOptions::default()).len() as f64;
+            let vec = KernelSpec::Vector.build(shape).len() as f64;
+            let mat = KernelSpec::tiled(SparseMode::Dense).build(shape).len() as f64;
             let ratio = vec / mat;
             assert!(ratio > 10.0, "dim {dim}: ratio {ratio}");
             assert!(ratio > last_ratio, "ratio should grow with dimension");
@@ -194,7 +180,7 @@ mod tests {
 
     #[test]
     fn ragged_shapes_round_up_blocks() {
-        let trace = build_vector_gemm_trace(GemmShape::new(5, 17, 3));
+        let trace = KernelSpec::Vector.build(GemmShape::new(5, 17, 3));
         assert!(trace.mix().vec_fmas >= (5f64 / 4.0).ceil() as u64 * 2 * 3 * 4);
     }
 }

@@ -27,7 +27,7 @@ use proptest::prelude::*;
 use vegeta_isa::stream::InstStream;
 use vegeta_isa::trace::{Trace, TraceOp};
 use vegeta_kernels::{
-    GemmShape, Kernel, KernelEmitter, KernelOptions, KernelSpec, ShardPlan, ShardSet, ShardStream,
+    GemmShape, KernelEmitter, KernelOptions, KernelSpec, ShardPlan, ShardSet, ShardStream,
     SparseMode,
 };
 use vegeta_sparse::NmRatio;

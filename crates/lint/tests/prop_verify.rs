@@ -4,7 +4,7 @@
 //! diagnostic.
 
 use proptest::prelude::*;
-use vegeta_kernels::{GemmShape, Kernel, KernelOptions, KernelSpec, ShardPlan, SparseMode};
+use vegeta_kernels::{GemmShape, KernelOptions, KernelSpec, ShardPlan, SparseMode};
 use vegeta_lint::{run_corpus, verify_shard_set_with, verify_spec};
 use vegeta_sparse::NmRatio;
 

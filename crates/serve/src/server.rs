@@ -18,6 +18,10 @@ use crate::worker::{SimOutcome, WorkerPool};
 
 /// Serving configuration: the engine and fleet the workers model, the
 /// admission bound, and the batching policy.
+///
+/// Admission always runs the `vegeta-lint` preflight, once per distinct
+/// work item in a call, its verdict answering every request that carries
+/// it; layer requests run their kernels with default [`KernelOptions`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Engine every worker runs.
@@ -37,21 +41,14 @@ pub struct ServeConfig {
     pub batcher: BatcherConfig,
     /// Shape fidelity for layer requests.
     pub fidelity: Fidelity,
-    /// Kernel generation options for layer requests.
-    pub opts: KernelOptions,
     /// Host threads simulating distinct batch keys (`0` = one per
     /// worker). Never affects results, only how fast they are computed.
     pub threads: usize,
-    /// Whether admission runs the `vegeta-lint` preflight, layer and spec
-    /// work alike: once per distinct work item in a call, its verdict
-    /// answering every request that carries it (verdicts are memoized in
-    /// the server's trace cache).
-    pub preflight: bool,
 }
 
 impl ServeConfig {
     /// Defaults: 4 single-core workers, a 64-deep queue,
-    /// the default batching window, full fidelity, preflight on.
+    /// the default batching window, full fidelity.
     pub fn new(engine: EngineConfig) -> Self {
         ServeConfig {
             engine,
@@ -61,9 +58,7 @@ impl ServeConfig {
             queue_depth: 64,
             batcher: BatcherConfig::default(),
             fidelity: Fidelity::Full,
-            opts: KernelOptions::default(),
             threads: 0,
-            preflight: true,
         }
     }
 
@@ -110,12 +105,6 @@ impl ServeConfig {
         self
     }
 
-    /// Enables or disables the admission preflight.
-    pub fn with_preflight(mut self, enabled: bool) -> Self {
-        self.preflight = enabled;
-        self
-    }
-
     /// The host thread count actually used.
     ///
     /// `0` means one per worker. When workers are multi-core, each
@@ -149,20 +138,18 @@ impl ServeConfig {
     }
 }
 
-/// The admission frontend: resolves each request to its batch key,
-/// structurally validates it, and runs the `vegeta-lint`
-/// [`preflight`] on it (layer and spec work alike, unless
-/// [`ServeConfig::preflight`] is off) — so a malformed or unverifiable
-/// spec becomes a structured [`RequestError`] at the door instead of a
-/// panic inside a worker. Verdicts are memoized in the trace cache, so
-/// every server and session sharing it verifies each key once.
+/// The admission frontend: resolves each request to its batch key (layer
+/// work with default [`KernelOptions`]), structurally validates it, and
+/// runs the `vegeta-lint` [`preflight`] on it, layer and spec work alike —
+/// so a malformed or unverifiable spec becomes a structured
+/// [`RequestError`] at the door instead of a panic inside a worker.
+/// Verdicts are memoized in the trace cache, so every server and session
+/// sharing it verifies each key once.
 #[derive(Debug, Clone)]
 pub struct Frontend {
     engine: EngineConfig,
-    opts: KernelOptions,
     fidelity: Fidelity,
     cores: usize,
-    preflight: bool,
     cache: Arc<TraceCache>,
 }
 
@@ -171,10 +158,8 @@ impl Frontend {
     pub fn new(cfg: &ServeConfig, cache: Arc<TraceCache>) -> Self {
         Frontend {
             engine: cfg.engine.clone(),
-            opts: cfg.opts,
             fidelity: cfg.fidelity,
             cores: cfg.preflight_cores(),
-            preflight: cfg.preflight,
             cache,
         }
     }
@@ -186,15 +171,9 @@ impl Frontend {
     pub fn admit(&self, request: &Request) -> Result<BatchKey, RequestError> {
         let key = request
             .work
-            .resolve(&self.engine, self.opts, self.fidelity)?;
-        preflight(
-            &self.cache,
-            key.shape,
-            &key.spec,
-            self.cores,
-            self.preflight,
-        )
-        .map_err(RequestError::Preflight)?;
+            .resolve(&self.engine, KernelOptions::default(), self.fidelity)?;
+        preflight(&self.cache, key.shape, &key.spec, self.cores)
+            .map_err(RequestError::Preflight)?;
         Ok(key)
     }
 }
@@ -788,7 +767,7 @@ mod tests {
         for m in [16, 32] {
             let relint = || Err("linted twice".to_string());
             let shape = GemmShape::new(m, 16, 128);
-            assert_eq!(cache.verdict(shape, &spec, 0, Some(relint)), Ok(()));
+            assert_eq!(cache.verdict(shape, &spec, 0, relint), Ok(()));
         }
         let second = server().serve_requests(&requests, 0.0, 0).0;
         assert_eq!(first.to_json(), second.to_json());
@@ -802,7 +781,7 @@ mod tests {
         let why = format!("preflight rejected {}:\n{mutated}", spec.name());
         let lint = || Err(why.clone());
         let shape = GemmShape::new(48, 16, 128);
-        assert_eq!(cache.verdict(shape, &spec, 0, Some(lint)), Err(why.clone()));
+        assert_eq!(cache.verdict(shape, &spec, 0, lint), Err(why.clone()));
         for _ in 0..2 {
             let (report, responses) = server().serve_requests(&[spec_request(9, 0, 48)], 0.0, 0);
             assert_eq!(report.rejected, 1);
@@ -840,7 +819,9 @@ mod tests {
             requests
                 .iter()
                 .map(|r| {
-                    let key = r.work.resolve(&cfg.engine, cfg.opts, cfg.fidelity);
+                    let key = r
+                        .work
+                        .resolve(&cfg.engine, KernelOptions::default(), cfg.fidelity);
                     (key.unwrap(), stand_in)
                 })
                 .collect(),

@@ -287,7 +287,7 @@ fn check_against_reference(requests: &[Request]) -> Vec<(ServeReport, Vec<Respon
     let cache = TraceCache::shared();
     let (shape, spec) = lint_rejected();
     let why = "preflight rejected by a stored lint report".to_string();
-    let stored = cache.verdict(shape, &spec, 0, Some(|| Err(why.clone())));
+    let stored = cache.verdict(shape, &spec, 0, || Err(why.clone()));
     assert_eq!(stored, Err(why));
     let memo = ServiceMemo::default();
     let mut runs = Vec::new();

@@ -23,7 +23,6 @@
 use vegeta_engine::{EngineConfig, EngineTimer};
 use vegeta_isa::stream::InstStream;
 use vegeta_isa::trace::{ArchReg, Trace, TraceOp};
-use vegeta_isa::Inst;
 
 use crate::cache::{CacheStats, SharedL2};
 use crate::memo::L1Path;
@@ -558,24 +557,10 @@ impl CoreSim {
     }
 }
 
-/// Convenience: simulate `trace` on a fresh default core with `engine`.
-pub fn simulate(trace: &Trace, engine: EngineConfig) -> SimResult {
-    CoreSim::with_engine(engine).run(trace)
-}
-
-/// Convenience used throughout the benches: tile instructions only.
-pub fn simulate_insts(insts: &[Inst], engine: EngineConfig) -> SimResult {
-    let mut trace = Trace::new();
-    for &inst in insts {
-        trace.push_inst(inst);
-    }
-    simulate(&trace, engine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vegeta_isa::{TReg, UReg};
+    use vegeta_isa::{Inst, TReg, UReg};
 
     fn spmm_chain(n: usize, same_acc: bool) -> Trace {
         let mut t = Trace::new();
@@ -596,14 +581,14 @@ mod tests {
 
     #[test]
     fn empty_trace_takes_no_time() {
-        let res = simulate(&Trace::new(), EngineConfig::rasa_dm());
+        let res = CoreSim::with_engine(EngineConfig::rasa_dm()).run(&Trace::new());
         assert_eq!(res.core_cycles, 0);
         assert_eq!(res.instructions, 0);
     }
 
     #[test]
     fn zero_cycle_result_guards_derived_metrics() {
-        let res = simulate(&Trace::new(), EngineConfig::rasa_dm());
+        let res = CoreSim::with_engine(EngineConfig::rasa_dm()).run(&Trace::new());
         assert_eq!(res.ipc(), 0.0, "no division by zero cycles");
     }
 
@@ -617,7 +602,7 @@ mod tests {
                 src: ((i + 4) % 8) as u8,
             });
         }
-        let res = simulate(&t, EngineConfig::rasa_dm());
+        let res = CoreSim::with_engine(EngineConfig::rasa_dm()).run(&t);
         assert!(
             res.ipc() > 3.0,
             "4-wide core should sustain ~4 IPC, got {}",
@@ -627,7 +612,8 @@ mod tests {
 
     #[test]
     fn engine_clock_domain_scales_latency() {
-        let res = simulate(&spmm_chain(1, true), EngineConfig::vegeta_s(16).unwrap());
+        let res =
+            CoreSim::with_engine(EngineConfig::vegeta_s(16).unwrap()).run(&spmm_chain(1, true));
         let engine_latency = EngineConfig::vegeta_s(16).unwrap().instruction_latency() as u64;
         // One instruction: ~latency x clock ratio (4), plus front end.
         assert!(res.core_cycles >= engine_latency * 4);
@@ -637,8 +623,8 @@ mod tests {
     #[test]
     fn dependent_chain_slower_than_independent_without_of() {
         let cfg = EngineConfig::vegeta_s(16).unwrap();
-        let dep = simulate(&spmm_chain(32, true), cfg.clone());
-        let ind = simulate(&spmm_chain(32, false), cfg);
+        let dep = CoreSim::with_engine(cfg.clone()).run(&spmm_chain(32, true));
+        let ind = CoreSim::with_engine(cfg).run(&spmm_chain(32, false));
         assert!(
             dep.core_cycles > ind.core_cycles,
             "same-acc chain {} vs rotated {}",
@@ -650,8 +636,9 @@ mod tests {
     #[test]
     fn output_forwarding_speeds_up_dependent_chains() {
         let base = EngineConfig::vegeta_s(16).unwrap();
-        let no_of = simulate(&spmm_chain(64, true), base.clone());
-        let with_of = simulate(&spmm_chain(64, true), base.with_output_forwarding(true));
+        let no_of = CoreSim::with_engine(base.clone()).run(&spmm_chain(64, true));
+        let with_of =
+            CoreSim::with_engine(base.with_output_forwarding(true)).run(&spmm_chain(64, true));
         assert!(
             (with_of.core_cycles as f64) < no_of.core_cycles as f64 * 0.75,
             "OF {} vs no-OF {}",
@@ -664,8 +651,8 @@ mod tests {
     fn rasa_dm_beats_rasa_sm_on_independent_tiles() {
         // §VI-C: RASA-SM's stage mismatch gives it the highest runtime.
         let t = spmm_gemm_chain(64);
-        let sm = simulate(&t, EngineConfig::rasa_sm());
-        let dm = simulate(&t, EngineConfig::rasa_dm());
+        let sm = CoreSim::with_engine(EngineConfig::rasa_sm()).run(&t);
+        let dm = CoreSim::with_engine(EngineConfig::rasa_dm()).run(&t);
         assert!(
             (dm.core_cycles as f64) < sm.core_cycles as f64 * 0.65,
             "DM {} vs SM {}",
@@ -698,7 +685,7 @@ mod tests {
                 addr: i * 64,
             });
         }
-        let res = simulate(&t, EngineConfig::rasa_dm());
+        let res = CoreSim::with_engine(EngineConfig::rasa_dm()).run(&t);
         // Two load ports, 2000 loads -> at least 1000 cycles.
         assert!(res.core_cycles >= 1000);
         assert_eq!(
@@ -716,7 +703,7 @@ mod tests {
                 addr: i * 1024,
             });
         }
-        let res = simulate(&t, EngineConfig::rasa_dm());
+        let res = CoreSim::with_engine(EngineConfig::rasa_dm()).run(&t);
         // 64 tile loads x 16 lines = 1024 line transfers over 2 ports.
         assert!(res.core_cycles >= 512, "got {}", res.core_cycles);
     }
@@ -732,7 +719,7 @@ mod tests {
                 });
             }
         }
-        let res = simulate(&t, EngineConfig::rasa_dm());
+        let res = CoreSim::with_engine(EngineConfig::rasa_dm()).run(&t);
         assert_eq!(res.cache.l2_hits, 4);
         assert_eq!(res.cache.l1_hits, 12);
     }

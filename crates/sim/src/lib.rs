@@ -22,17 +22,19 @@
 //!
 //! ```
 //! use vegeta_engine::EngineConfig;
+//! use vegeta_isa::trace::Trace;
 //! use vegeta_isa::{Inst, TReg, UReg};
-//! use vegeta_sim::simulate_insts;
+//! use vegeta_sim::CoreSim;
 //!
-//! let insts: Vec<Inst> = (0..8)
-//!     .map(|i| Inst::TileSpmmU {
+//! let mut trace = Trace::new();
+//! for i in 0..8 {
+//!     trace.push_inst(Inst::TileSpmmU {
 //!         acc: TReg::new(i % 2).unwrap(),
 //!         a: TReg::T6,
 //!         b: UReg::U2,
-//!     })
-//!     .collect();
-//! let dm = simulate_insts(&insts, EngineConfig::rasa_dm());
+//!     });
+//! }
+//! let dm = CoreSim::with_engine(EngineConfig::rasa_dm()).run(&trace);
 //! assert!(dm.core_cycles > 0);
 //! ```
 
@@ -44,7 +46,7 @@ mod core;
 mod memo;
 pub mod multicore;
 
-pub use crate::core::{simulate, simulate_insts, Core, CoreSim, SimConfig, SimResult};
+pub use crate::core::{Core, CoreSim, SimConfig, SimResult};
 pub use cache::{CacheModel, CacheStats, SharedL2, SharedL2Stats, LINE_BYTES};
 pub use memo::{L1Memo, MemoError};
 pub use multicore::{

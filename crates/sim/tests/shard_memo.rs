@@ -23,7 +23,7 @@ use vegeta_isa::stream::InstStream;
 use vegeta_isa::trace::{Trace, TraceOp};
 use vegeta_isa::{Inst, TReg, UReg};
 use vegeta_kernels::{
-    GemmShape, Kernel, KernelEmitter, KernelOptions, KernelSpec, ShardPlan, ShardSet, SparseMode,
+    GemmShape, KernelEmitter, KernelOptions, KernelSpec, ShardPlan, ShardSet, SparseMode,
 };
 use vegeta_sim::{
     CoreSim, ExecMode, L1Memo, MultiCoreConfig, MultiCoreResult, MultiCoreSim, SchedulerPolicy,

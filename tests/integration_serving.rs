@@ -155,7 +155,7 @@ fn a_session_and_a_server_sharing_a_cache_verify_a_key_once() {
     let shape = GemmShape::new(64, 16, 128);
     session.run(&Cell::shape("k", shape, &spec));
     let relint = || Err("linted twice".to_string());
-    assert_eq!(cache.verdict(shape, &spec, 0, Some(relint)), Ok(()));
+    assert_eq!(cache.verdict(shape, &spec, 0, relint), Ok(()));
     let (report, _) = server.serve_requests(&[request(shape)], 0.0, 0);
     assert_eq!(report.completed, 1);
     assert_eq!(cache.len(), 1, "one entry holds the trace and its verdict");
@@ -165,7 +165,7 @@ fn a_session_and_a_server_sharing_a_cache_verify_a_key_once() {
     let other = GemmShape::new(32, 16, 128);
     let why = "preflight rejected: planted".to_string();
     let plant = || Err(why.clone());
-    assert!(cache.verdict(other, &spec, 0, Some(plant)).is_err());
+    assert!(cache.verdict(other, &spec, 0, plant).is_err());
     let panic = std::panic::catch_unwind(|| session.run(&Cell::shape("k", other, &spec)))
         .expect_err("the session must refuse a rejected stream");
     assert_eq!(panic.downcast_ref::<String>(), Some(&why));

@@ -5,18 +5,17 @@
 use std::sync::Arc;
 
 use vegeta::isa::stream::InstStream;
-use vegeta::kernels::{
-    build_listing1_trace, build_rowwise_trace, build_trace, build_vector_gemm_trace,
-};
+use vegeta::kernels::KernelEmitter;
 use vegeta::prelude::*;
 use vegeta::sparse::{prune, transform};
 use vegeta::workloads::table4;
 
-/// `KernelSpec` dispatch must equal the old direct builder entry points
-/// trace-for-trace, for every kernel family.
+/// `KernelSpec` dispatch must equal each family's own emitter
+/// trace-for-trace.
 #[test]
 fn kernel_spec_dispatch_equals_direct_builders() {
     let shape = GemmShape::new(64, 48, 256);
+    let emitted = |emitter: KernelEmitter| emitter.stream().collect_trace();
     for mode in [SparseMode::Dense, SparseMode::Nm2of4, SparseMode::Nm1of4] {
         for opts in [
             KernelOptions::default(),
@@ -28,18 +27,18 @@ fn kernel_spec_dispatch_equals_direct_builders() {
             let spec = KernelSpec::Tiled { mode, opts };
             assert_eq!(
                 spec.build(shape),
-                build_trace(shape, mode, opts),
+                emitted(KernelEmitter::tiled(shape, mode, opts)),
                 "{mode:?} {opts:?}"
             );
         }
         assert_eq!(
             KernelSpec::Listing1 { mode }.build(shape),
-            build_listing1_trace(shape, mode)
+            emitted(KernelEmitter::listing1(shape, mode))
         );
     }
     assert_eq!(
         KernelSpec::Vector.build(shape),
-        build_vector_gemm_trace(shape)
+        emitted(KernelEmitter::vector(shape))
     );
     // Row-wise: covers from a real unstructured matrix.
     let mut rng = rand_seed(11);
@@ -49,7 +48,11 @@ fn kernel_spec_dispatch_equals_direct_builders() {
     let spec = KernelSpec::RowWise {
         row_ratios: covers.clone(),
     };
-    assert_eq!(spec.build(shape), build_rowwise_trace(shape, &covers));
+    let groups = vegeta::engine::rowwise::pack_rows(&covers).len();
+    assert_eq!(
+        spec.build(shape),
+        emitted(KernelEmitter::rowwise(shape, groups))
+    );
 }
 
 /// Cache hits must be observationally identical to cold builds: same trace,

@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use vegeta::isa::stream::InstStream;
 use vegeta::isa::{Executor, TRACE_OP_BYTES};
-use vegeta::kernels::Kernel;
 use vegeta::num::gemm_bf16_ref;
 use vegeta::prelude::*;
 use vegeta::sparse::prune;
