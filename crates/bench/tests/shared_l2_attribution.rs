@@ -9,6 +9,10 @@
 //! depend on *which* core owns each line. On ResNet50-L1 every core that
 //! claims a line touches it equally often, so a fold that kept the wrong
 //! claimant would still count the same shared hits there.
+//!
+//! Neither full-size cell splits K on those core counts, so one
+//! quick-fidelity K-split cell is pinned as well: its reduction replays
+//! on core 0 against the folded L2, after 16 cores' summaries.
 
 use vegeta::prelude::*;
 use vegeta::sim::CacheStats;
@@ -66,6 +70,41 @@ const PINNED: [(&str, [[[u64; 7]; 3]; 3]); 2] = [
         ],
     ),
 ];
+
+/// GPT-L3 at `Fidelity::Quick(4)` (64x64x3072) on 16 cores, a shard set
+/// with a K-split reduction: one row per perf-gate engine, as in
+/// [`PINNED`].
+const K_SPLIT: (&str, usize, [[u64; 7]; 3]) = (
+    "GPT-L3",
+    4,
+    [
+        // RASA-DM
+        [16, 38112, 25056, 32, 38112, 2392064, 49152],
+        // STC-like
+        [16, 27360, 16992, 32, 27360, 1703936, 49152],
+        // VEGETA-S-16-2+OF
+        [16, 27360, 16992, 32, 27360, 1703936, 49152],
+    ],
+);
+
+#[test]
+fn quick_k_split_shared_l2_attribution_is_pinned() {
+    let (name, factor, rows) = K_SPLIT;
+    let layer = table4()
+        .into_iter()
+        .find(|l| l.name == name)
+        .expect("a Table IV layer");
+    let shape = Fidelity::Quick(factor).shape_of(&layer);
+    for (engine, row) in perf_gate_engines().iter().zip(rows) {
+        let spec = engine.kernel_spec(NmRatio::S2_4, KernelOptions::default());
+        assert!(
+            spec.shard_set(shape, row[0] as usize).reduction.is_some(),
+            "{name} on {} splits K",
+            engine.name()
+        );
+        check(&layer, shape, engine, row);
+    }
+}
 
 #[test]
 fn resnet50_shared_l2_attribution_is_pinned() {

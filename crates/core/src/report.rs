@@ -604,19 +604,32 @@ impl SweepReport {
     }
 
     /// The whole grid as a JSON object (metadata plus a `cells` array).
+    ///
+    /// The cells are written into the array one at a time, so only one
+    /// cell's JSON tree is ever alive: the whole grid's tree is several
+    /// times the size of its text, and was the largest heap spike of a
+    /// Fig. 13 sweep.
     pub fn to_json(&self) -> String {
-        JsonValue::Object(vec![
+        use std::fmt::Write as _;
+        let mut out = JsonValue::Object(vec![
             ("traces_built".into(), self.traces_built.into()),
             ("trace_cache_hits".into(), self.trace_cache_hits.into()),
             ("l1_fresh_replays".into(), self.l1_fresh_replays.into()),
             ("cache_entries".into(), self.cache.entries.into()),
             ("threads".into(), self.threads.into()),
-            (
-                "cells".into(),
-                JsonValue::Array(self.cells.iter().map(RunReport::to_json_value).collect()),
-            ),
+            ("cells".into(), JsonValue::Array(Vec::new())),
         ])
-        .to_string()
+        .to_string();
+        // Reopen the empty `cells` array: drop its `]` and the object's `}`.
+        out.truncate(out.len() - 2);
+        for (i, cell) in self.cells.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write!(out, "{}", cell.to_json_value()).expect("writing to a String cannot fail");
+        }
+        out.push_str("]}");
+        out
     }
 
     /// Writes the CSV into `$VEGETA_CSV_DIR/<name>.csv` when that
@@ -850,6 +863,27 @@ mod tests {
         let csv = report.to_csv();
         assert!(csv.starts_with("workload,"));
         assert_eq!(csv.lines().count(), 5);
+        // The JSON written cell by cell is the whole tree's text, byte for
+        // byte, with no cells and with several.
+        for cells in [0, report.cells.len()] {
+            let part = SweepReport {
+                cells: report.cells[..cells].to_vec(),
+                cache: report.cache,
+                ..report
+            };
+            let tree = JsonValue::Object(vec![
+                ("traces_built".into(), part.traces_built.into()),
+                ("trace_cache_hits".into(), part.trace_cache_hits.into()),
+                ("l1_fresh_replays".into(), part.l1_fresh_replays.into()),
+                ("cache_entries".into(), part.cache.entries.into()),
+                ("threads".into(), part.threads.into()),
+                (
+                    "cells".into(),
+                    JsonValue::Array(part.cells.iter().map(RunReport::to_json_value).collect()),
+                ),
+            ]);
+            assert_eq!(part.to_json(), tree.to_string(), "{cells} cells");
+        }
     }
 
     #[test]

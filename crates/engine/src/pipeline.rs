@@ -49,6 +49,15 @@ pub struct InstTiming {
 #[derive(Debug, Clone)]
 pub struct EngineTimer {
     cfg: EngineConfig,
+    /// [`EngineConfig::issue_interval`], computed once: the issue path
+    /// runs once per tile compute instruction.
+    issue_interval: u64,
+    /// [`EngineConfig::instruction_latency`].
+    latency: u64,
+    /// The start gap of a dependent instruction behind its producer: with
+    /// output forwarding `Nrows + log2(beta)` after the producer's start,
+    /// without it the WL latency before the producer's completion.
+    chain_gap: u64,
     last_start: Option<u64>,
     /// Last scheduled instruction per accumulator, indexed directly by the
     /// [`AccId`] (a flat 256-slot table — the issue path runs once per tile
@@ -61,7 +70,15 @@ pub struct EngineTimer {
 impl EngineTimer {
     /// Creates a timer for the given engine.
     pub fn new(cfg: EngineConfig) -> Self {
+        let chain_gap = if cfg.output_forwarding() {
+            cfg.nrows() + log2_ceil(cfg.beta())
+        } else {
+            cfg.wl_latency()
+        };
         EngineTimer {
+            issue_interval: cfg.issue_interval() as u64,
+            latency: cfg.instruction_latency() as u64,
+            chain_gap: chain_gap as u64,
             cfg,
             last_start: None,
             by_acc: Box::new([None; 256]),
@@ -91,7 +108,7 @@ impl EngineTimer {
         let mut start = ready;
         // Structural: in-order issue, one instruction per stage.
         if let Some(prev) = self.last_start {
-            start = start.max(prev + self.cfg.issue_interval() as u64);
+            start = start.max(prev + self.issue_interval);
         }
         // Data: accumulation chain on the same C register.
         if let Some(producer) = self.by_acc[acc as usize] {
@@ -101,13 +118,11 @@ impl EngineTimer {
                 // producer.start + WL + Nrows + log2(beta). Matching
                 // stream order and rate, the consumer start may trail the
                 // producer start by Nrows + log2(beta).
-                producer.start + (self.cfg.nrows() + log2_ceil(self.cfg.beta())) as u64
+                producer.start + self.chain_gap
             } else {
                 // Without OF the consumer's FF must wait for the producer's
                 // full writeback.
-                producer
-                    .completion
-                    .saturating_sub(self.cfg.wl_latency() as u64)
+                producer.completion.saturating_sub(self.chain_gap)
             };
             start = start.max(gap);
         }
@@ -117,7 +132,7 @@ impl EngineTimer {
     /// Schedules an instruction, returning its timing.
     pub fn issue(&mut self, acc: AccId, ready: u64) -> InstTiming {
         let start = self.earliest_start(acc, ready);
-        let completion = start + self.cfg.instruction_latency() as u64;
+        let completion = start + self.latency;
         let timing = InstTiming { start, completion };
         self.last_start = Some(start);
         self.by_acc[acc as usize] = Some(timing);

@@ -9,8 +9,35 @@ pub fn percentile_us(sorted: &[u64], pct: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted[nearest_rank(sorted.len(), pct) - 1]
+}
+
+/// The one-based nearest rank of the `pct`th percentile among `len` (at
+/// least one) values.
+fn nearest_rank(len: usize, pct: f64) -> usize {
+    (((pct / 100.0) * len as f64).ceil() as usize).clamp(1, len)
+}
+
+/// The nearest-rank p50, p95 and p99 and the maximum of `latencies`, as
+/// [`percentile_us`] reads them off the sorted slice, 0 each for an empty
+/// one. `latencies` is reordered but not sorted: each selection orders the
+/// slice only around its rank, and the next, lower rank is selected among
+/// the values below it.
+pub(crate) fn latency_quantiles(latencies: &mut [u64]) -> [u64; 4] {
+    let Some(&max) = latencies.iter().max() else {
+        return [0; 4];
+    };
+    let n = latencies.len();
+    let mut below = latencies;
+    let mut at = |pct| {
+        let rank = nearest_rank(n, pct);
+        let slice = std::mem::take(&mut below);
+        let value = *slice.select_nth_unstable(rank - 1).1;
+        below = &mut slice[..rank];
+        value
+    };
+    let (p99, p95, p50) = (at(99.0), at(95.0), at(50.0));
+    [p50, p95, p99, max]
 }
 
 /// Everything one serving run produced, ready for JSON.
@@ -189,6 +216,35 @@ mod tests {
         assert_eq!(percentile_us(&[], 50.0), 0);
         // Small-n nearest rank: ceil(0.5 * 3) = 2nd of three.
         assert_eq!(percentile_us(&[10, 20, 30], 50.0), 20);
+    }
+
+    #[test]
+    fn selected_quantiles_match_the_sorted_percentiles() {
+        // Lengths around the ranks' rounding, duplicates, and an xorshift
+        // spread: selection must read what the sorted slice reads.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for n in (0..=40).chain([99, 100, 101, 1000, 8192]) {
+            for spread in [3, 1 << 20] {
+                let values: Vec<u64> = (0..n)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x % spread
+                    })
+                    .collect();
+                let mut sorted = values.clone();
+                sorted.sort_unstable();
+                let expected = [
+                    percentile_us(&sorted, 50.0),
+                    percentile_us(&sorted, 95.0),
+                    percentile_us(&sorted, 99.0),
+                    sorted.last().copied().unwrap_or(0),
+                ];
+                let mut selected = values;
+                assert_eq!(latency_quantiles(&mut selected), expected, "n {n}");
+            }
+        }
     }
 
     fn sample() -> ServeReport {

@@ -12,7 +12,7 @@ use vegeta::session::{preflight, Preflight};
 
 use crate::batch::{Admit, Batcher, BatcherConfig};
 use crate::loadgen::LoadGen;
-use crate::report::{percentile_us, ServeReport};
+use crate::report::{latency_quantiles, ServeReport};
 use crate::request::{BatchKey, Outcome, Request, RequestError, Response, Work};
 use crate::worker::{SimOutcome, WorkerPool};
 
@@ -554,7 +554,7 @@ impl Server {
         }
 
         let completed = latencies.len();
-        latencies.sort_unstable();
+        let [p50, p95, p99, max] = latency_quantiles(&mut latencies);
         let hist: Vec<(usize, usize)> = batch_hist
             .into_iter()
             .enumerate()
@@ -594,10 +594,10 @@ impl Server {
             makespan_us,
             achieved_qps,
             mean_latency_us,
-            p50_latency_us: percentile_us(&latencies, 50.0),
-            p95_latency_us: percentile_us(&latencies, 95.0),
-            p99_latency_us: percentile_us(&latencies, 99.0),
-            max_latency_us: latencies.last().copied().unwrap_or(0),
+            p50_latency_us: p50,
+            p95_latency_us: p95,
+            p99_latency_us: p99,
+            max_latency_us: max,
             per_worker_busy_us: busy_us,
             distinct_keys: outcomes.len(),
             sim_cycles: outcomes.iter().map(|o| o.cycles).sum(),

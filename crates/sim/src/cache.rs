@@ -24,35 +24,58 @@
 //! is 16 line requests in at most two blocks, so a lookup costs one probe
 //! or one hash operation per block, not per line.
 //!
-//! # Replacement in O(1)
+//! # An exact LRU kept by access run
 //!
-//! An exact-LRU table (`LruTable`) keeps each resident line in a *slot*:
-//! its block's sector, its line within the block, and its links in an
-//! intrusive doubly-linked recency list over slot numbers. A hit unlinks
-//! the line and re-links it at the MRU tail; a miss at capacity evicts the
-//! list head and reuses its slot. Because every access moves the touched
-//! line to the tail, the head is always the line whose last use is oldest
-//! — the exact same victim a last-use-stamp scan would pick (stamps are
-//! strictly increasing, so the minimum stamp *is* the list head).
+//! The L1's table (`LruTable`) keeps recency as a queue of *runs*, one per
+//! access per block: the block's *sector* and the mask of the lines whose
+//! latest access the run still is (its *live* lines). An access touches
+//! its lines in lane order, so within a run the lines are oldest-first in
+//! lane order, and the queue read head to tail, each run lowest lane
+//! first, is the exact LRU order of the resident lines. The victim a
+//! last-use-stamp scan picks is always the lowest live line of the first
+//! run that has one.
 //!
-//! Lines find their slot through a *sectored* index: an open-addressed
-//! table of `u32` sector numbers, one per block with a resident line. A
-//! sector holds its block number and the slot of each of its 16 lines. The
-//! index is a power of two at least twice the capacity long (a block per
-//! resident line at worst), so it is at most half full. A lookup probes
-//! linearly from a multiplicative hash of the block number, once for all
-//! the lines an access covers in that block; an eviction clears its line
-//! in the sector the slot records, and only a sector left empty leaves the
-//! index, by backward shift, moving later entries of the probe run into
-//! the hole, so no tombstones build up. The index is allocated on the first
-//! insert. The [`SharedL2`] never evicts, so it keeps no such table.
+//! * An access that misses every line it covers, and covers at most the
+//!   capacity, evicts what it must in bulk from the head of the queue (a
+//!   whole run at a time, then the lowest live lines of the next by bit
+//!   operations) and appends one run. Those are the victims a line-by-line
+//!   walk evicts too, since none of them can be a line of this access.
+//! * Any other access appends its run first and then walks its lines in
+//!   lane order, as the stamp scan does: a resident line moves from the
+//!   run that held it into the new one, and a missing line joins the new
+//!   run after a full table evicts its LRU line. Below 16 lines of
+//!   capacity an access so evicts its own earlier lines, and a block whose
+//!   other resident lines sit at the head of the queue can lose them all,
+//!   to take the all-miss path on its next access.
+//! * A run left with no live line is dead: skipped at the head, and
+//!   dropped when the queue reaches `RUN_QUEUE_FACTOR` times the
+//!   capacity and is compacted.
+//!
+//! A sector holds its block, its resident-line mask and the queue position
+//! of the run holding each resident line, so a hit finds the run to take
+//! its line from; a run names its sector by number, so an eviction never
+//! hashes. Blocks find their sector through a hash map that may go stale:
+//! a freed sector forgets its block, an entry naming a sector that holds
+//! another block reads as absent, and the map drops its stale entries once
+//! it holds twice as many as there are sectors.
 //!
 //! Every access of a Fig. 13 replay goes through the L1's table, and most
-//! of them miss (a ~7% hit ratio), so a tile load is two short probes and
-//! sixteen list operations in small arrays rather than sixteen lookups.
-//! The equivalence with the stamp scan is pinned by randomized
+//! of them miss every line (a ~7% hit ratio), so a tile load is two hash
+//! lookups, a few bit operations at the head of the queue and two appended
+//! runs. The equivalence with the stamp scan is pinned by randomized
 //! differential tests against a reference model.
+//!
+//! # First-touch claims by page
+//!
+//! The [`SharedL2`] keeps its claims in *pages* of `PAGE_BLOCKS` blocks'
+//! claims (4 KB), found through one hash map keyed by page number, with the
+//! page looked up last cached beside it, so an access hashes at most once
+//! per page and a streamed operand's next block mostly not at all. A page
+//! marks the blocks it holds claims for, and [`SharedL2::fold`] merges a
+//! summary page by page through that mask, resetting each summary page for
+//! the summary's next use as it goes. The [`SharedL2`] never evicts.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -62,6 +85,50 @@ pub const LINE_BYTES: u64 = 64;
 /// Lines per block: the 1 KB unit (one 16-row tile) that both levels keep
 /// their books by.
 const BLOCK_LINES: usize = 16;
+
+/// Blocks per claim page of a [`SharedL2`]: 16 blocks of 16 lines' claims,
+/// 4 KB.
+const PAGE_BLOCKS: u64 = 16;
+
+/// Length of an `LruTable`'s run queue, in multiples of its capacity, at
+/// which the queue drops its dead runs; the queue is allocated at that
+/// length on the first insert. A live run holds a resident line, so a
+/// compaction keeps at most the capacity, and the next one comes at least
+/// the capacity of appended runs later.
+const RUN_QUEUE_FACTOR: usize = 2;
+
+/// Scrambles a block or page number for the maps keyed by one: the number
+/// times an odd constant, with the high half folded into the low half, so
+/// nearby numbers spread over distinct buckets.
+fn scramble(number: u64) -> u64 {
+    let h = number.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    h ^ (h >> 32)
+}
+
+/// Hashes the block and page numbers keying [`NumberMap`]s with
+/// [`scramble`]. The keys are simulated addresses, so a DoS-resistant
+/// hasher would only cost time.
+#[derive(Debug, Clone, Copy, Default)]
+struct NumberHasher(u64);
+
+impl Hasher for NumberHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, number: u64) {
+        self.0 = scramble(number);
+    }
+}
+
+/// Block or page number → a sector or page position.
+type NumberMap = HashMap<u64, u32, BuildHasherDefault<NumberHasher>>;
 
 /// Access statistics of one private L1 cache model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -143,13 +210,13 @@ pub(crate) fn blocks(first: u64, lines: u64) -> impl Iterator<Item = (u64, u16)>
 }
 
 /// The set bits of `mask`, lowest first: the lines of a block an access
-/// covers, in address order.
-fn lanes(mut mask: u16) -> impl Iterator<Item = usize> {
+/// covers, in address order, or the blocks of a claim page.
+fn bits(mut mask: u16) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (mask != 0).then(|| {
-            let lane = mask.trailing_zeros() as usize;
+            let bit = mask.trailing_zeros() as usize;
             mask &= mask - 1;
-            lane
+            bit
         })
     })
 }
@@ -171,9 +238,9 @@ struct Claim {
     own: u32,
 }
 
-// One claim per line of every resident block: a GPT-L3 multi-core cell
-// holds hundreds of thousands, so 16 bytes rather than 24 keeps the claim
-// maps' peak down.
+// One claim per line of every page: a GPT-L3 multi-core cell holds
+// hundreds of thousands, so 16 bytes rather than 24 keeps the pages' peak
+// down, and a page of 256 claims at 4 KB.
 const _: () = assert!(std::mem::size_of::<Claim>() == 16);
 
 impl Claim {
@@ -196,309 +263,20 @@ impl Claim {
 /// The claims of one block's lines, by line within the block.
 type BlockClaims = [Claim; BLOCK_LINES];
 
-/// Hashes the block numbers keying a [`SharedL2`]'s claims: the block
-/// number without the bits that chose its map (see [`map_of`]) times an
-/// odd constant, with the high half folded into the low half. Consecutive
-/// keys of one map then differ in their low bits, one to one, so nearby
-/// blocks spread over distinct buckets. The keys are simulated addresses,
-/// so a DoS-resistant hasher would only cost time.
-#[derive(Debug, Clone, Copy, Default)]
-struct BlockHasher(u64);
-
-impl Hasher for BlockHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, block: u64) {
-        let h = (block / CLAIM_MAPS as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
-/// Block number → the claims of its lines.
-type ClaimMap = HashMap<u64, BlockClaims, BuildHasherDefault<BlockHasher>>;
-
-/// Claim maps a [`SharedL2`] spreads its blocks over. A map grows by
-/// doubling, with the old and the new table live while it copies; with
-/// one map, the largest multi-core cells' claims went from 3 to 6 MiB at
-/// once, a heap spike of half again the table. Sixteen maps grow one at a
-/// time, so a growth step holds a sixteenth of the claims twice.
-const CLAIM_MAPS: usize = 16;
-
-/// The claim map block `block` lives in: consecutive blocks go to
-/// consecutive maps, so every map takes its share of a streamed operand.
-fn map_of(block: u64) -> usize {
-    block as usize % CLAIM_MAPS
-}
-
-/// Sentinel for "no slot" or "no sector": an empty index bucket, a line
-/// of a sector that is not resident, or the end of the intrusive recency
-/// list.
-const NO_SLOT: u32 = u32::MAX;
-
-/// One block with a resident line in an [`LruTable`]: the slot of each of
-/// its lines, or [`NO_SLOT`].
+/// The claims of [`PAGE_BLOCKS`] consecutive blocks.
 #[derive(Debug, Clone)]
-struct Sector {
-    block: u64,
-    slots: [u32; BLOCK_LINES],
-    /// Resident lines of the block; a sector at 0 leaves the index.
-    resident: u32,
+struct ClaimPage {
+    /// The page number: its first block's number over [`PAGE_BLOCKS`].
+    number: u64,
+    /// The blocks holding a claim: bit `i` is block `number * 16 + i`.
+    present: u16,
+    claims: [BlockClaims; PAGE_BLOCKS as usize],
 }
 
-/// One resident line of an [`LruTable`]: where the index keeps it, and its
-/// links in the recency list.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    sector: u32,
-    /// The line's position within its block.
-    lane: u32,
-    prev: u32,
-    next: u32,
-}
-
-/// An exact-LRU residency table: block → sector → line → slot, with
-/// recency as an intrusive doubly-linked list over slots (head = least
-/// recently used, tail = most recently used).
-///
-/// Every operation is O(1): a hit unlinks + re-links at the tail, an
-/// insert appends at the tail (reusing a freed slot when one exists), and
-/// eviction pops the head. The head is always the exact least-recently-
-/// used line, so this is observationally identical to scanning for the
-/// minimum last-use stamp — just without the O(capacity) scan per miss.
-///
-/// The index is an open-addressed table of sector numbers (see the module
-/// doc), allocated on the first insert.
-#[derive(Debug, Clone)]
-struct LruTable {
-    /// Most lines the owner keeps resident; sizes the index.
-    capacity_lines: usize,
-    /// Index buckets, each a sector number or [`NO_SLOT`]; a power of two
-    /// at least twice `capacity_lines` long, or empty before the first
-    /// insert.
-    buckets: Vec<u32>,
-    /// `64 - log2(buckets.len())`: the hash keeps the top bits.
-    shift: u32,
-    sectors: Vec<Sector>,
-    free_sectors: Vec<u32>,
-    slots: Vec<Slot>,
-    free_slots: Vec<u32>,
-    head: u32,
-    tail: u32,
-}
-
-impl LruTable {
-    /// An empty table for at most `capacity_lines` (at least one)
-    /// resident lines.
-    fn new(capacity_lines: usize) -> Self {
-        LruTable {
-            capacity_lines: capacity_lines.max(1),
-            buckets: Vec::new(),
-            shift: 0,
-            sectors: Vec::new(),
-            free_sectors: Vec::new(),
-            slots: Vec::new(),
-            free_slots: Vec::new(),
-            head: NO_SLOT,
-            tail: NO_SLOT,
-        }
-    }
-
-    /// Resident lines.
-    fn len(&self) -> usize {
-        self.slots.len() - self.free_slots.len()
-    }
-
-    /// The bucket `block`'s probe starts from: a multiplicative hash of
-    /// the block number.
-    fn home(&self, block: u64) -> usize {
-        (block.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
-    }
-
-    /// The bucket holding `block`'s sector, or the empty bucket ending its
-    /// probe.
-    fn probe(&self, block: u64) -> usize {
-        let mask = self.buckets.len() - 1;
-        let mut b = self.home(block);
-        loop {
-            let sector = self.buckets[b];
-            if sector == NO_SLOT || self.sectors[sector as usize].block == block {
-                return b;
-            }
-            b = (b + 1) & mask;
-        }
-    }
-
-    /// The sector of `block`, if one of its lines is resident.
-    fn find(&self, block: u64) -> Option<u32> {
-        if self.buckets.is_empty() {
-            return None;
-        }
-        let sector = self.buckets[self.probe(block)];
-        (sector != NO_SLOT).then_some(sector)
-    }
-
-    /// Empties bucket `hole` by backward shift: every later entry of the
-    /// probe run that may sit at or before `hole` moves back into it, so
-    /// no tombstone is left and every probe still ends at the first empty
-    /// bucket.
-    fn remove_bucket(&mut self, mut hole: usize) {
-        let mask = self.buckets.len() - 1;
-        let mut b = hole;
-        loop {
-            b = (b + 1) & mask;
-            let sector = self.buckets[b];
-            if sector == NO_SLOT {
-                break;
-            }
-            // Probe distance of the entry at `b` vs the distance from the
-            // hole: the entry may fill the hole unless its home lies in
-            // `(hole, b]`.
-            let home = self.home(self.sectors[sector as usize].block);
-            if b.wrapping_sub(home) & mask >= b.wrapping_sub(hole) & mask {
-                self.buckets[hole] = sector;
-                hole = b;
-            }
-        }
-        self.buckets[hole] = NO_SLOT;
-    }
-
-    fn unlink(&mut self, slot: u32) {
-        let Slot { prev, next, .. } = self.slots[slot as usize];
-        if prev == NO_SLOT {
-            self.head = next;
-        } else {
-            self.slots[prev as usize].next = next;
-        }
-        if next == NO_SLOT {
-            self.tail = prev;
-        } else {
-            self.slots[next as usize].prev = prev;
-        }
-    }
-
-    fn link_tail(&mut self, slot: u32) {
-        self.slots[slot as usize].prev = self.tail;
-        self.slots[slot as usize].next = NO_SLOT;
-        if self.tail == NO_SLOT {
-            self.head = slot;
-        } else {
-            self.slots[self.tail as usize].next = slot;
-        }
-        self.tail = slot;
-    }
-
-    /// Accesses the lines `mask` selects in `block`, lowest first: a
-    /// resident line is refreshed to most-recently-used, a missing one is
-    /// inserted as most-recently-used, after a full table evicts its
-    /// least-recently-used line. So at most `capacity_lines` lines are
-    /// ever resident and the index stays at most half full. Returns the
-    /// mask of the lines that missed.
-    fn access(&mut self, block: u64, mask: u16) -> u16 {
-        let mut sector = self.find(block);
-        let mut misses = 0;
-        for lane in lanes(mask) {
-            if let Some(s) = sector {
-                let slot = self.sectors[s as usize].slots[lane];
-                if slot != NO_SLOT {
-                    if self.tail != slot {
-                        self.unlink(slot);
-                        self.link_tail(slot);
-                    }
-                    continue;
-                }
-            }
-            misses |= 1 << lane;
-            // The victim may be the last resident line of this very block,
-            // whose sector then leaves the index.
-            if self.len() >= self.capacity_lines && self.evict_lru() == sector {
-                sector = None;
-            }
-            let s = match sector {
-                Some(s) => s,
-                None => self.insert_sector(block),
-            };
-            sector = Some(s);
-            self.insert_slot(s, lane);
-        }
-        misses
-    }
-
-    /// Adds an empty sector for a `block` with no resident line to the
-    /// index, allocating the index on the first insert.
-    fn insert_sector(&mut self, block: u64) -> u32 {
-        if self.buckets.is_empty() {
-            let buckets = (2 * self.capacity_lines).next_power_of_two().max(2);
-            self.buckets = vec![NO_SLOT; buckets];
-            self.shift = 64 - buckets.trailing_zeros();
-        }
-        let bucket = self.probe(block);
-        debug_assert_eq!(self.buckets[bucket], NO_SLOT, "insert of a resident block");
-        let fresh = Sector {
-            block,
-            slots: [NO_SLOT; BLOCK_LINES],
-            resident: 0,
-        };
-        let sector = if let Some(sector) = self.free_sectors.pop() {
-            self.sectors[sector as usize] = fresh;
-            sector
-        } else {
-            self.sectors.push(fresh);
-            u32::try_from(self.sectors.len() - 1).expect("fewer than 2^32 sectors")
-        };
-        self.buckets[bucket] = sector;
-        sector
-    }
-
-    /// Makes line `lane` of `sector` resident as most-recently-used.
-    fn insert_slot(&mut self, sector: u32, lane: usize) {
-        let fresh = Slot {
-            sector,
-            lane: lane as u32,
-            prev: NO_SLOT,
-            next: NO_SLOT,
-        };
-        let slot = if let Some(slot) = self.free_slots.pop() {
-            self.slots[slot as usize] = fresh;
-            slot
-        } else {
-            self.slots.push(fresh);
-            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 cache lines")
-        };
-        let s = &mut self.sectors[sector as usize];
-        s.slots[lane] = slot;
-        s.resident += 1;
-        self.link_tail(slot);
-    }
-
-    /// Evicts the least-recently-used line (the list head — exactly the
-    /// line a min-last-use-stamp scan would pick) of a non-empty table.
-    /// Returns the victim's sector if that left it empty, and so out of
-    /// the index.
-    fn evict_lru(&mut self) -> Option<u32> {
-        let victim = self.head;
-        self.unlink(victim);
-        self.free_slots.push(victim);
-        let Slot { sector, lane, .. } = self.slots[victim as usize];
-        let s = &mut self.sectors[sector as usize];
-        s.slots[lane as usize] = NO_SLOT;
-        s.resident -= 1;
-        if s.resident > 0 {
-            return None;
-        }
-        let block = s.block;
-        self.remove_bucket(self.probe(block));
-        self.free_sectors.push(sector);
-        Some(sector)
-    }
-}
+/// The page number of no page: the [`SharedL2`]'s page cache before its
+/// first lookup. Block numbers are byte addresses over 1 KB, so no page
+/// number reaches it.
+const NO_PAGE: u64 = u64::MAX;
 
 /// A coherence-free shared L2: the common next level of every core's
 /// private L1 in a [`crate::MultiCoreSim`].
@@ -508,9 +286,10 @@ impl LruTable {
 /// invalidation traffic is modelled. Under the §VI-B prefetch assumption
 /// every lookup is a hit at `hit_latency`, exactly as the single-core model
 /// assumes, and nothing is ever evicted: the level only tracks each line's
-/// first toucher, for the sharing attribution. It keeps those claims by
-/// block, one map entry per 1 KB block holding its 16 lines' claims, so an
-/// L1 miss on a whole tile costs one hash operation per block.
+/// first toucher, for the sharing attribution. It keeps those claims in
+/// 4 KB pages of 16 blocks, behind one page index and a cache of the page
+/// looked up last, so an L1 miss on a whole tile costs at most one hash
+/// operation per page.
 ///
 /// A shared L2 that only one core accesses doubles as that core's
 /// *first-touch summary* (each line's first stamp and access count),
@@ -518,9 +297,14 @@ impl LruTable {
 #[derive(Debug, Clone)]
 pub struct SharedL2 {
     hit_latency: u64,
-    /// Every resident block's first-touch claims (sharing attribution),
-    /// spread over [`CLAIM_MAPS`] maps by block number (see [`map_of`]).
-    claims: [ClaimMap; CLAIM_MAPS],
+    /// Page number → position in `pages`.
+    index: NumberMap,
+    /// Claim pages: the first `index.len()` in use, by first touch, and
+    /// the rest reset by a fold, for reuse. Each page is an allocation of
+    /// its own, so a growing L2 never copies its claims.
+    pages: Vec<Box<ClaimPage>>,
+    /// The page looked up last: its number and position, or [`NO_PAGE`].
+    last: (u64, u32),
     /// Lines with a claim.
     resident_lines: usize,
     stats: SharedL2Stats,
@@ -533,7 +317,9 @@ impl SharedL2 {
     pub fn new(hit_latency: u64) -> Self {
         SharedL2 {
             hit_latency,
-            claims: Default::default(),
+            index: NumberMap::default(),
+            pages: Vec::new(),
+            last: (NO_PAGE, 0),
             resident_lines: 0,
             stats: SharedL2Stats::default(),
             now: 0,
@@ -550,6 +336,11 @@ impl SharedL2 {
         self.resident_lines
     }
 
+    /// Claim pages in use.
+    pub(crate) fn pages(&self) -> usize {
+        self.index.len()
+    }
+
     /// Sets the clock of the accesses that follow: lines they touch first
     /// are stamped `now + 1`, which keeps stamp 0 for settled lines.
     pub fn set_now(&mut self, now: u64) {
@@ -559,13 +350,36 @@ impl SharedL2 {
     /// Settles every resident line: no later [`SharedL2::fold`] may take
     /// it from its owner, since it was touched before the run that folds.
     pub(crate) fn settle(&mut self) {
-        for map in &mut self.claims {
-            for claims in map.values_mut() {
-                for claim in claims {
+        for page in &mut self.pages[..self.index.len()] {
+            for slot in bits(page.present) {
+                for claim in &mut page.claims[slot] {
                     claim.time = 0;
                 }
             }
         }
+    }
+
+    /// The position of page `number`, in use from now on: the cached last
+    /// page, or one index lookup, which adds the page, empty, if no line
+    /// of it has a claim yet.
+    fn page(&mut self, number: u64) -> usize {
+        if self.last.0 != number {
+            let used = self.index.len();
+            let fresh = u32::try_from(used).expect("fewer than 2^32 claim pages");
+            let pos = *self.index.entry(number).or_insert(fresh);
+            if pos == fresh {
+                match self.pages.get_mut(used) {
+                    Some(page) => page.number = number,
+                    None => self.pages.push(Box::new(ClaimPage {
+                        number,
+                        present: 0,
+                        claims: [[Claim::ABSENT; BLOCK_LINES]; PAGE_BLOCKS as usize],
+                    })),
+                }
+            }
+            self.last = (number, pos);
+        }
+        self.last.1 as usize
     }
 
     /// Looks up one line on behalf of `core`, updating the sharing
@@ -578,16 +392,18 @@ impl SharedL2 {
     }
 
     /// Looks up the lines `mask` selects in `block` on behalf of `core`
-    /// (see [`SharedL2::access_line`]), with one hash operation.
+    /// (see [`SharedL2::access_line`]), with at most one hash operation.
     pub(crate) fn access_block(&mut self, core: usize, block: u64, mask: u16) -> u64 {
         let core = u32::try_from(core).expect("fewer than 2^32 simulated cores");
         let lines = u64::from(mask.count_ones());
         self.stats.accesses += lines;
         self.stats.hits += lines;
-        let claims = self.claims[map_of(block)]
-            .entry(block)
-            .or_insert([Claim::ABSENT; BLOCK_LINES]);
-        for lane in lanes(mask) {
+        let pos = self.page(block / PAGE_BLOCKS);
+        let slot = (block % PAGE_BLOCKS) as usize;
+        let page = &mut self.pages[pos];
+        page.present |= 1 << slot;
+        let claims = &mut page.claims[slot];
+        for lane in bits(mask) {
             let claim = &mut claims[lane];
             if claim.own == 0 {
                 // The data was preloaded (§VI-B): the first touch is a hit
@@ -617,36 +433,297 @@ impl SharedL2 {
     /// The owner is a minimum and every non-owner access is counted once,
     /// so the stats do not depend on the order cores are folded in. One
     /// core may fold several summaries, as long as it folds them in the
-    /// order it ran them.
+    /// order it ran them. The summary is left empty, its pages reset for
+    /// reuse.
     pub fn fold(&mut self, summary: &mut SharedL2) {
-        // Plain nested loops: draining through `flat_map(HashMap::drain)`
-        // made multi-core runs 20-40% slower on a 2-CPU host.
-        for map in &mut summary.claims {
-            for (block, theirs) in map.drain() {
-                let ours = self.claims[map_of(block)]
-                    .entry(block)
-                    .or_insert([Claim::ABSENT; BLOCK_LINES]);
-                for (ours, theirs) in ours.iter_mut().zip(&theirs) {
+        for theirs in &mut summary.pages[..summary.index.len()] {
+            let pos = self.page(theirs.number);
+            let ours = &mut self.pages[pos];
+            ours.present |= theirs.present;
+            for slot in bits(std::mem::take(&mut theirs.present)) {
+                for (ours, theirs) in ours.claims[slot].iter_mut().zip(&mut theirs.claims[slot]) {
+                    let theirs = std::mem::replace(theirs, Claim::ABSENT);
                     if theirs.own == 0 {
                         continue;
                     }
                     self.stats.accesses += u64::from(theirs.own);
                     self.stats.hits += u64::from(theirs.own);
                     if ours.own == 0 {
-                        *ours = *theirs;
+                        *ours = theirs;
                         self.resident_lines += 1;
                     } else if ours.core == theirs.core {
                         ours.add_own(theirs.own);
                     } else if (theirs.time, theirs.core) < (ours.time, ours.core) {
                         self.stats.shared_hits += u64::from(ours.own);
-                        *ours = *theirs;
+                        *ours = theirs;
                     } else {
                         self.stats.shared_hits += u64::from(theirs.own);
                     }
                 }
             }
         }
+        summary.index.clear();
+        summary.last = (NO_PAGE, 0);
         summary.resident_lines = 0;
+    }
+}
+
+/// The block of a free sector: block numbers are byte addresses over
+/// 1 KB, so none reaches it.
+const NO_BLOCK: u64 = u64::MAX;
+
+/// The sector of no sector: an eviction that may free any sector.
+const NO_SECTOR: u32 = u32::MAX;
+
+/// One block with a resident line in an [`LruTable`], or a free one.
+#[derive(Debug, Clone)]
+struct Sector {
+    /// The block, or [`NO_BLOCK`] for a free sector.
+    block: u64,
+    /// The resident lines: bit `i` is line `block * 16 + i`.
+    resident: u16,
+    /// The queue position of the run each resident line is live in.
+    run_of: [u32; BLOCK_LINES],
+}
+
+/// One access's lines of one block in an [`LruTable`]'s recency queue.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    sector: u32,
+    /// The lines whose latest access this run still is; dead at 0.
+    live: u16,
+}
+
+/// The `count` lowest set bits of `mask`.
+fn lowest(mut mask: u16, count: usize) -> u16 {
+    let mut low = 0;
+    for _ in 0..count {
+        let bit = mask & mask.wrapping_neg();
+        low |= bit;
+        mask ^= bit;
+    }
+    low
+}
+
+/// An [`LruTable`]'s recency: its sectors and its queue of runs (see the
+/// module doc), everything but the block index.
+#[derive(Debug, Clone)]
+struct Recency {
+    /// Most lines resident at once (at least one).
+    capacity: usize,
+    /// Resident lines.
+    len: usize,
+    /// Sectors by number, in use or free.
+    sectors: Vec<Sector>,
+    free_sectors: Vec<u32>,
+    /// The queue, oldest run first, from position `head` on; the runs
+    /// before `head` are dead and wait for the next compaction.
+    runs: Vec<Run>,
+    head: usize,
+}
+
+impl Recency {
+    /// A sector for `block`, with no resident line yet.
+    fn new_sector(&mut self, block: u64) -> u32 {
+        if let Some(s) = self.free_sectors.pop() {
+            self.sectors[s as usize].block = block;
+            return s;
+        }
+        self.sectors.push(Sector {
+            block,
+            resident: 0,
+            run_of: [0; BLOCK_LINES],
+        });
+        u32::try_from(self.sectors.len() - 1).expect("fewer than 2^32 sectors")
+    }
+
+    /// Appends a run of `sector`'s lines `live` to the queue, compacting
+    /// the queue first when it is long; returns the run's position.
+    fn push_run(&mut self, sector: u32, live: u16) -> u32 {
+        let limit = RUN_QUEUE_FACTOR * self.capacity;
+        if self.runs.len() >= limit {
+            self.compact();
+        } else if self.runs.capacity() == 0 {
+            self.runs.reserve_exact(limit);
+        }
+        self.runs.push(Run { sector, live });
+        u32::try_from(self.runs.len() - 1).expect("fewer than 2^32 queued runs")
+    }
+
+    /// Drops the dead runs, keeping the order of the live ones, and points
+    /// each resident line at its run's new position.
+    fn compact(&mut self) {
+        let mut kept = 0;
+        for i in self.head..self.runs.len() {
+            let run = self.runs[i];
+            if run.live == 0 {
+                continue;
+            }
+            let sector = &mut self.sectors[run.sector as usize];
+            for lane in bits(run.live) {
+                sector.run_of[lane] = kept as u32;
+            }
+            self.runs[kept] = run;
+            kept += 1;
+        }
+        self.runs.truncate(kept);
+        self.head = 0;
+    }
+
+    /// Evicts the `count` least-recently-used lines, at most as many as
+    /// are resident: whole runs from the head, then the lowest live lines
+    /// of the next. A sector left with no resident line is freed, unless
+    /// it is `keep`, the sector an access is filling.
+    fn evict(&mut self, mut count: usize, keep: u32) {
+        self.len -= count;
+        while count > 0 {
+            // A dead run at the head holds nothing to evict. It cannot be
+            // the run an access is filling: with a line to evict, a live
+            // run follows the head.
+            let run = &mut self.runs[self.head];
+            if run.live == 0 {
+                self.head += 1;
+                continue;
+            }
+            let gone = if run.live.count_ones() as usize <= count {
+                run.live
+            } else {
+                lowest(run.live, count)
+            };
+            run.live &= !gone;
+            count -= gone.count_ones() as usize;
+            let s = run.sector;
+            let sector = &mut self.sectors[s as usize];
+            sector.resident &= !gone;
+            if sector.resident == 0 && s != keep {
+                sector.block = NO_BLOCK;
+                self.free_sectors.push(s);
+            }
+        }
+    }
+
+    /// Makes the lines `mask` of sector `s`, none of them resident, the
+    /// most recently used, as one run.
+    fn append(&mut self, s: u32, mask: u16) {
+        let pos = self.push_run(s, mask);
+        let sector = &mut self.sectors[s as usize];
+        if sector.resident == 0 {
+            sector.run_of = [pos; BLOCK_LINES];
+        } else {
+            for lane in bits(mask) {
+                sector.run_of[lane] = pos;
+            }
+        }
+        sector.resident |= mask;
+        self.len += mask.count_ones() as usize;
+    }
+
+    /// Accesses the lines `mask` of sector `s` one at a time, lowest
+    /// first, into one new run: a resident line moves into it, a missing
+    /// one joins it after a full table evicts its least-recently-used
+    /// line. Returns the mask of the lines that missed.
+    fn access_lanes(&mut self, s: u32, mask: u16) -> u16 {
+        let pos = self.push_run(s, 0);
+        let mut misses = 0;
+        for lane in bits(mask) {
+            let bit = 1 << lane;
+            let sector = &self.sectors[s as usize];
+            if sector.resident & bit != 0 {
+                let from = sector.run_of[lane];
+                self.runs[from as usize].live &= !bit;
+            } else {
+                misses |= bit;
+                if self.len >= self.capacity {
+                    self.evict(1, s);
+                }
+                self.sectors[s as usize].resident |= bit;
+                self.len += 1;
+            }
+            self.sectors[s as usize].run_of[lane] = pos;
+            self.runs[pos as usize].live |= bit;
+        }
+        misses
+    }
+}
+
+/// An exact-LRU residency table: block → sector through a hash map, with
+/// recency as a queue of access runs (see the module doc). An access costs
+/// one hash lookup per block and, when it misses every line, a few bit
+/// operations per run it evicts, so it is observationally identical to
+/// scanning for the minimum last-use stamp without scanning.
+#[derive(Debug, Clone)]
+struct LruTable {
+    /// Block → sector. An entry whose sector holds another block is stale
+    /// and reads as absent.
+    index: NumberMap,
+    recency: Recency,
+}
+
+impl LruTable {
+    /// An empty table for at most `capacity_lines` (at least one)
+    /// resident lines. Nothing is allocated before the first insert.
+    fn new(capacity_lines: usize) -> Self {
+        LruTable {
+            index: NumberMap::default(),
+            recency: Recency {
+                capacity: capacity_lines.max(1),
+                len: 0,
+                sectors: Vec::new(),
+                free_sectors: Vec::new(),
+                runs: Vec::new(),
+                head: 0,
+            },
+        }
+    }
+
+    /// Accesses the lines `mask` selects in `block`, lowest first: a
+    /// resident line is refreshed to most-recently-used, a missing one is
+    /// inserted as most-recently-used, after a full table evicts its
+    /// least-recently-used line. So at most the capacity is ever resident.
+    /// Returns the mask of the lines that missed.
+    fn access(&mut self, block: u64, mask: u16) -> u16 {
+        let recency = &mut self.recency;
+        if self.index.len() >= 2 * recency.sectors.len().max(BLOCK_LINES) {
+            let sectors = &recency.sectors;
+            self.index
+                .retain(|&block, &mut s| sectors[s as usize].block == block);
+        }
+        let entry = self.index.entry(block);
+        let live = match &entry {
+            Entry::Occupied(e) if recency.sectors[*e.get() as usize].block == block => {
+                Some(*e.get())
+            }
+            _ => None,
+        };
+        let lines = mask.count_ones() as usize;
+        let all_miss = lines <= recency.capacity
+            && live.is_none_or(|s| recency.sectors[s as usize].resident & mask == 0);
+        if all_miss {
+            // The victims are the oldest resident lines, which may be the
+            // last of this block's, freeing its sector.
+            recency.evict(
+                (recency.len + lines).saturating_sub(recency.capacity),
+                NO_SECTOR,
+            );
+        }
+        let s = match live {
+            Some(s) if recency.sectors[s as usize].block == block => s,
+            _ => {
+                let s = recency.new_sector(block);
+                match entry {
+                    Entry::Occupied(mut e) => *e.get_mut() = s,
+                    Entry::Vacant(e) => {
+                        e.insert(s);
+                    }
+                }
+                s
+            }
+        };
+        if !all_miss {
+            return recency.access_lanes(s, mask);
+        }
+        recency.append(s, mask);
+        mask
     }
 }
 
@@ -965,18 +1042,17 @@ mod tests {
         }
     }
 
-    /// `count` line addresses, one in each of `count` blocks whose index
-    /// home is one of the last two buckets of a `capacity`-line table:
-    /// their probe runs pile up into one long run that wraps past the end
-    /// of the index, so evictions delete from the middle of it, where a
-    /// backward-shift bug would lose or strand an entry. Consecutive
-    /// addresses sit at consecutive lines of their blocks.
+    /// `count` line addresses, one in each of `count` blocks whose
+    /// scrambled numbers agree in their low bits, as many as index a hash
+    /// table of twice `capacity` entries: their probe sequences in the
+    /// block index all start at one bucket, so lookups, inserts and stale
+    /// entries pile up in one long probe run. Consecutive addresses sit at
+    /// consecutive lines of their blocks, so each sector holds one line in
+    /// its own run, and a block comes back at another line.
     fn colliding_addrs(capacity: usize, count: usize) -> Vec<u64> {
-        let mut table = LruTable::new(capacity);
-        table.insert_sector(0);
-        let last = table.buckets.len() - 1;
+        let mask = (2 * capacity).next_power_of_two() as u64 - 1;
         (0u64..)
-            .filter(|&block| table.home(block) + 1 >= last)
+            .filter(|&block| scramble(block) & mask == scramble(0) & mask)
             .take(count)
             .enumerate()
             .map(|(i, block)| (block * BLOCK_LINES as u64 + (i % BLOCK_LINES) as u64) * LINE_BYTES)
@@ -989,10 +1065,11 @@ mod tests {
     }
 
     /// Capacities the differential tests cover: every one below the 16
-    /// lines of a block (where evicting the head can empty the sector
-    /// being filled), one block, non-powers of two (the index rounds up)
-    /// and the default 768-line L1.
-    const DIFF_CAPACITIES: [usize; 11] = [1, 2, 3, 4, 5, 6, 7, 16, 64, 100, 768];
+    /// lines of a block (where a tile load takes the per-line path and
+    /// evicts its own earlier lines), one line either side of a block (the
+    /// all-miss path's bound), non-powers of two and the default 768-line
+    /// L1.
+    const DIFF_CAPACITIES: [usize; 13] = [1, 2, 3, 4, 5, 6, 7, 15, 16, 17, 64, 100, 768];
 
     /// Lengths of the range accesses, in lines: one line, two, a 1 KB
     /// tile and a 2 KB one.
@@ -1048,37 +1125,123 @@ mod tests {
                         "capacity {capacity}, range step {step}: per-line hits"
                     );
                 }
-                assert_eq!(fast.lines.len(), reference.lines.len());
+                assert_eq!(fast.lines.recency.len, reference.lines.len());
             }
+        }
+    }
+
+    #[test]
+    fn a_block_at_the_head_cascades_like_the_stamp_scan() {
+        // `(capacity, [(addr, bytes)])`: the last access of each script
+        // misses every line it covers, including lines of its block that
+        // were resident before it, because the access's own misses evict
+        // them from the head of the queue first.
+        /// A capacity, its accesses as `(addr, bytes)`, and the lines the
+        /// last one misses.
+        type Script = (usize, &'static [(u64, usize)], u64);
+        let scripts: [Script; 2] = [
+            // All-miss path: line 15 of block 0 sits at the head when
+            // lines 0-14 of block 0 arrive; evicting 15 lines frees the
+            // block's sector, and a new one takes the access.
+            (17, &[(15 * 64, 64), (1024, 1024), (0, 960)], 15),
+            // Per-line path: six lines into a four-line L1, the block's
+            // lines 4 and 5 at the head: the first two misses evict them,
+            // so they miss when the walk reaches them.
+            (4, &[(4 * 64, 128), (1024, 128), (0, 384)], 6),
+        ];
+        for (capacity, script, last_misses) in scripts {
+            let mut fast = CacheModel::new(capacity, 5, 14);
+            let mut reference = StampScanReference::new(capacity, 5, 14);
+            for &(addr, bytes) in script {
+                let before = fast.stats().l2_hits;
+                assert_eq!(
+                    fast.access_range(addr, bytes, false),
+                    reference.access_range(addr, bytes),
+                    "capacity {capacity}, {bytes} B at {addr}"
+                );
+                if (addr, bytes) == *script.last().expect("a script") {
+                    assert_eq!(
+                        fast.stats().l2_hits - before,
+                        last_misses,
+                        "capacity {capacity}"
+                    );
+                }
+            }
+            // Every line of the two blocks lands where the reference has
+            // it, and so does the order they leave in.
+            for line in (0..32u64).chain(0..32) {
+                assert_eq!(
+                    fast.access_line(line * 64, false),
+                    reference.access_line(line * 64),
+                    "capacity {capacity}, line {line}"
+                );
+            }
+            assert_eq!(fast.lines.recency.len, reference.lines.len());
         }
     }
 
     #[test]
     fn lru_index_is_allocated_on_first_insert_only() {
         let mut c = CacheModel::new(768, 5, 14);
-        assert_eq!(c.lines.buckets.capacity(), 0, "untouched L1 holds no index");
+        let recency = &c.lines.recency;
+        assert_eq!(c.lines.index.capacity(), 0, "untouched L1 holds no index");
+        assert_eq!(
+            (recency.sectors.capacity(), recency.runs.capacity()),
+            (0, 0),
+            "nor sectors nor runs"
+        );
         c.access_line(0, false);
-        assert_eq!(c.lines.buckets.len(), 2048, "2 x 768 rounded up");
-        assert_eq!(CacheModel::new(100, 5, 14).lines.buckets.capacity(), 0);
+        let recency = &c.lines.recency;
+        assert_eq!(c.lines.index.len(), 1);
+        assert_eq!((recency.sectors.len(), recency.runs.len()), (1, 1));
+        let idle = CacheModel::new(100, 5, 14);
+        assert_eq!(idle.lines.index.capacity(), 0);
+        assert_eq!(idle.lines.recency.runs.capacity(), 0);
     }
 
     #[test]
     fn a_tile_load_fills_two_sectors() {
         // A 1 KB tile 64 B into its block covers 15 lines of one block and
-        // the first line of the next: two index entries for 16 lines.
+        // the first line of the next: two sectors, one run each, for 16
+        // lines.
         let mut c = CacheModel::new(768, 5, 14);
         assert_eq!(c.access_range(1024 + 64, 1024, false), (14, 16));
-        assert_eq!(c.lines.len(), 16);
-        assert_eq!(c.lines.sectors.len(), 2);
-        assert_eq!(c.lines.buckets.iter().filter(|&&b| b != NO_SLOT).count(), 2);
+        assert_eq!(c.lines.recency.len, 16);
+        let recency = &c.lines.recency;
+        assert_eq!(recency.sectors.len(), 2);
+        assert_eq!(c.lines.index.len(), 2);
+        let live: Vec<u16> = recency.runs.iter().map(|r| r.live).collect();
+        assert_eq!(live, [0xfffe, 0x0001]);
         // The next tile fills the second block and starts a third.
         assert_eq!(c.access_range(2048 + 64, 1024, false), (14, 16));
-        assert_eq!(c.lines.sectors.len(), 3);
+        assert_eq!(c.lines.recency.sectors.len(), 3);
+        assert_eq!(c.lines.recency.runs.len(), 4);
         assert_eq!(
             c.access_range(2048, 64, false),
             (5, 1),
             "line 32 is resident"
         );
+    }
+
+    #[test]
+    fn a_hit_only_loop_keeps_the_run_queue_bounded() {
+        // Every access refreshes lines that are all resident, so each one
+        // appends a run and kills an older one: compaction must keep the
+        // queue within its multiple of the capacity.
+        for capacity in [1, 16, 768] {
+            let mut c = CacheModel::new(capacity, 5, 14);
+            let bytes = 64 * capacity.min(BLOCK_LINES);
+            c.access_range(0, bytes, false);
+            for _ in 0..10 * RUN_QUEUE_FACTOR * capacity {
+                assert_eq!(c.access_range(0, bytes, false).0, 5);
+                assert!(
+                    c.lines.recency.runs.len() <= RUN_QUEUE_FACTOR * capacity,
+                    "capacity {capacity}: {} queued runs",
+                    c.lines.recency.runs.len()
+                );
+            }
+            assert_eq!(c.lines.recency.sectors.len(), 1);
+        }
     }
 
     /// One core's first-touch summary of `(stamp, line)` accesses.
@@ -1208,16 +1371,20 @@ mod tests {
 
     /// Every resident line's claim in `l2`, by line address.
     fn owners(l2: &SharedL2) -> BTreeMap<u64, Claim> {
-        l2.claims
+        l2.pages[..l2.pages()]
             .iter()
-            .flat_map(HashMap::iter)
-            .flat_map(|(&block, claims)| {
-                lanes(u16::MAX)
-                    .filter(|&lane| claims[lane].own > 0)
-                    .map(move |lane| {
-                        let line = block * BLOCK_LINES as u64 + lane as u64;
-                        (line * LINE_BYTES, claims[lane])
-                    })
+            .flat_map(|page| {
+                (0..PAGE_BLOCKS as usize).flat_map(move |slot| {
+                    let claimed = page.claims[slot].iter().any(|c| c.own > 0);
+                    assert_eq!(page.present >> slot & 1 == 1, claimed, "present mask");
+                    let block = page.number * PAGE_BLOCKS + slot as u64;
+                    bits(u16::MAX)
+                        .filter(move |&lane| page.claims[slot][lane].own > 0)
+                        .map(move |lane| {
+                            let line = block * BLOCK_LINES as u64 + lane as u64;
+                            (line * LINE_BYTES, page.claims[slot][lane])
+                        })
+                })
             })
             .collect()
     }
@@ -1308,17 +1475,33 @@ mod tests {
     fn lru_table_reuses_freed_slots() {
         let mut c = CacheModel::new(2, 5, 14);
         for i in 0..100u64 {
-            c.access_line(i * 64, false);
+            c.access_line(i * 64 * 16, false);
         }
-        // Two live lines, at most three slots and sectors ever allocated
-        // (two resident plus one freed-and-reused): eviction must recycle,
-        // not grow.
-        assert_eq!(c.lines.len(), 2);
+        // Two live lines in two blocks, at most three sectors ever
+        // allocated (two resident plus one freed and reused), and a queue
+        // and an index that stale entries do not grow: eviction must
+        // recycle.
+        let recency = &c.lines.recency;
+        assert_eq!(c.lines.recency.len, 2);
         assert!(
-            c.lines.slots.len() <= 3 && c.lines.sectors.len() <= 3,
-            "slots grew to {} and sectors to {} for a 2-line cache",
-            c.lines.slots.len(),
-            c.lines.sectors.len()
+            recency.sectors.len() <= 3,
+            "sectors grew to {} for a 2-line cache",
+            recency.sectors.len()
         );
+        assert!(recency.runs.len() <= RUN_QUEUE_FACTOR * 2);
+        assert!(c.lines.index.len() <= 2 * BLOCK_LINES);
+
+        // A summary's pages are reused after each fold: one page at a
+        // time, however many pages the run goes through.
+        let mut real = SharedL2::new(14);
+        let mut summary = SharedL2::new(14);
+        for page in 0..100u64 {
+            summary.access_line(0, page * PAGE_BLOCKS * 1024);
+            assert_eq!(summary.pages(), 1);
+            real.fold(&mut summary);
+            assert_eq!((summary.pages(), summary.resident_lines()), (0, 0));
+        }
+        assert_eq!(summary.pages.len(), 1, "the freed page is reused");
+        assert_eq!((real.pages(), real.resident_lines()), (100, 100));
     }
 }

@@ -154,13 +154,21 @@ impl RetireRing {
     }
 
     fn push(&mut self, v: u64) {
+        // Wraps with a compare, not a `%` by the ring's length: pushes run
+        // once or twice per instruction.
         if self.len < self.buf.len() {
-            let tail = (self.head + self.len) % self.buf.len();
+            let mut tail = self.head + self.len;
+            if tail >= self.buf.len() {
+                tail -= self.buf.len();
+            }
             self.buf[tail] = v;
             self.len += 1;
         } else {
             self.buf[self.head] = v;
-            self.head = (self.head + 1) % self.buf.len();
+            self.head += 1;
+            if self.head == self.buf.len() {
+                self.head = 0;
+            }
         }
     }
 }

@@ -100,9 +100,14 @@ pub const BARRIER_LATENCY: u64 = 32;
 pub const HOST_THREADS_ENV: &str = "VEGETA_HOST_THREADS";
 
 /// Lines a first-touch summary may hold before it folds into the shared
-/// L2 and starts over, which bounds each host thread's summary at a few
-/// hundred KB however many lines its core touches.
+/// L2 and starts over.
 const SUMMARY_LINES: usize = 8192;
+
+/// Claim pages (4 KB each) a first-touch summary may hold before it
+/// folds, whatever its lines: with [`SUMMARY_LINES`], this bounds each
+/// host thread's summary at a few hundred KB however sparsely its core
+/// touches lines.
+const SUMMARY_PAGES: usize = 64;
 
 /// Parses a [`HOST_THREADS_ENV`] value: a positive integer, surrounding
 /// whitespace allowed. The error wording is the one every environment
@@ -603,11 +608,12 @@ impl<S: InstStream> Lane<S> {
 
     /// Runs `core` on its own against its first-touch `summary` until the
     /// lane drains (`true`) or the summary holds [`SUMMARY_LINES`] lines
-    /// (`false`). Each step's accesses are stamped with the core's clock
-    /// before the step: the time the core-local time order would wake it.
+    /// or [`SUMMARY_PAGES`] pages (`false`). Each step's accesses are
+    /// stamped with the core's clock before the step: the time the
+    /// core-local time order would wake it.
     fn run_alone(&mut self, core: &mut Core, summary: &mut SharedL2) -> bool {
         loop {
-            if summary.resident_lines() >= SUMMARY_LINES {
+            if summary.resident_lines() >= SUMMARY_LINES || summary.pages() >= SUMMARY_PAGES {
                 return false;
             }
             summary.set_now(core.cycles());
@@ -1060,6 +1066,56 @@ mod tests {
         );
         assert!(res.shared_l2.shared_hits > 0, "cross-core reuse observed");
         assert_eq!(res.stranded_cores(), 2);
+    }
+
+    #[test]
+    fn a_one_line_per_page_lane_keeps_its_summary_within_the_page_budget() {
+        // One line in each of 4 * SUMMARY_PAGES claim pages, 16 KB apart:
+        // far below SUMMARY_LINES, so only the page budget folds.
+        let pages = 4 * SUMMARY_PAGES as u64;
+        let sparse = |first: u64| {
+            let mut t = Trace::new();
+            for page in first..first + pages {
+                t.push(TraceOp::VecLoad {
+                    dst: (page % 16) as u8,
+                    addr: page * 16 * 1024,
+                });
+            }
+            t
+        };
+        let trace = sparse(0);
+        let mut core = Core::new(0, SimConfig::default(), EngineConfig::rasa_dm());
+        let mut lane = Lane {
+            streams: VecDeque::from([trace.stream()]),
+            peak: 0,
+        };
+        let (mut summary, mut real) = (SharedL2::new(14), SharedL2::new(14));
+        let mut folds = 0;
+        loop {
+            let drained = lane.run_alone(&mut core, &mut summary);
+            assert!(
+                summary.pages() <= SUMMARY_PAGES,
+                "{} pages",
+                summary.pages()
+            );
+            real.fold(&mut summary);
+            folds += 1;
+            if drained {
+                break;
+            }
+        }
+        assert_eq!(folds, 5, "four full summaries, then the drained lane");
+        assert_eq!(real.stats().accesses, pages);
+        assert_eq!(real.pages(), pages as usize);
+        // Two such lanes overlapping by half fold like the stepped scan.
+        let res = assert_matches_stepped(
+            &MultiCoreConfig::new(2),
+            &EngineConfig::rasa_dm(),
+            &[sparse(0), sparse(pages / 2)],
+            None,
+            SchedulerPolicy::Lpt,
+        );
+        assert_eq!(res.shared_l2.shared_hits, pages / 2);
     }
 
     #[test]
